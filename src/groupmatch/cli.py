@@ -326,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_match = sub.add_parser("match", help="run matching on a dataset")
     p_match.add_argument("--config", required=True, help="JSON run configuration")
     p_match.add_argument("--seed", type=int, default=None)
-    p_match.add_argument("--threads", type=int, default=None)
+    p_match.add_argument("--threads", type=int, default=None,
+                         help="accepted for compatibility; searches run "
+                         "single-threaded")
     p_match.add_argument("--budget", type=int, default=None,
                          help="criterion-evaluation ceiling")
     p_match.add_argument("--output-dir", default=None)

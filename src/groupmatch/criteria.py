@@ -20,7 +20,13 @@ import numpy as np
 
 from .dataset import Dataset, SubsetState
 from .errors import UndefinedTestError, ValidationError
-from .stats import TestFunction, TestRegistry, default_registry
+from .stats import (
+    BUILTIN_WELCH,
+    TestFunction,
+    TestRegistry,
+    default_registry,
+    student_t_sf_array,
+)
 
 __all__ = [
     "CriterionSpec",
@@ -37,6 +43,11 @@ __all__ = [
 # Relative tolerance for floating-point rank components; differing summation
 # orders make exact equality too brittle.
 RANK_REL_TOL = 1e-12
+
+# A downdated sum of squared deviations at or below this share of the one it
+# was downdated from has lost too many digits to cancellation; such removal
+# sets are scored on their own subset instead.
+_DOWNDATE_REL_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,7 +160,7 @@ class MatchConfig:
     pool_cap: int = 64
     max_solutions: int = 64
     eval_budget: int = 10**8
-    threads: int = 1
+    threads: int = 1                # accepted; searches run single-threaded
     time_limit: float | None = None  # cooperative; checked between steps
 
     def __post_init__(self):
@@ -372,6 +383,93 @@ class CriteriaEvaluator:
         ps = self.p_values(keep)
         r = min(p / spec.alpha for p, spec in zip(ps, self.criteria))
         return r, ps
+
+    def score_removals(
+        self, keep: np.ndarray, combos: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-criterion p-values of many removal sets at once.
+
+        ``combos`` is an (m, L) array of kept rows; row i is scored on
+        ``keep`` with the rows ``combos[i]`` also removed.  Returns an
+        (m, n_criteria) p-value matrix and an (m,) mask ``defined``.  The
+        sets where ``defined`` is False are exactly those on which
+        ``evaluate`` raises UndefinedTestError; their p-values are NaN.
+
+        Criteria bound to the built-in Welch test are scored from each
+        group's count, mean and sum of squared deviations on ``keep``,
+        downdated by the removed rows; every other criterion, and every
+        removal set too close to degenerate to downdate, is scored on its own
+        subset as ``evaluate`` would.
+        """
+        combos = np.asarray(combos, dtype=np.intp)
+        p = np.full((combos.shape[0], len(self._bound)), np.nan)
+        defined = np.ones(combos.shape[0], dtype=bool)
+        work = keep.copy()
+        for j, (test, _, column, rows) in enumerate(self._bound):
+            todo = np.flatnonzero(defined)
+            if test is BUILTIN_WELCH:
+                ps, slow = self._welch_downdated(keep, combos[todo], column, rows)
+                p[todo, j] = ps
+                defined[todo] = slow | ~np.isnan(ps)
+                todo = todo[slow]
+            for i in todo.tolist():
+                removed = combos[i]
+                work[removed] = False
+                try:
+                    p[i, j] = test([column[idx[work[idx]]] for idx in rows])
+                except UndefinedTestError:
+                    defined[i] = False
+                work[removed] = True
+        return p, defined
+
+    def _welch_downdated(
+        self,
+        keep: np.ndarray,
+        combos: np.ndarray,
+        column: np.ndarray,
+        rows: list[np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Welch p-values of removal sets from per-group sufficient
+        statistics: (p, slow), where p is NaN on sets found undefined and on
+        the ``slow`` sets, which the caller scores per subset.
+
+        Each group's n, mean and C = sum((x - mean)^2) are taken once over
+        its kept rows, with the arithmetic of ``welch_t``.  Removing k rows
+        with deviations d = x - mean gives n' = n - k, a mean shift
+        delta = -sum(d) / n' and C' = C - sum(d^2) - n' delta^2 (Welford
+        1962; Chan, Golub & LeVeque 1983).
+        """
+        codes = self.dataset.group_codes[combos]
+        removed_values = column[combos]
+        slow = np.zeros(combos.shape[0], dtype=bool)
+        moments = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for idx in rows:
+                values = column[idx[keep[idx]]]
+                n = values.size
+                mean = values.mean() if n else 0.0
+                dev = values - mean
+                ss = float(np.sum(dev * dev))
+                in_group = codes == self.dataset.group_codes[idx[0]]
+                d = np.where(in_group, removed_values - mean, 0.0)
+                n_left = n - in_group.sum(axis=1)
+                delta = -d.sum(axis=1) / n_left
+                ss_left = ss - (d * d).sum(axis=1) - n_left * (delta * delta)
+                slow |= (n_left < 2) | (ss == 0.0) | (
+                    ss_left <= _DOWNDATE_REL_FLOOR * ss
+                )
+                var = ss_left / (n_left - 1)
+                moments.append((n_left, mean + delta, var / n_left))
+            (nx, mx, sx), (ny, my, sy) = moments
+            se2 = sx + sy
+            t = (mx - my) / np.sqrt(se2)
+            df = se2 * se2 / (sx * sx / (nx - 1) + sy * sy / (ny - 1))
+        slow |= ~(np.isfinite(t) & np.isfinite(df) & (df > 0.0))
+        p = np.full(combos.shape[0], np.nan)
+        fast = ~slow
+        p[fast] = student_t_sf_array(t[fast], df[fast])
+        p[(p < 0.0) | (p > 1.0)] = np.nan   # outside [0, 1] is undefined
+        return p, slow
 
 
 def compute_r(

@@ -15,7 +15,13 @@ solution(s) found together with a removal trace.
                        within its depth bound.
 
 All randomness flows from one generator seeded by the config, so identical
-(dataset, config, seed) triples replay identically at any thread count.
+(dataset, config, seed) triples replay identically.  Searches run on one
+thread; the ``threads`` setting is accepted and does not change a result.
+
+The constructive and exhaustive searches score each step's removal sets in
+one call to ``CriteriaEvaluator.score_removals``; every r a result reports
+(its p-values, its rank and each trace entry) comes from evaluating that
+subset on its own.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -56,10 +62,6 @@ __all__ = [
     "format_duration",
 ]
 
-# Evaluating candidate batches in parallel only pays off past this size.
-_PARALLEL_THRESHOLD = 64
-
-
 @dataclass(frozen=True)
 class TraceStep:
     """One removal, for replay verification.
@@ -75,7 +77,9 @@ class TraceStep:
     pool_size: int
 
     def to_json(self) -> str:
-        return json.dumps(
+        # interned: a replayed run yields equal lines, so callers that keep
+        # the traces of many replays (determinism checks) share one copy
+        return sys.intern(json.dumps(
             {
                 "step": self.step,
                 "removed_id": self.removed_id,
@@ -84,7 +88,7 @@ class TraceStep:
                 "pool_size": self.pool_size,
             },
             sort_keys=True,
-        )
+        ))
 
 
 @dataclass(frozen=True)
@@ -126,8 +130,8 @@ class _Budget:
 
     Every candidate state is charged the full criteria count before it is
     evaluated, whether or not a test turns out to be undefined partway
-    through, so the counter does not depend on evaluation order or thread
-    interleaving.
+    through, so the counter does not depend on evaluation order or on how
+    a removal set was scored.
     """
 
     def __init__(self, ceiling: int, per_state: int):
@@ -173,11 +177,7 @@ class _Engine:
                 cap = config.max_removed_per_group.get(g)
                 bounds.append(room if cap is None else min(room, cap))
         self.group_removal_room = np.array(bounds, dtype=np.intp)
-        self._pool = (
-            ThreadPoolExecutor(max_workers=config.threads)
-            if config.threads > 1
-            else None
-        )
+        self.alphas = np.array([c.alpha for c in config.criteria])
         self.deadline: float | None = None
 
     def start_clock(self, started: float) -> None:
@@ -187,10 +187,6 @@ class _Engine:
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.perf_counter() > self.deadline
 
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-
     def try_evaluate(self, keep: np.ndarray):
         """(r, p_values), or None when a test is undefined for this subset."""
         try:
@@ -198,12 +194,16 @@ class _Engine:
         except UndefinedTestError:
             return None
 
-    def evaluate_many(self, masks: Sequence[np.ndarray]) -> list:
-        """Evaluate candidate keep-masks; results in canonical input order."""
-        self.budget.charge_states(len(masks))
-        if self._pool is None or len(masks) < _PARALLEL_THRESHOLD:
-            return [self.try_evaluate(m) for m in masks]
-        return list(self._pool.map(self.try_evaluate, masks))
+    def score(self, keep: np.ndarray, combos) -> np.ndarray:
+        """r of each removal set in ``combos`` (an (m, L) array of rows kept
+        in ``keep``) applied to ``keep``, NaN where a test is undefined.
+        Charged like one evaluation per removal set."""
+        combos = np.asarray(combos, dtype=np.intp)
+        self.budget.charge_states(len(combos))
+        ps, defined = self.evaluator.score_removals(keep, combos)
+        rs = np.full(len(combos), np.nan)
+        rs[defined] = np.min(ps[defined] / self.alphas, axis=1)
+        return rs
 
     def evaluate_one(self, keep: np.ndarray):
         self.budget.charge_states(1)
@@ -299,7 +299,10 @@ def _result(
     started: float,
     trace: Sequence[TraceStep] = (),
     timed_out: bool = False,
+    rescore: bool = False,
 ) -> MatchResult:
+    """Build the result; ``rescore`` re-evaluates the reported state on its
+    own subset (uncharged) when it was ranked from ``score_removals``."""
     wall = time.perf_counter() - started
     if isinstance(pool_or_state, _SolutionPool):
         solutions = pool_or_state.subset_states()
@@ -310,6 +313,10 @@ def _result(
         solutions = (SubsetState(best.keep),)
         rank = best.rank
         ps = best.ps
+    if rescore:
+        keep = solutions[0].keep
+        r, ps = engine.evaluator.evaluate(keep)
+        rank = engine.rank(keep, r)
     return MatchResult(
         algorithm=algorithm,
         solutions=solutions,
@@ -362,90 +369,87 @@ def random_search(
     engine = _Engine(dataset, config, registry)
     started = time.perf_counter()
     engine.start_clock(started)
-    try:
-        n = dataset.n_subjects
-        min_size = config.min_group_size
-        unlocked_rows = np.flatnonzero(~engine.locked_mask)
-        group_rows = [dataset.group_index[g] for g in dataset.group_labels]
-        unlocked_groups = [
-            i
-            for i, g in enumerate(dataset.group_labels)
-            if g not in config.locked_groups
-        ]
-        successes = _SolutionPool(config.max_solutions)
-        failing = _BestFailing()
-        timed_out = False
+    n = dataset.n_subjects
+    min_size = config.min_group_size
+    unlocked_rows = np.flatnonzero(~engine.locked_mask)
+    group_rows = [dataset.group_index[g] for g in dataset.group_labels]
+    unlocked_groups = [
+        i
+        for i, g in enumerate(dataset.group_labels)
+        if g not in config.locked_groups
+    ]
+    successes = _SolutionPool(config.max_solutions)
+    failing = _BestFailing()
+    timed_out = False
 
-        # the full set is always evaluated first: an already-matched dataset
-        # needs no removals at all
-        full = np.ones(n, dtype=bool)
-        evaluated = engine.evaluate_one(full)
-        if evaluated is not None:
-            r, ps = evaluated
-            rank = engine.rank(full, r)
-            if r >= 1.0:
-                successes.offer(full, rank, ps)
-            else:
-                failing.offer(full, rank, ps)
+    # the full set is always evaluated first: an already-matched dataset
+    # needs no removals at all
+    full = np.ones(n, dtype=bool)
+    evaluated = engine.evaluate_one(full)
+    if evaluated is not None:
+        r, ps = evaluated
+        rank = engine.rank(full, r)
+        if r >= 1.0:
+            successes.offer(full, rank, ps)
+        else:
+            failing.offer(full, rank, ps)
 
-        for i in range(1, total + 1):
-            if engine.out_of_time():
-                timed_out = True
-                break
-            q = _keep_rate(engine, i, total)
-            keep = np.ones(n, dtype=bool)
-            keep[unlocked_rows] = engine.rng.random(unlocked_rows.size) < q
-            if config.ensure_feasible_draws:
-                for gi in unlocked_groups:
-                    rows = group_rows[gi]
-                    kept_rows = rows[keep[rows]]
-                    short = min(min_size, rows.size) - kept_rows.size
-                    if short > 0:
-                        out = rows[~keep[rows]]
-                        picked = engine.rng.choice(out.size, size=short, replace=False)
-                        keep[out[picked]] = True
-            counts = np.bincount(
-                dataset.group_codes[keep], minlength=dataset.n_groups
-            )
-            removed = engine.sizes - counts
-            if np.any(removed > engine.group_removal_room):
-                continue
-            if config.max_removed_total is not None and int(removed.sum()) > (
-                config.max_removed_total
-            ):
-                continue
-            if np.any(counts[unlocked_groups] < min_size):
-                continue
-            evaluated = engine.evaluate_one(keep)
-            if evaluated is None:
-                continue
-            r, ps = evaluated
-            rank = engine.rank(keep, r)
-            if r >= 1.0:
-                successes.offer(keep, rank, ps)
-            else:
-                failing.offer(keep, rank, ps)
-
-        params = {
-            "iterations": total,
-            "schedule": config.random_schedule,
-            "jitter": config.schedule_jitter,
-        }
-        if successes:
-            return _result(
-                engine, "random", params, True, successes, started,
-                timed_out=timed_out,
-            )
-        if failing.keep is None:
-            raise UndefinedTestError(
-                "criteria are undefined on the full dataset and every "
-                "random draw was infeasible"
-            )
-        return _result(
-            engine, "random", params, False, failing, started, timed_out=timed_out
+    for i in range(1, total + 1):
+        if engine.out_of_time():
+            timed_out = True
+            break
+        q = _keep_rate(engine, i, total)
+        keep = np.ones(n, dtype=bool)
+        keep[unlocked_rows] = engine.rng.random(unlocked_rows.size) < q
+        if config.ensure_feasible_draws:
+            for gi in unlocked_groups:
+                rows = group_rows[gi]
+                kept_rows = rows[keep[rows]]
+                short = min(min_size, rows.size) - kept_rows.size
+                if short > 0:
+                    out = rows[~keep[rows]]
+                    picked = engine.rng.choice(out.size, size=short, replace=False)
+                    keep[out[picked]] = True
+        counts = np.bincount(
+            dataset.group_codes[keep], minlength=dataset.n_groups
         )
-    finally:
-        engine.close()
+        removed = engine.sizes - counts
+        if np.any(removed > engine.group_removal_room):
+            continue
+        if config.max_removed_total is not None and int(removed.sum()) > (
+            config.max_removed_total
+        ):
+            continue
+        if np.any(counts[unlocked_groups] < min_size):
+            continue
+        evaluated = engine.evaluate_one(keep)
+        if evaluated is None:
+            continue
+        r, ps = evaluated
+        rank = engine.rank(keep, r)
+        if r >= 1.0:
+            successes.offer(keep, rank, ps)
+        else:
+            failing.offer(keep, rank, ps)
+
+    params = {
+        "iterations": total,
+        "schedule": config.random_schedule,
+        "jitter": config.schedule_jitter,
+    }
+    if successes:
+        return _result(
+            engine, "random", params, True, successes, started,
+            timed_out=timed_out,
+        )
+    if failing.keep is None:
+        raise UndefinedTestError(
+            "criteria are undefined on the full dataset and every "
+            "random draw was infeasible"
+        )
+    return _result(
+        engine, "random", params, False, failing, started, timed_out=timed_out
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +505,6 @@ class _Walk:
         self.removed_counts[g] += 1
         self.total_removed += 1
 
-    def mask_without(self, rows: Iterable[int]) -> np.ndarray:
-        mask = self.keep.copy()
-        mask[list(rows)] = False
-        return mask
-
     def balance_of_mask(self, rows: Iterable[int]):
         """Balance term of the current state with `rows` also removed."""
         cfg = self.engine.config
@@ -550,7 +549,7 @@ def _evaluate_step(engine: _Engine, walk: _Walk, size: int) -> _StepCandidates |
         ]
     if not combos:
         return None
-    results = engine.evaluate_many([walk.mask_without(c) for c in combos])
+    rs_all = engine.score(walk.keep, combos)
     kept_combos: list[tuple[int, ...]] = []
     rs: list[float] = []
     balances: list = []
@@ -565,11 +564,11 @@ def _evaluate_step(engine: _Engine, walk: _Walk, size: int) -> _StepCandidates |
         balance_for = lambda c: per_group[int(codes[c[0]])]
     else:
         balance_for = walk.balance_of_mask
-    for combo, res in zip(combos, results):
-        if res is None:
+    for combo, r in zip(combos, rs_all.tolist()):
+        if math.isnan(r):
             continue
         kept_combos.append(combo)
-        rs.append(res[0])
+        rs.append(r)
         balances.append(balance_for(combo))
     if not kept_combos:
         return None
@@ -611,13 +610,11 @@ def _narrow_by_r(engine: _Engine, walk: _Walk, pool_sets: list[tuple[int, ...]])
         universe = sorted(
             {sub for c in candidates for sub in itertools.combinations(c, size)}
         )
-        results = engine.evaluate_many([walk.mask_without(c) for c in universe])
         best_r: float | None = None
         narrowed: list[tuple[int, ...]] = []
-        for combo, res in zip(universe, results):
-            if res is None:
+        for combo, r in zip(universe, engine.score(walk.keep, universe).tolist()):
+            if math.isnan(r):
                 continue
-            r = res[0]
             if best_r is None or (r > best_r and not r_close(r, best_r)):
                 best_r = r
                 narrowed = [combo]
@@ -656,13 +653,12 @@ def _choose_by_membership(
     if len(step.combos[pool[0]]) == 1:
         # pool members are singletons whose r values are already tied
         return candidates[_choose_index(engine, len(candidates))]
-    results = engine.evaluate_many([walk.mask_without((c,)) for c in candidates])
+    singles = [(c,) for c in candidates]
     best_r: float | None = None
     finalists: list[int] = []
-    for row, res in zip(candidates, results):
-        if res is None:
+    for row, r in zip(candidates, engine.score(walk.keep, singles).tolist()):
+        if math.isnan(r):
             continue
-        r = res[0]
         if best_r is None or (r > best_r and not r_close(r, best_r)):
             best_r = r
             finalists = [row]
@@ -690,113 +686,110 @@ def _constructive(
     engine = _Engine(dataset, config, registry)
     started = time.perf_counter()
     engine.start_clock(started)
-    try:
-        walk = _Walk(engine)
-        failing = _BestFailing()
-        timed_out = False
-        evaluated = engine.evaluate_one(walk.keep)
-        if evaluated is not None:
-            r, ps = evaluated
-            walk.current_r, walk.current_ps = r, ps
-            rank = engine.rank(walk.keep, r)
-            if r >= 1.0:
-                pool = _SolutionPool(config.max_solutions)
-                pool.offer(walk.keep, rank, ps)
-                return _result(engine, algorithm, _params(config, set_size), True,
-                               pool, started)
-            failing.offer(walk.keep, rank, ps)
-        careful = walk.current_r is not None and (
-            walk.current_r >= config.reversion_threshold
-        )
+    walk = _Walk(engine)
+    failing = _BestFailing()
+    timed_out = False
+    evaluated = engine.evaluate_one(walk.keep)
+    if evaluated is not None:
+        r, ps = evaluated
+        walk.current_r, walk.current_ps = r, ps
+        rank = engine.rank(walk.keep, r)
+        if r >= 1.0:
+            pool = _SolutionPool(config.max_solutions)
+            pool.offer(walk.keep, rank, ps)
+            return _result(engine, algorithm, _params(config, set_size), True,
+                           pool, started)
+        failing.offer(walk.keep, rank, ps)
+    careful = walk.current_r is not None and (
+        walk.current_r >= config.reversion_threshold
+    )
 
-        while True:
-            if engine.out_of_time():
-                timed_out = True
-                break
-            step = _evaluate_step(engine, walk, set_size)
-            if step is None:
-                break
-            pool = _argmax_pool(engine, step)
-            first = select(engine, walk, step, pool)
+    while True:
+        if engine.out_of_time():
+            timed_out = True
+            break
+        step = _evaluate_step(engine, walk, set_size)
+        if step is None:
+            break
+        pool = _argmax_pool(engine, step)
+        first = select(engine, walk, step, pool)
 
-            batch_limit = 1
-            if not careful:
-                batch_limit = config.batch_size
-                if config.batch_fraction is not None:
-                    remaining = walk.removable_rows().size
-                    batch_limit = max(1, int(config.batch_fraction * remaining))
-            plan = [first]
-            if batch_limit > 1:
-                ranked = sorted(
-                    range(len(step.combos)),
-                    key=lambda j: (
-                        -step.rs[j],
-                        step.balances[j],
-                        step.combos[j],
-                    ),
-                )
-                for j in ranked:
-                    if len(plan) >= batch_limit:
-                        break
-                    row = step.combos[j][0]
-                    if row != first:
-                        plan.append(row)
-
-            stale_r = walk.current_r
-            removed_now: list[int] = []
-            for row in plan:
-                if not walk.keep[row]:
-                    continue
-                g = int(engine.dataset.group_codes[row])
-                if walk.removed_counts[g] >= engine.group_removal_room[g]:
-                    continue
-                if config.max_removed_total is not None and (
-                    walk.total_removed >= config.max_removed_total
-                ):
-                    break
-                walk.remove(row)
-                removed_now.append(row)
-            if not removed_now:
-                break
-
-            evaluated = engine.evaluate_one(walk.keep)
-            fresh_r = evaluated[0] if evaluated is not None else None
-            for idx, row in enumerate(removed_now):
-                last = idx == len(removed_now) - 1
-                walk.trace.append(
-                    TraceStep(
-                        step=walk.total_removed - len(removed_now) + idx + 1,
-                        removed_id=dataset.subject_ids[row],
-                        r_before=stale_r,
-                        r_after=fresh_r if last else None,
-                        pool_size=len(pool),
-                    )
-                )
-            if evaluated is None:
-                # tests undefined on the new state: keep walking; candidate
-                # evaluation will steer among defined states
-                walk.current_r, walk.current_ps = None, ()
-                continue
-            r, ps = evaluated
-            walk.current_r, walk.current_ps = r, ps
-            rank = engine.rank(walk.keep, r)
-            if r >= 1.0:
-                pool_out = _SolutionPool(config.max_solutions)
-                pool_out.offer(walk.keep, rank, ps)
-                return _result(engine, algorithm, _params(config, set_size), True,
-                               pool_out, started, walk.trace)
-            failing.offer(walk.keep, rank, ps)
-            if r >= config.reversion_threshold:
-                careful = True
-
-        if failing.keep is None:
-            raise UndefinedTestError(
-                "criteria were undefined on every state the search visited"
+        batch_limit = 1
+        if not careful:
+            batch_limit = config.batch_size
+            if config.batch_fraction is not None:
+                remaining = walk.removable_rows().size
+                batch_limit = max(1, int(config.batch_fraction * remaining))
+        plan = [first]
+        if batch_limit > 1:
+            ranked = sorted(
+                range(len(step.combos)),
+                key=lambda j: (
+                    -step.rs[j],
+                    step.balances[j],
+                    step.combos[j],
+                ),
             )
-        return _result(engine, algorithm, _params(config, set_size), False,
-                       failing, started, walk.trace, timed_out=timed_out)
-    finally:
-        engine.close()
+            for j in ranked:
+                if len(plan) >= batch_limit:
+                    break
+                row = step.combos[j][0]
+                if row != first:
+                    plan.append(row)
+
+        stale_r = walk.current_r
+        removed_now: list[int] = []
+        for row in plan:
+            if not walk.keep[row]:
+                continue
+            g = int(engine.dataset.group_codes[row])
+            if walk.removed_counts[g] >= engine.group_removal_room[g]:
+                continue
+            if config.max_removed_total is not None and (
+                walk.total_removed >= config.max_removed_total
+            ):
+                break
+            walk.remove(row)
+            removed_now.append(row)
+        if not removed_now:
+            break
+
+        evaluated = engine.evaluate_one(walk.keep)
+        fresh_r = evaluated[0] if evaluated is not None else None
+        for idx, row in enumerate(removed_now):
+            last = idx == len(removed_now) - 1
+            walk.trace.append(
+                TraceStep(
+                    step=walk.total_removed - len(removed_now) + idx + 1,
+                    removed_id=dataset.subject_ids[row],
+                    r_before=stale_r,
+                    r_after=fresh_r if last else None,
+                    pool_size=len(pool),
+                )
+            )
+        if evaluated is None:
+            # tests undefined on the new state: keep walking; candidate
+            # evaluation will steer among defined states
+            walk.current_r, walk.current_ps = None, ()
+            continue
+        r, ps = evaluated
+        walk.current_r, walk.current_ps = r, ps
+        rank = engine.rank(walk.keep, r)
+        if r >= 1.0:
+            pool_out = _SolutionPool(config.max_solutions)
+            pool_out.offer(walk.keep, rank, ps)
+            return _result(engine, algorithm, _params(config, set_size), True,
+                           pool_out, started, walk.trace)
+        failing.offer(walk.keep, rank, ps)
+        if r >= config.reversion_threshold:
+            careful = True
+
+    if failing.keep is None:
+        raise UndefinedTestError(
+            "criteria were undefined on every state the search visited"
+        )
+    return _result(engine, algorithm, _params(config, set_size), False,
+                   failing, started, walk.trace, timed_out=timed_out)
 
 
 def _params(config: MatchConfig, set_size: int) -> dict:
@@ -888,91 +881,78 @@ def exhaustive_search(
     engine = _Engine(dataset, config, registry)
     started = time.perf_counter()
     engine.start_clock(started)
-    try:
-        n = dataset.n_subjects
-        bound = max_removed
-        if bound is None:
-            bound = config.max_removed_total
-        if bound is None:
-            bound = n
-        if bound < 0:
-            raise ValidationError(f"max_removed must be >= 0, got {bound}")
-        removable = [
-            int(i) for i in np.flatnonzero(~engine.locked_mask)
-        ]
-        room_total = int(engine.group_removal_room.sum())
-        bound = min(bound, room_total, len(removable))
-        codes = engine.dataset.group_codes
-        failing = _BestFailing()
+    n = dataset.n_subjects
+    if max_removed is not None and max_removed < 0:
+        raise ValidationError(f"max_removed must be >= 0, got {max_removed}")
+    # an explicit bound can only tighten the configured total cap
+    bound = n if max_removed is None else max_removed
+    if config.max_removed_total is not None:
+        bound = min(bound, config.max_removed_total)
+    removable = [int(i) for i in np.flatnonzero(~engine.locked_mask)]
+    room_total = int(engine.group_removal_room.sum())
+    bound = min(bound, room_total, len(removable))
+    codes = engine.dataset.group_codes
+    full = np.ones(n, dtype=bool)
+    failing = _BestFailing()
 
-        for depth in range(bound + 1):
-            pool = _SolutionPool(config.max_solutions)
-            combos = itertools.combinations(removable, depth)
-            while True:
-                if engine.out_of_time():
-                    # partial depth: optimality within the depth cannot be
-                    # claimed, so report the best state seen as a failure
-                    best = failing
-                    if pool:
-                        best = _BestFailing()
-                        best.offer(pool.states[0], pool.rank, pool.p_values)
-                    if best.keep is None:
-                        raise UndefinedTestError(
-                            "timed out before any state could be evaluated"
-                        )
-                    return _result(
-                        engine, "exhaustive", {"max_removed": bound}, False,
-                        best, started, timed_out=True,
+    for depth in range(bound + 1):
+        pool = _SolutionPool(config.max_solutions)
+        combos = itertools.combinations(removable, depth)
+        while True:
+            if engine.out_of_time():
+                # partial depth: optimality within the depth cannot be
+                # claimed, so report the best state seen as a failure
+                best = failing
+                if pool:
+                    best = _BestFailing()
+                    best.offer(pool.states[0], pool.rank, pool.p_values)
+                if best.keep is None:
+                    raise UndefinedTestError(
+                        "timed out before any state could be evaluated"
                     )
-                chunk = list(itertools.islice(combos, _EXHAUSTIVE_CHUNK))
-                if not chunk:
-                    break
-                feasible = []
-                for combo in chunk:
-                    counts: dict[int, int] = {}
-                    for row in combo:
-                        g = int(codes[row])
-                        counts[g] = counts.get(g, 0) + 1
-                    if all(
-                        c <= engine.group_removal_room[g] for g, c in counts.items()
-                    ):
-                        feasible.append(combo)
-                if not feasible:
-                    continue
-                masks = []
-                base = np.ones(n, dtype=bool)
-                for combo in feasible:
-                    mask = base.copy()
-                    mask[list(combo)] = False
-                    masks.append(mask)
-                results = engine.evaluate_many(masks)
-                for mask, res in zip(masks, results):
-                    if res is None:
-                        continue
-                    r, ps = res
-                    rank = engine.rank(mask, r)
-                    if r >= 1.0:
-                        pool.offer(mask, rank, ps)
-                    else:
-                        failing.offer(mask, rank, ps)
-            if pool:
                 return _result(
-                    engine,
-                    "exhaustive",
-                    {"max_removed": bound},
-                    True,
-                    pool,
-                    started,
+                    engine, "exhaustive", {"max_removed": bound}, False,
+                    best, started, timed_out=True, rescore=True,
                 )
-        if failing.keep is None:
-            raise UndefinedTestError(
-                "criteria were undefined on every enumerated state"
+            chunk = list(itertools.islice(combos, _EXHAUSTIVE_CHUNK))
+            if not chunk:
+                break
+            feasible = []
+            for combo in chunk:
+                counts: dict[int, int] = {}
+                for row in combo:
+                    g = int(codes[row])
+                    counts[g] = counts.get(g, 0) + 1
+                if all(
+                    c <= engine.group_removal_room[g] for g, c in counts.items()
+                ):
+                    feasible.append(combo)
+            if not feasible:
+                continue
+            rs = engine.score(full, feasible)
+            for combo, r in zip(feasible, rs.tolist()):
+                if math.isnan(r):
+                    continue
+                mask = full.copy()
+                mask[list(combo)] = False
+                rank = engine.rank(mask, r)
+                if r >= 1.0:
+                    pool.offer(mask, rank, ())
+                else:
+                    failing.offer(mask, rank, ())
+        if pool:
+            return _result(
+                engine, "exhaustive", {"max_removed": bound}, True, pool,
+                started, rescore=True,
             )
-        return _result(
-            engine, "exhaustive", {"max_removed": bound}, False, failing, started
+    if failing.keep is None:
+        raise UndefinedTestError(
+            "criteria were undefined on every enumerated state"
         )
-    finally:
-        engine.close()
+    return _result(
+        engine, "exhaustive", {"max_removed": bound}, False, failing, started,
+        rescore=True,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ a p-value; search code treats such states as infeasible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import RegistrationError, UndefinedTestError
 
 __all__ = [
+    "BUILTIN_WELCH",
     "TestFunction",
     "TestRegistry",
     "WelchResult",
@@ -28,6 +30,7 @@ __all__ = [
     "default_registry",
     "regularized_incomplete_beta",
     "student_t_sf",
+    "student_t_sf_array",
     "welch_t",
     "welch_t_p",
     "anderson_darling",
@@ -45,7 +48,11 @@ _INCBETA_MAX_ITER = 500
 
 
 def _incbeta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+    """Continued fraction for the incomplete beta (modified Lentz).
+
+    Raises UndefinedTestError when it has not converged after
+    ``_INCBETA_MAX_ITER`` iterations.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -78,7 +85,50 @@ def _incbeta_cf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _INCBETA_EPS:
             return h
-    return h  # converged to double precision long before this in practice
+    raise UndefinedTestError(
+        f"incomplete beta continued fraction did not converge in "
+        f"{_INCBETA_MAX_ITER} iterations (a={a}, b={b}, x={x})"
+    )
+
+
+def _clamp_tiny(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) < _INCBETA_FPMIN, _INCBETA_FPMIN, v)
+
+
+def _incbeta_cf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_incbeta_cf`` over arrays, in the same operation order, so every
+    element that converges is bit-identical to the scalar result.  Elements
+    still open after ``_INCBETA_MAX_ITER`` iterations are NaN."""
+    out = np.full(x.shape, np.nan)
+    active = np.arange(x.size)
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones(x.shape)
+    d = 1.0 / _clamp_tiny(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, _INCBETA_MAX_ITER + 1):
+        if active.size == 0:
+            break
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / _clamp_tiny(1.0 + aa * d)
+        c = _clamp_tiny(1.0 + aa / c)
+        h = h * (d * c)
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / _clamp_tiny(1.0 + aa * d)
+        c = _clamp_tiny(1.0 + aa / c)
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < _INCBETA_EPS
+        if done.any():
+            out[active[done]] = h[done]
+            open_ = ~done
+            active = active[open_]
+            a, b, x, qab, qap, qam, c, d, h = (
+                v[open_] for v in (a, b, x, qab, qap, qam, c, d, h)
+            )
+    return out
 
 
 def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
@@ -119,6 +169,41 @@ def student_t_sf(t: float, df: float) -> float:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
     tt = t * t
     return regularized_incomplete_beta(df / (df + tt), df / 2.0, 0.5)
+
+
+def student_t_sf_array(t: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """``student_t_sf`` elementwise over finite t and positive df.
+
+    Each element is bit-identical to the scalar function: the prefactor is
+    computed per element with the same ``math`` calls and the continued
+    fraction runs in the same operation order.  Elements whose continued
+    fraction does not converge (where the scalar function raises
+    UndefinedTestError) are NaN.
+    """
+    t = np.asarray(t, dtype=float)
+    df = np.asarray(df, dtype=float)
+    x = df / (df + t * t)
+    a = df / 2.0
+    b = 0.5
+    out = np.empty(x.shape)
+    out[x == 0.0] = 0.0
+    out[x == 1.0] = 1.0
+    inner = (x != 0.0) & (x != 1.0)
+    xs, as_ = x[inner], a[inner]
+    lgamma_b = math.lgamma(b)
+    front = np.array([
+        math.exp(
+            math.lgamma(ai + b) - math.lgamma(ai) - lgamma_b
+            + ai * math.log(xi) + b * math.log1p(-xi)
+        )
+        for xi, ai in zip(xs.tolist(), as_.tolist())
+    ])
+    low = xs < (as_ + 1.0) / (as_ + b + 2.0)
+    cf = _incbeta_cf_array(
+        np.where(low, as_, b), np.where(low, b, as_), np.where(low, xs, 1.0 - xs)
+    )
+    out[inner] = np.where(low, front * cf / as_, 1.0 - front * cf / b)
+    return out
 
 
 @dataclass(frozen=True)
@@ -224,6 +309,19 @@ def _ad_variance(n_samples: int, total: int, sizes: np.ndarray) -> float:
     return (a * N**3 + b * N**2 + c * N + d) / ((N - 1.0) * (N - 2.0) * (N - 3.0))
 
 
+@functools.lru_cache(maxsize=64)
+def _ad_tail_fit(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Table percentiles for k samples and the quadratic fit of log
+    significance against them; both depend on k only.  Read-only, since
+    every caller shares them."""
+    m = k - 1
+    percentiles = _AD_B0 + _AD_B1 / math.sqrt(m) + _AD_B2 / m
+    fit = np.polyfit(percentiles, np.log(_AD_SIG), 2)
+    percentiles.setflags(write=False)
+    fit.setflags(write=False)
+    return percentiles, fit
+
+
 def anderson_darling(samples: Sequence) -> ADResult:
     """k-sample Anderson-Darling test (k >= 2), midrank ties correction.
 
@@ -247,9 +345,7 @@ def anderson_darling(samples: Sequence) -> ADResult:
         raise UndefinedTestError("degenerate null variance for the statistic")
     standardized = (a2 - (k - 1)) / math.sqrt(sigma_sq)
 
-    m = k - 1
-    percentiles = _AD_B0 + _AD_B1 / math.sqrt(m) + _AD_B2 / m
-    fit = np.polyfit(percentiles, np.log(_AD_SIG), 2)
+    percentiles, fit = _ad_tail_fit(k)
     # evaluate on the branch of the parabola that decreases with the
     # statistic, so extrapolated tails stay monotone
     at = standardized
@@ -303,6 +399,12 @@ class TestFunction:
         return p
 
 
+# The built-in Welch test.  Criteria bound to this exact instance are scored
+# from sufficient statistics when many removal sets are scored at once; a
+# registry that maps "welch_t" to anything else is always called per subset.
+BUILTIN_WELCH = TestFunction("welch_t", "two_sample", lambda s: welch_t_p(s[0], s[1]))
+
+
 class TestRegistry:
     """Name -> TestFunction mapping used to resolve criteria."""
 
@@ -311,9 +413,7 @@ class TestRegistry:
     def __init__(self, include_builtin: bool = True):
         self._tests: dict[str, TestFunction] = {}
         if include_builtin:
-            self.register(
-                TestFunction("welch_t", "two_sample", lambda s: welch_t_p(s[0], s[1]))
-            )
+            self.register(BUILTIN_WELCH)
             self.register(
                 TestFunction("anderson_darling", "k_sample", anderson_darling_p)
             )

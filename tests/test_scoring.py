@@ -1,0 +1,296 @@
+"""Batch scoring of removal sets (``CriteriaEvaluator.score_removals``).
+
+Every removal set scored in one pass must agree with evaluating its subset
+on its own: the same sets undefined, r within 1e-11 relative, and the
+Student t tail bit for bit.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import groupmatch.stats as stats
+from groupmatch.criteria import CriteriaEvaluator, CriteriaSet, CriterionSpec, MatchConfig
+from groupmatch.dataset import Dataset
+from groupmatch.errors import UndefinedTestError
+from groupmatch.search import exhaustive_search, greedy_search, lookahead_search
+from groupmatch.stats import (
+    TestFunction,
+    TestRegistry,
+    student_t_sf,
+    student_t_sf_array,
+    welch_t_p,
+)
+
+R_REL_TOL = 1e-11
+
+
+def per_subset(evaluator, keep, combos):
+    """Reference: each removal set evaluated on its own subset; None where
+    a test is undefined."""
+    out = []
+    for combo in combos:
+        mask = keep.copy()
+        mask[list(combo)] = False
+        try:
+            out.append(evaluator.evaluate(mask))
+        except UndefinedTestError:
+            out.append(None)
+    return out
+
+
+def assert_agrees(evaluator, keep, combos):
+    combos = np.array(combos, dtype=np.intp).reshape(len(combos), -1)
+    ps, defined = evaluator.score_removals(keep, combos)
+    alphas = np.array([c.alpha for c in evaluator.criteria])
+    reference = per_subset(evaluator, keep, combos)
+    assert defined.tolist() == [ref is not None for ref in reference]
+    for row, ref in zip(ps, reference):
+        if ref is None:
+            continue
+        r = float(np.min(row / alphas))
+        assert abs(r - ref[0]) <= R_REL_TOL * abs(ref[0])
+    return ps, defined, reference
+
+
+def make_dataset(rng, sizes, integer):
+    groups = [f"g{i}" for i, n in enumerate(sizes) for _ in range(n)]
+    n = len(groups)
+    if integer:
+        values = rng.integers(0, 5, size=(n, 2)).astype(float)
+    else:
+        values = rng.normal(size=(n, 2)) * rng.uniform(0.5, 3.0, size=2)
+    return Dataset([f"s{i}" for i in range(n)], groups, values, ["a", "b"])
+
+
+def pairwise_welch(labels):
+    specs = []
+    for x, y in itertools.combinations(labels, 2):
+        specs.append(CriterionSpec("welch_t", "a", (x, y), 0.2))
+        specs.append(CriterionSpec("welch_t", "b", (x, y), 0.3))
+    return CriteriaSet(tuple(specs))
+
+
+def removable_combos(dataset, keep, locked, size):
+    rows = [
+        int(i)
+        for i in np.flatnonzero(keep)
+        if dataset.group_labels[dataset.group_codes[i]] not in locked
+    ]
+    return list(itertools.combinations(rows, size))
+
+
+class TestAgainstPerSubset:
+    @pytest.mark.parametrize("n_groups", [2, 4])
+    @pytest.mark.parametrize("integer", [False, True], ids=["normal", "ties"])
+    def test_random_instances(self, n_groups, integer):
+        rng = np.random.default_rng(100 * n_groups + integer)
+        scored = 0
+        for _ in range(6):
+            sizes = rng.integers(3, 9, size=n_groups)
+            d = make_dataset(rng, sizes, integer)
+            ev = CriteriaEvaluator(d, pairwise_welch(d.group_labels))
+            # a walk already under way: a few rows gone, with four groups one
+            # of them locked, and removals may take a group down to one row
+            keep = np.ones(d.n_subjects, dtype=bool)
+            keep[rng.choice(d.n_subjects, 2, replace=False)] = False
+            locked = {d.group_labels[0]} if n_groups == 4 else set()
+            for g in locked:
+                keep[d.group_index[g]] = True
+            for size in (1, 2, 3):
+                combos = removable_combos(d, keep, locked, size)
+                assert_agrees(ev, keep, combos)
+                scored += len(combos)
+        assert scored > 300
+
+    def test_integer_ties_undefined_sets(self):
+        # small integer groups: many removal sets leave a constant group or a
+        # single row, and those must be undefined exactly when evaluate says
+        rng = np.random.default_rng(7)
+        undefined = 0
+        for _ in range(20):
+            d = make_dataset(rng, (3, 4), integer=True)
+            ev = CriteriaEvaluator(d, pairwise_welch(d.group_labels))
+            keep = np.ones(d.n_subjects, dtype=bool)
+            for size in (1, 2):
+                combos = removable_combos(d, keep, set(), size)
+                _, defined, _ = assert_agrees(ev, keep, combos)
+                undefined += int((~defined).sum())
+        assert undefined > 0
+
+    def test_empty_removal_set_is_the_base(self):
+        rng = np.random.default_rng(3)
+        d = make_dataset(rng, (6, 7), integer=False)
+        ev = CriteriaEvaluator(d, pairwise_welch(d.group_labels))
+        keep = np.ones(d.n_subjects, dtype=bool)
+        ps, defined = ev.score_removals(keep, np.zeros((1, 0), dtype=np.intp))
+        assert defined.tolist() == [True]
+        assert tuple(ps[0]) == ev.p_values(keep)
+
+
+def one_column(groups, values):
+    return Dataset(
+        [f"s{i}" for i in range(len(values))], groups,
+        np.asarray(values, dtype=float)[:, None], ["a"],
+    )
+
+
+class TestDegenerateGroups:
+    def welch(self, d):
+        return CriteriaEvaluator(
+            d, CriteriaSet((CriterionSpec("welch_t", "a", ("A", "B"), 0.2),))
+        )
+
+    def test_constant_groups_equal_means_give_p_one(self):
+        d = one_column(["A"] * 4 + ["B"] * 5, [5, 5, 5, 5, 5, 5, 5, 5, 9])
+        ev = self.welch(d)
+        keep = np.ones(d.n_subjects, dtype=bool)
+        ps, defined, _ = assert_agrees(ev, keep, [(8,)])
+        assert defined.tolist() == [True] and ps[0, 0] == 1.0
+
+    def test_constant_groups_unequal_means_undefined(self):
+        d = one_column(["A"] * 4 + ["B"] * 5, [3, 3, 3, 3, 5, 5, 5, 5, 9])
+        ev = self.welch(d)
+        keep = np.ones(d.n_subjects, dtype=bool)
+        _, defined, _ = assert_agrees(ev, keep, [(8,), (7,), (0,)])
+        assert defined.tolist() == [False, True, True]
+
+    def test_group_down_to_one_row_undefined(self):
+        d = one_column(["A"] * 3 + ["B"] * 4, [1.0, 2.5, 4.0, 0.5, 1.5, 2.0, 3.0])
+        ev = self.welch(d)
+        keep = np.ones(d.n_subjects, dtype=bool)
+        combos = list(itertools.combinations(range(d.n_subjects), 2))
+        _, defined, _ = assert_agrees(ev, keep, combos)
+        assert not defined[combos.index((0, 1))]
+        assert defined[combos.index((3, 4))]
+
+    def test_nearly_constant_group_after_removal(self):
+        # removing the outlier leaves a spread 1e-6 of the original: too
+        # little left to downdate, so the set is scored on its own subset
+        d = one_column(
+            ["A"] * 5 + ["B"] * 5,
+            [0.0, 1e-6, 2e-6, 0.0, 1e3, 0.1, 0.4, 0.2, 0.3, 0.5],
+        )
+        assert_agrees(self.welch(d), np.ones(d.n_subjects, dtype=bool), [(4,)])
+
+
+class TestMixedAndCustomTests:
+    def test_welch_with_anderson_darling(self):
+        rng = np.random.default_rng(21)
+        d = make_dataset(rng, (7, 8, 6), integer=False)
+        specs = [
+            CriterionSpec("anderson_darling", "a", ("g0", "g1", "g2"), 0.2),
+            CriterionSpec("welch_t", "a", ("g0", "g1"), 0.2),
+            CriterionSpec("anderson_darling", "b", ("g1", "g2"), 0.25),
+            CriterionSpec("welch_t", "b", ("g0", "g2"), 0.3),
+        ]
+        ev = CriteriaEvaluator(d, CriteriaSet(tuple(specs)))
+        keep = np.ones(d.n_subjects, dtype=bool)
+        for size in (1, 2):
+            combos = removable_combos(d, keep, set(), size)
+            ps, defined, reference = assert_agrees(ev, keep, combos)
+            # Anderson-Darling is scored on each subset: identical p-values
+            for row, ref in zip(ps[defined], [r for r in reference if r]):
+                assert row[0] == ref[1][0] and row[2] == ref[1][2]
+
+    def test_registry_override_of_welch_is_honoured(self):
+        calls = []
+
+        def fake_welch(samples):
+            calls.append(len(samples[0]) + len(samples[1]))
+            return 0.5 if len(samples[0]) % 2 else 0.05
+
+        registry = TestRegistry(include_builtin=False)
+        registry.register(TestFunction("welch_t", "two_sample", fake_welch))
+        rng = np.random.default_rng(5)
+        d = make_dataset(rng, (6, 6), integer=False)
+        crit = CriteriaSet((CriterionSpec("welch_t", "a", ("g0", "g1"), 0.2),))
+        ev = CriteriaEvaluator(d, crit, registry)
+        keep = np.ones(d.n_subjects, dtype=bool)
+        combos = np.arange(d.n_subjects)[:, None]
+        ps, defined = ev.score_removals(keep, combos)
+        assert defined.all() and len(calls) == d.n_subjects
+        expected = [0.5 if row < 6 else 0.05 for row in range(d.n_subjects)]
+        assert ps[:, 0].tolist() == expected
+
+    def test_same_kernel_under_another_instance_is_per_subset(self):
+        registry = TestRegistry(include_builtin=False)
+        registry.register(
+            TestFunction("welch_t", "two_sample", lambda s: welch_t_p(s[0], s[1]))
+        )
+        rng = np.random.default_rng(6)
+        d = make_dataset(rng, (6, 7), integer=False)
+        crit = CriteriaSet((CriterionSpec("welch_t", "a", ("g0", "g1"), 0.2),))
+        ev = CriteriaEvaluator(d, crit, registry)
+        keep = np.ones(d.n_subjects, dtype=bool)
+        combos = removable_combos(d, keep, set(), 2)
+        ps, defined, reference = assert_agrees(ev, keep, combos)
+        assert [row[0] for row in ps[defined]] == [r[1][0] for r in reference if r]
+
+
+def per_subset_registry():
+    """The built-in tests under new instances, so batch scoring takes the
+    per-subset path for every criterion."""
+    registry = TestRegistry(include_builtin=False)
+    registry.register(
+        TestFunction("welch_t", "two_sample", lambda s: welch_t_p(s[0], s[1]))
+    )
+    registry.register(
+        TestFunction("anderson_darling", "k_sample", stats.anderson_darling_p)
+    )
+    return registry
+
+
+class TestSearchesAgreeWithPerSubsetScoring:
+    def outcome(self, result):
+        return (
+            [s.key() for s in result.solutions],
+            [t.to_json() for t in result.trace],
+            result.rank,
+            result.p_values,
+            result.evaluations,
+        )
+
+    def test_lookahead_with_lock_and_unit_floor(self):
+        rng = np.random.default_rng(44)
+        d = make_dataset(rng, (6, 9, 8), integer=True)
+        config = MatchConfig(
+            criteria=pairwise_welch(d.group_labels),
+            locked_groups=frozenset({"g0"}),
+            min_group_size=1,
+            seed=2,
+        )
+        for run in (
+            lambda reg: greedy_search(d, config, registry=reg),
+            lambda reg: lookahead_search(d, config, "h3", lookahead=2, registry=reg),
+            lambda reg: lookahead_search(d, config, "h4", lookahead=3, registry=reg),
+            lambda reg: exhaustive_search(d, config, max_removed=3, registry=reg),
+        ):
+            batch = run(None)
+            reference = run(per_subset_registry())
+            assert self.outcome(batch) == self.outcome(reference)
+
+
+class TestStudentTailArray:
+    def test_bit_identical_to_scalar(self):
+        t = np.array([0.0, 1e-9, 0.01, 0.3, 1.0, 1.96, 2.5, 4.0, 8.0, 15.0, 30.0])
+        df = np.array([1.0, 1.7, 2.0, 3.0, 4.5, 9.0, 25.0, 120.0, 1e3, 1e4,
+                       1e5, 1e6, 1e7, 1e8])
+        tt, dd = (g.ravel() for g in np.meshgrid(np.concatenate([t, -t]), df))
+        got = student_t_sf_array(tt, dd)
+        want = np.array([student_t_sf(a, b) for a, b in zip(tt, dd)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_convergence_is_reported(self, monkeypatch):
+        monkeypatch.setattr(stats, "_INCBETA_MAX_ITER", 1)
+        with pytest.raises(UndefinedTestError):
+            student_t_sf(2.0, 10.0)
+        assert np.isnan(student_t_sf_array(np.array([2.0]), np.array([10.0]))).all()
+        rng = np.random.default_rng(9)
+        d = make_dataset(rng, (6, 6), integer=False)
+        ev = CriteriaEvaluator(d, pairwise_welch(d.group_labels))
+        keep = np.ones(d.n_subjects, dtype=bool)
+        combos = removable_combos(d, keep, set(), 1)
+        _, defined, _ = assert_agrees(ev, keep, combos)
+        assert not defined.any()

@@ -308,6 +308,22 @@ class TestExhaustive:
         result = exhaustive_search(d, base_config(), max_removed=1)
         assert not result.success
 
+    def test_explicit_bound_is_clamped_by_total_cap(self):
+        # this instance needs 3 removals; an explicit max_removed of 4 must
+        # not lift the configured total cap of 1
+        rng = np.random.default_rng(3)
+        values = np.concatenate([rng.normal(0, 1, 7), rng.normal(1.2, 1, 7)])
+        d = Dataset(
+            [f"s{i}" for i in range(14)], ["A"] * 7 + ["B"] * 7,
+            values[:, None], ["x"],
+        )
+        cfg = base_config(max_removed_total=1)
+        result = exhaustive_search(d, cfg, max_removed=4)
+        assert not result.success
+        assert result.parameters["max_removed"] == 1
+        assert all(d.n_subjects - s.n_kept <= 1 for s in result.solutions)
+        assert exhaustive_search(d, base_config(), max_removed=4).excluded_count(d) == 3
+
 
 class TestFeasibilityArithmetic:
     def test_known_counts(self):

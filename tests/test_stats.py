@@ -199,6 +199,28 @@ class TestAndersonDarling:
         assert near.extrapolated
         assert near.p_value == 1.0
 
+    def test_memoised_tail_fit_is_bit_identical(self):
+        # reference: the tail fit recomputed on every call
+        from groupmatch import stats
+
+        def p_refit(samples):
+            res = anderson_darling(samples)
+            m = len(samples) - 1
+            percentiles = stats._AD_B0 + stats._AD_B1 / math.sqrt(m) + stats._AD_B2 / m
+            fit = np.polyfit(percentiles, np.log(stats._AD_SIG), 2)
+            at = res.standardized
+            c2, c1, _ = fit
+            vertex = -c1 / (2.0 * c2)
+            at = max(at, vertex) if c2 < 0.0 else min(at, vertex)
+            p = float(np.exp(np.polyval(fit, at)))
+            return min(max(p, stats.AD_P_FLOOR), 1.0)
+
+        rng = np.random.default_rng(31)
+        battery = [[x, y] for x, y in make_battery(with_ad_separation=True)]
+        battery += [[x, y, rng.normal(0.3, 1.0, 20)] for x, y in battery[:6]]
+        for samples in battery * 2:
+            assert anderson_darling_p(samples) == p_refit(samples)
+
 
 class TestRegistryContract:
     def test_register_and_resolve(self):
