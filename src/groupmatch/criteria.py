@@ -21,9 +21,11 @@ import numpy as np
 from .dataset import Dataset, SubsetState
 from .errors import UndefinedTestError, ValidationError
 from .stats import (
+    BUILTIN_AD,
     BUILTIN_WELCH,
     TestFunction,
     TestRegistry,
+    anderson_darling_p_masks,
     default_registry,
     student_t_sf_array,
 )
@@ -48,6 +50,10 @@ RANK_REL_TOL = 1e-12
 # was downdated from has lost too many digits to cancellation; such removal
 # sets are scored on their own subset instead.
 _DOWNDATE_REL_FLOOR = 1e-9
+
+# Keep-masks scored in one block hold at most this many cells (masks times
+# rows), so the float temporaries of a block stay a few MB at any N.
+MASK_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ class MatchConfig:
     max_solutions: int = 64
     eval_budget: int = 10**8
     threads: int = 1                # accepted; searches run single-threaded
-    time_limit: float | None = None  # cooperative; checked between steps
+    time_limit: float | None = None  # cooperative; checked between scoring chunks
 
     def __post_init__(self):
         object.__setattr__(self, "locked_groups", frozenset(self.locked_groups))
@@ -357,11 +363,19 @@ class CriteriaEvaluator:
         self.dataset = dataset
         self.criteria = criteria
         self._bound: list[tuple[TestFunction, float, np.ndarray, list[np.ndarray]]] = []
+        # per criterion: its rows pooled, each row's sample code, and the
+        # position in the pool of every dataset row (-1 outside it)
+        self._pooled: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for spec in criteria:
             test = registry.get(spec.test_name)
             column = dataset.covariate_column(spec.covariate)
             rows = [dataset.group_index[g] for g in spec.group_subset]
             self._bound.append((test, spec.alpha, column, rows))
+            pooled = np.concatenate(rows)
+            codes = np.repeat(np.arange(len(rows)), [idx.size for idx in rows])
+            where = np.full(dataset.n_subjects, -1, dtype=np.intp)
+            where[pooled] = np.arange(pooled.size)
+            self._pooled.append((pooled, codes, where))
 
     def __len__(self) -> int:
         return len(self._bound)
@@ -393,34 +407,107 @@ class CriteriaEvaluator:
         ``keep`` with the rows ``combos[i]`` also removed.  Returns an
         (m, n_criteria) p-value matrix and an (m,) mask ``defined``.  The
         sets where ``defined`` is False are exactly those on which
-        ``evaluate`` raises UndefinedTestError; their p-values are NaN.
+        ``evaluate`` raises UndefinedTestError; each of their rows holds a
+        NaN.
 
         Criteria bound to the built-in Welch test are scored from each
         group's count, mean and sum of squared deviations on ``keep``,
-        downdated by the removed rows; every other criterion, and every
-        removal set too close to degenerate to downdate, is scored on its own
-        subset as ``evaluate`` would.
+        downdated by the removed rows, with the Student t tails of all of
+        them taken in one call; criteria bound to the built-in
+        Anderson-Darling test are scored with ``anderson_darling_p_masks``
+        on ``keep`` less each removal set.  Every other criterion, and every
+        removal set too close to degenerate to downdate, is scored on its
+        own subset as ``evaluate`` would.
         """
         combos = np.asarray(combos, dtype=np.intp)
         p = np.full((combos.shape[0], len(self._bound)), np.nan)
         defined = np.ones(combos.shape[0], dtype=bool)
+        tails: list = []
         work = keep.copy()
         for j, (test, _, column, rows) in enumerate(self._bound):
             todo = np.flatnonzero(defined)
+            if test is BUILTIN_AD:
+                p[todo, j] = self._ad_removed(j, keep, combos[todo])
+                defined[todo] = ~np.isnan(p[todo, j])
+                continue
             if test is BUILTIN_WELCH:
-                ps, slow = self._welch_downdated(keep, combos[todo], column, rows)
-                p[todo, j] = ps
-                defined[todo] = slow | ~np.isnan(ps)
-                todo = todo[slow]
+                t, df, slow = self._welch_downdated(keep, combos[todo], column, rows)
+                todo = _queue_tails(tails, j, todo, t, df, slow, defined)
             for i in todo.tolist():
                 removed = combos[i]
                 work[removed] = False
-                try:
-                    p[i, j] = test([column[idx[work[idx]]] for idx in rows])
-                except UndefinedTestError:
-                    defined[i] = False
+                p[i, j] = _per_subset(test, column, rows, work)
+                defined[i] = not math.isnan(p[i, j])
                 work[removed] = True
+        _fill_tails(tails, p, defined)
         return p, defined
+
+    def score_masks(self, keeps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-criterion p-values of many keep-masks at once.
+
+        ``keeps`` is an (m, n_subjects) boolean array.  Returns an
+        (m, n_criteria) p-value matrix and an (m,) mask ``defined``, like
+        ``score_removals``: ``defined`` is False exactly where ``evaluate``
+        raises UndefinedTestError, and each of those rows holds a NaN.
+
+        Criteria bound to the built-in Welch test are scored from each
+        group's two-pass masked moments, those bound to the built-in
+        Anderson-Darling test with ``anderson_darling_p_masks``; every other
+        criterion, and every mask that leaves a group constant or gives a
+        non-finite statistic, is scored on its own subset.  Masks are scored
+        in blocks of at most ``MASK_BLOCK_CELLS`` cells.
+        """
+        keeps = np.asarray(keeps, dtype=bool).reshape(-1, self.dataset.n_subjects)
+        p = np.full((keeps.shape[0], len(self._bound)), np.nan)
+        defined = np.ones(keeps.shape[0], dtype=bool)
+        step = max(1, MASK_BLOCK_CELLS // max(1, keeps.shape[1]))
+        for start in range(0, keeps.shape[0], step):
+            block = slice(start, start + step)
+            self._score_mask_block(keeps[block], p[block], defined[block])
+        return p, defined
+
+    def _score_mask_block(
+        self, keeps: np.ndarray, p: np.ndarray, defined: np.ndarray
+    ) -> None:
+        """``score_masks`` of one block, written into the views p, defined."""
+        tails: list = []
+        for j, (test, _, column, rows) in enumerate(self._bound):
+            todo = np.flatnonzero(defined)
+            if test is BUILTIN_AD:
+                pooled, codes, _ = self._pooled[j]
+                p[todo, j] = anderson_darling_p_masks(
+                    column[pooled], codes, len(rows), keeps[np.ix_(todo, pooled)]
+                )
+                defined[todo] = ~np.isnan(p[todo, j])
+                continue
+            if test is BUILTIN_WELCH:
+                t, df, slow = _welch_masked(keeps[todo], column, rows)
+                todo = _queue_tails(tails, j, todo, t, df, slow, defined)
+            for i in todo.tolist():
+                p[i, j] = _per_subset(test, column, rows, keeps[i])
+                defined[i] = not math.isnan(p[i, j])
+        _fill_tails(tails, p, defined)
+
+    def _ad_removed(self, j: int, keep: np.ndarray, combos: np.ndarray) -> np.ndarray:
+        """Anderson-Darling p-values of criterion j on ``keep`` less each
+        removal set, NaN where undefined; masks are built over the
+        criterion's own rows, in blocks of at most ``MASK_BLOCK_CELLS``."""
+        _, _, column, rows = self._bound[j]
+        pooled, codes, where = self._pooled[j]
+        values = column[pooled]
+        base = keep[pooled]
+        positions = where[combos]
+        out = np.empty(combos.shape[0])
+        step = max(1, MASK_BLOCK_CELLS // max(1, pooled.size))
+        for start in range(0, combos.shape[0], step):
+            pos = positions[start:start + step]
+            block = np.repeat(base[None, :], pos.shape[0], axis=0)
+            hit, col = np.nonzero(pos >= 0)
+            block[hit, pos[hit, col]] = False
+            out[start:start + step] = anderson_darling_p_masks(
+                values, codes, len(rows), block
+            )
+        return out
 
     def _welch_downdated(
         self,
@@ -429,9 +516,10 @@ class CriteriaEvaluator:
         column: np.ndarray,
         rows: list[np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Welch p-values of removal sets from per-group sufficient
-        statistics: (p, slow), where p is NaN on sets found undefined and on
-        the ``slow`` sets, which the caller scores per subset.
+        """Welch t and df of removal sets from per-group sufficient
+        statistics: (t, df, slow), where the ``slow`` sets are too close to
+        degenerate to downdate and are left to the caller to score per
+        subset.
 
         Each group's n, mean and C = sum((x - mean)^2) are taken once over
         its kept rows, with the arithmetic of ``welch_t``.  Removing k rows
@@ -460,16 +548,90 @@ class CriteriaEvaluator:
                 )
                 var = ss_left / (n_left - 1)
                 moments.append((n_left, mean + delta, var / n_left))
-            (nx, mx, sx), (ny, my, sy) = moments
-            se2 = sx + sy
-            t = (mx - my) / np.sqrt(se2)
-            df = se2 * se2 / (sx * sx / (nx - 1) + sy * sy / (ny - 1))
-        slow |= ~(np.isfinite(t) & np.isfinite(df) & (df > 0.0))
-        p = np.full(combos.shape[0], np.nan)
-        fast = ~slow
-        p[fast] = student_t_sf_array(t[fast], df[fast])
-        p[(p < 0.0) | (p > 1.0)] = np.nan   # outside [0, 1] is undefined
-        return p, slow
+        t, df = _welch_t_df(moments)
+        return t, df, slow | ~(np.isfinite(t) & np.isfinite(df) & (df > 0.0))
+
+
+def _per_subset(
+    test: TestFunction, column: np.ndarray, rows: list[np.ndarray], keep: np.ndarray
+) -> float:
+    """The test on the kept rows of each group, NaN where undefined."""
+    try:
+        return test([column[idx[keep[idx]]] for idx in rows])
+    except UndefinedTestError:
+        return math.nan
+
+
+def _welch_masked(
+    keeps: np.ndarray, column: np.ndarray, rows: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Welch t and df of keep-masks from each group's two-pass masked
+    moments: (t, df, slow) as from ``_welch_downdated``, with t NaN on the
+    masks that keep fewer than two rows of a group (undefined).  A mask
+    that leaves a group constant is slow, since ``welch_t`` decides that
+    case itself."""
+    undefined = np.zeros(keeps.shape[0], dtype=bool)
+    slow = np.zeros(keeps.shape[0], dtype=bool)
+    moments = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for idx in rows:
+            kept = keeps[:, idx]
+            x = column[idx]
+            n = kept.sum(axis=1)
+            mean = np.where(kept, x, 0.0).sum(axis=1) / n
+            dev = np.where(kept, x - mean[:, None], 0.0)
+            ss = np.sum(dev * dev, axis=1)
+            low = np.where(kept, x, np.inf).min(axis=1)
+            high = np.where(kept, x, -np.inf).max(axis=1)
+            undefined |= n < 2
+            slow |= low == high
+            var = ss / (n - 1)
+            moments.append((n, mean, var / n))
+    t, df = _welch_t_df(moments)
+    slow |= ~(np.isfinite(t) & np.isfinite(df) & (df > 0.0))
+    t[undefined] = np.nan
+    return t, df, slow & ~undefined
+
+
+def _welch_t_df(moments) -> tuple[np.ndarray, np.ndarray]:
+    """t and Satterthwaite df from two groups' (n, mean, var / n) arrays,
+    with the arithmetic of ``welch_t``."""
+    (nx, mx, sx), (ny, my, sy) = moments
+    with np.errstate(divide="ignore", invalid="ignore"):
+        se2 = sx + sy
+        t = (mx - my) / np.sqrt(se2)
+        df = se2 * se2 / (sx * sx / (nx - 1) + sy * sy / (ny - 1))
+    return t, df
+
+
+def _queue_tails(tails: list, j: int, todo, t, df, slow, defined) -> np.ndarray:
+    """Queue the Student t tails of criterion j's sets ``todo`` that are
+    neither slow nor undefined (t NaN), mark the undefined ones, and return
+    the slow ones for the caller to score per subset."""
+    undefined = ~slow & np.isnan(t)
+    defined[todo[undefined]] = False
+    fast = ~(slow | undefined)
+    tails.append((j, todo[fast], t[fast], df[fast]))
+    return todo[slow]
+
+
+def _fill_tails(tails: list, p: np.ndarray, defined: np.ndarray) -> None:
+    """Every queued tail in one ``student_t_sf_array`` call, so the continued
+    fraction runs once for all Welch criteria; a p that is NaN or outside
+    [0, 1] leaves its set undefined."""
+    if not tails:
+        return
+    ps = student_t_sf_array(
+        np.concatenate([t for _, _, t, _ in tails]),
+        np.concatenate([df for _, _, _, df in tails]),
+    )
+    ps[(ps < 0.0) | (ps > 1.0)] = np.nan   # outside [0, 1] is undefined
+    start = 0
+    for j, sets, _, _ in tails:
+        got = ps[start:start + sets.size]
+        start += sets.size
+        p[sets, j] = got
+        defined[sets] &= ~np.isnan(got)
 
 
 def compute_r(

@@ -19,7 +19,10 @@ All randomness flows from one generator seeded by the config, so identical
 thread; the ``threads`` setting is accepted and does not change a result.
 
 The constructive and exhaustive searches score each step's removal sets in
-one call to ``CriteriaEvaluator.score_removals``; every r a result reports
+chunks of ``_SCORE_CHUNK``, one ``CriteriaEvaluator.score_removals`` call
+each; random search makes its draws in chunks of ``MASK_BLOCK_CELLS`` cells
+and scores each chunk with one ``CriteriaEvaluator.score_masks`` call.  The
+clock (``time_limit``) is read between chunks.  Every r a result reports
 (its p-values, its rank and each trace entry) comes from evaluating that
 subset on its own.
 """
@@ -37,6 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .criteria import (
+    MASK_BLOCK_CELLS,
     CriteriaEvaluator,
     MatchConfig,
     SolutionRank,
@@ -61,6 +65,10 @@ __all__ = [
     "estimate_exhaustive",
     "format_duration",
 ]
+
+# Removal sets scored per call by the constructive and exhaustive searches;
+# the clock is read between calls.
+_SCORE_CHUNK = 1024
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -200,8 +208,11 @@ class _Engine:
         Charged like one evaluation per removal set."""
         combos = np.asarray(combos, dtype=np.intp)
         self.budget.charge_states(len(combos))
-        ps, defined = self.evaluator.score_removals(keep, combos)
-        rs = np.full(len(combos), np.nan)
+        return self.r_values(*self.evaluator.score_removals(keep, combos))
+
+    def r_values(self, ps: np.ndarray, defined: np.ndarray) -> np.ndarray:
+        """r of each row of a p-value matrix, NaN where it is undefined."""
+        rs = np.full(len(defined), np.nan)
         rs[defined] = np.min(ps[defined] / self.alphas, axis=1)
         return rs
 
@@ -260,6 +271,11 @@ class _SolutionPool:
                 self._keys.add(key)
                 self.states.append(keep.copy())
 
+    def wants(self, keep: np.ndarray, r: float) -> bool:
+        """False when offering ``keep`` cannot change the pool: it preserves
+        fewer subjects than the stored states."""
+        return self.rank is None or int(keep.sum()) >= self.rank.preserved
+
     def __bool__(self) -> bool:
         return self.rank is not None
 
@@ -275,6 +291,11 @@ class _BestFailing:
         self.keep: np.ndarray | None = None
         self.rank: SolutionRank | None = None
         self.ps: tuple[float, ...] = ()
+
+    def wants(self, keep: np.ndarray, r: float) -> bool:
+        """False when offering a state of match score r cannot change the
+        stored one: r is lower and not tied."""
+        return self.r is None or r > self.r or r_close(r, self.r)
 
     def offer(self, keep: np.ndarray, rank: SolutionRank, ps: tuple[float, ...]):
         if self.r is None:
@@ -302,7 +323,7 @@ def _result(
     rescore: bool = False,
 ) -> MatchResult:
     """Build the result; ``rescore`` re-evaluates the reported state on its
-    own subset (uncharged) when it was ranked from ``score_removals``."""
+    own subset (uncharged) when it was ranked from a batch score."""
     wall = time.perf_counter() - started
     if isinstance(pool_or_state, _SolutionPool):
         solutions = pool_or_state.subset_states()
@@ -394,10 +415,8 @@ def random_search(
         else:
             failing.offer(full, rank, ps)
 
-    for i in range(1, total + 1):
-        if engine.out_of_time():
-            timed_out = True
-            break
+    def draw(i: int) -> np.ndarray | None:
+        """Draw i, or None when it breaks a removal bound."""
         q = _keep_rate(engine, i, total)
         keep = np.ones(n, dtype=bool)
         keep[unlocked_rows] = engine.rng.random(unlocked_rows.size) < q
@@ -415,22 +434,37 @@ def random_search(
         )
         removed = engine.sizes - counts
         if np.any(removed > engine.group_removal_room):
-            continue
+            return None
         if config.max_removed_total is not None and int(removed.sum()) > (
             config.max_removed_total
         ):
-            continue
+            return None
         if np.any(counts[unlocked_groups] < min_size):
+            return None
+        return keep
+
+    # draws are made and charged one at a time, in chunks that are scored
+    # in one call each; the clock is read between chunks
+    chunk = max(1, MASK_BLOCK_CELLS // n)
+    for first in range(1, total + 1, chunk):
+        if engine.out_of_time():
+            timed_out = True
+            break
+        drawn = []
+        for i in range(first, min(first + chunk, total + 1)):
+            keep = draw(i)
+            if keep is not None:
+                engine.budget.charge_states(1)
+                drawn.append(keep)
+        if not drawn:
             continue
-        evaluated = engine.evaluate_one(keep)
-        if evaluated is None:
-            continue
-        r, ps = evaluated
-        rank = engine.rank(keep, r)
-        if r >= 1.0:
-            successes.offer(keep, rank, ps)
-        else:
-            failing.offer(keep, rank, ps)
+        ps, defined = engine.evaluator.score_masks(np.array(drawn))
+        for keep, r, row in zip(drawn, engine.r_values(ps, defined).tolist(), ps):
+            if math.isnan(r):
+                continue
+            target = successes if r >= 1.0 else failing
+            if target.wants(keep, r):
+                target.offer(keep, engine.rank(keep, r), tuple(row.tolist()))
 
     params = {
         "iterations": total,
@@ -440,7 +474,7 @@ def random_search(
     if successes:
         return _result(
             engine, "random", params, True, successes, started,
-            timed_out=timed_out,
+            timed_out=timed_out, rescore=True,
         )
     if failing.keep is None:
         raise UndefinedTestError(
@@ -448,7 +482,8 @@ def random_search(
             "random draw was infeasible"
         )
     return _result(
-        engine, "random", params, False, failing, started, timed_out=timed_out
+        engine, "random", params, False, failing, started,
+        timed_out=timed_out, rescore=True,
     )
 
 
@@ -535,41 +570,49 @@ class _StepCandidates:
     balances: list
 
 
+class _OutOfTime(Exception):
+    """The deadline passed between two scoring chunks of a step."""
+
+
 def _evaluate_step(engine: _Engine, walk: _Walk, size: int) -> _StepCandidates | None:
+    """Score every feasible removal set of ``size`` rows, ``_SCORE_CHUNK``
+    sets per call; raises _OutOfTime when the deadline passes between two
+    calls."""
     rows = walk.removable_rows()
     if rows.size < size:
         return None
     if size == 1:
-        combos = [(int(i),) for i in rows]
+        combos = iter([(i,) for i in rows.tolist()])
+        # a single removal's balance depends only on the subject's group
+        codes = engine.dataset.group_codes
+        groups, first = np.unique(codes[rows], return_index=True)
+        per_group = {
+            g: walk.balance_of_mask((int(rows[i]),))
+            for g, i in zip(groups.tolist(), first.tolist())
+        }
+        group_of = codes.tolist()
+        balance_for = lambda c: per_group[group_of[c[0]]]
     else:
-        combos = [
+        combos = (
             c
-            for c in itertools.combinations((int(i) for i in rows), size)
+            for c in itertools.combinations(rows.tolist(), size)
             if walk.combo_feasible(c)
-        ]
-    if not combos:
-        return None
-    rs_all = engine.score(walk.keep, combos)
+        )
+        balance_for = walk.balance_of_mask
     kept_combos: list[tuple[int, ...]] = []
     rs: list[float] = []
     balances: list = []
-    if size == 1:
-        # a single removal's balance depends only on the subject's group
-        codes = engine.dataset.group_codes
-        per_group: dict[int, object] = {}
-        for combo in combos:
-            g = int(codes[combo[0]])
-            if g not in per_group:
-                per_group[g] = walk.balance_of_mask(combo)
-        balance_for = lambda c: per_group[int(codes[c[0]])]
-    else:
-        balance_for = walk.balance_of_mask
-    for combo, r in zip(combos, rs_all.tolist()):
-        if math.isnan(r):
-            continue
-        kept_combos.append(combo)
-        rs.append(r)
-        balances.append(balance_for(combo))
+    chunk = list(itertools.islice(combos, _SCORE_CHUNK))
+    while chunk:
+        for combo, r in zip(chunk, engine.score(walk.keep, chunk).tolist()):
+            if math.isnan(r):
+                continue
+            kept_combos.append(combo)
+            rs.append(r)
+            balances.append(balance_for(combo))
+        chunk = list(itertools.islice(combos, _SCORE_CHUNK))
+        if chunk and engine.out_of_time():
+            raise _OutOfTime
     if not kept_combos:
         return None
     return _StepCandidates(kept_combos, rs, balances)
@@ -708,7 +751,11 @@ def _constructive(
         if engine.out_of_time():
             timed_out = True
             break
-        step = _evaluate_step(engine, walk, set_size)
+        try:
+            step = _evaluate_step(engine, walk, set_size)
+        except _OutOfTime:
+            timed_out = True
+            break
         if step is None:
             break
         pool = _argmax_pool(engine, step)
@@ -863,9 +910,6 @@ def lookahead_search(
 # exhaustive search
 # ---------------------------------------------------------------------------
 
-_EXHAUSTIVE_CHUNK = 1024
-
-
 def exhaustive_search(
     dataset: Dataset,
     config: MatchConfig,
@@ -914,7 +958,7 @@ def exhaustive_search(
                     engine, "exhaustive", {"max_removed": bound}, False,
                     best, started, timed_out=True, rescore=True,
                 )
-            chunk = list(itertools.islice(combos, _EXHAUSTIVE_CHUNK))
+            chunk = list(itertools.islice(combos, _SCORE_CHUNK))
             if not chunk:
                 break
             feasible = []
@@ -935,11 +979,9 @@ def exhaustive_search(
                     continue
                 mask = full.copy()
                 mask[list(combo)] = False
-                rank = engine.rank(mask, r)
-                if r >= 1.0:
-                    pool.offer(mask, rank, ())
-                else:
-                    failing.offer(mask, rank, ())
+                target = pool if r >= 1.0 else failing
+                if target.wants(mask, r):
+                    target.offer(mask, engine.rank(mask, r), ())
         if pool:
             return _result(
                 engine, "exhaustive", {"max_removed": bound}, True, pool,

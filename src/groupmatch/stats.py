@@ -22,6 +22,7 @@ import numpy as np
 from .errors import RegistrationError, UndefinedTestError
 
 __all__ = [
+    "BUILTIN_AD",
     "BUILTIN_WELCH",
     "TestFunction",
     "TestRegistry",
@@ -35,6 +36,7 @@ __all__ = [
     "welch_t_p",
     "anderson_darling",
     "anderson_darling_p",
+    "anderson_darling_p_masks",
     "register_test",
 ]
 
@@ -292,21 +294,33 @@ def _ad_midrank_statistic(samples: list[np.ndarray]) -> float:
     return a2 * (total - 1.0) / total
 
 
-def _ad_variance(n_samples: int, total: int, sizes: np.ndarray) -> float:
-    """Null variance of the k-sample statistic (exact finite-N formula)."""
-    k = n_samples
+@functools.lru_cache(maxsize=4096)
+def _ad_harmonic_sums(total: int) -> tuple[float, float]:
+    """The sums h and g of the null variance, which depend on N only."""
     N = total
-    H = float(np.sum(1.0 / sizes))
     inv = 1.0 / np.arange(1, N)          # 1/1 .. 1/(N-1)
     h = float(inv.sum())
     # g = sum over 1 <= i < j <= N-1 of 1 / ((N - i) * j)
     prefix = np.cumsum(1.0 / np.arange(N - 1, 1, -1))   # sums of 1/(N-t)
     g = float(np.sum(prefix / np.arange(2, N)))
+    return h, g
+
+
+def _ad_variance_from(k: int, N, H, h, g):
+    """Null variance from k, N, H = sum(1/n_i) and the N-only sums h and g;
+    scalars or arrays alike, with the same operations either way."""
     a = (4 * g - 6) * (k - 1) + (10 - 6 * g) * H
     b = (2 * g - 4) * k**2 + 8 * h * k + (2 * g - 14 * h - 4) * H - 8 * h + 4 * g - 6
     c = (6 * h + 2 * g - 2) * k**2 + (4 * h - 4 * g + 6) * k + (2 * h - 6) * H + 4 * h
     d = (2 * h + 6) * k**2 - 4 * h * k
     return (a * N**3 + b * N**2 + c * N + d) / ((N - 1.0) * (N - 2.0) * (N - 3.0))
+
+
+def _ad_variance(n_samples: int, total: int, sizes: np.ndarray) -> float:
+    """Null variance of the k-sample statistic (exact finite-N formula)."""
+    H = float(np.sum(1.0 / sizes))
+    h, g = _ad_harmonic_sums(total)
+    return _ad_variance_from(n_samples, total, H, h, g)
 
 
 @functools.lru_cache(maxsize=64)
@@ -345,25 +359,111 @@ def anderson_darling(samples: Sequence) -> ADResult:
         raise UndefinedTestError("degenerate null variance for the statistic")
     standardized = (a2 - (k - 1)) / math.sqrt(sigma_sq)
 
-    percentiles, fit = _ad_tail_fit(k)
-    # evaluate on the branch of the parabola that decreases with the
-    # statistic, so extrapolated tails stay monotone
+    percentiles, _ = _ad_tail_fit(k)
+    p = float(_ad_tail_p(k, standardized))
+    extrapolated = bool(
+        standardized < percentiles[0] or standardized > percentiles[-1]
+    )
+    return ADResult(a2, standardized, p, extrapolated)
+
+
+def _ad_tail_p(k: int, standardized):
+    """p-value of standardized statistics (scalar or array) from the tail
+    fit, clamped into [AD_P_FLOOR, 1].  The fit is evaluated on the branch
+    of the parabola that decreases with the statistic, so extrapolated
+    tails stay monotone."""
+    _, fit = _ad_tail_fit(k)
     at = standardized
     c2, c1, _ = fit
     if c2 != 0.0:
         vertex = -c1 / (2.0 * c2)
-        at = max(at, vertex) if c2 < 0.0 else min(at, vertex)
-    p = float(np.exp(np.polyval(fit, at)))
-    extrapolated = bool(
-        standardized < percentiles[0] or standardized > percentiles[-1]
-    )
-    p = min(max(p, AD_P_FLOOR), 1.0)
-    return ADResult(a2, standardized, p, extrapolated)
+        at = np.maximum(at, vertex) if c2 < 0.0 else np.minimum(at, vertex)
+    return np.clip(np.exp(np.polyval(fit, at)), AD_P_FLOOR, 1.0)
 
 
 def anderson_darling_p(samples: Sequence) -> float:
     """k-sample Anderson-Darling p-value."""
     return anderson_darling(samples).p_value
+
+
+def anderson_darling_p_masks(values, codes, k: int, masks) -> np.ndarray:
+    """``anderson_darling_p`` of many subsets of one pooled sample at once.
+
+    ``values`` is the pooled sample, ``codes`` the sample (0..k-1) of each
+    value and ``masks`` an (m, n) block of keep-masks over them; row i
+    scores the samples ``values[masks[i] & (codes == g)]``.  Returns the
+    (m,) p-values, NaN exactly where ``anderson_darling_p`` of that subset
+    raises UndefinedTestError or gives NaN.
+
+    The pooled sample is sorted once.  Each mask's per-sample counts at
+    every distinct value come from ``np.add.reduceat`` over the runs of
+    equal values, so a value the mask leaves out has zero counts and adds
+    nothing; the midrank statistic, null variance and tail fit then run over
+    the whole block.  A mask whose null variance is not positive
+    and finite, or whose p is NaN, is scored on its own subset instead.
+    """
+    values = np.asarray(values, dtype=float)
+    codes = np.asarray(codes)
+    masks = np.asarray(masks, dtype=bool).reshape(-1, values.size)
+    p = np.full(masks.shape[0], np.nan)
+    if k < 2 or values.size == 0:
+        return p
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
+    )
+    kept = masks[:, order]
+    sorted_codes = codes[order]
+    # per-sample counts at each distinct value: (k, m, D)
+    counts = np.stack([
+        np.add.reduceat(
+            (kept & (sorted_codes == g)).astype(float), starts, axis=1
+        )
+        for g in range(k)
+    ])
+    pooled = counts.sum(axis=0)
+    sizes = counts.sum(axis=2)                     # (k, m)
+    total = pooled.sum(axis=1)                     # (m,)
+    scored = (sizes >= 2).all(axis=0) & (np.count_nonzero(pooled, axis=1) >= 2)
+    if not scored.any():
+        return p
+    pooled, counts, sizes, total = (
+        pooled[scored], counts[:, scored], sizes[:, scored], total[scored]
+    )
+    N = total[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below_mid = np.cumsum(pooled, axis=1) - 0.5 * pooled
+        denom = below_mid * (N - below_mid) - N * pooled / 4.0
+        weight = pooled / N
+        present = pooled > 0
+        a2 = np.zeros(total.shape)
+        for f, n in zip(counts, sizes):
+            mid = np.cumsum(f, axis=1) - 0.5 * f
+            num = (N * mid - below_mid * n[:, None]) ** 2
+            terms = np.where(present, weight * num / denom, 0.0)
+            a2 = a2 + terms.sum(axis=1) / n
+        a2 = a2 * (total - 1.0) / total
+        H = 1.0 / sizes[0]
+        for n in sizes[1:]:
+            H = H + 1.0 / n
+        N_int = total.astype(np.int64)
+        sums = np.array([_ad_harmonic_sums(int(t)) for t in N_int])
+        sigma_sq = _ad_variance_from(k, N_int, H, sums[:, 0], sums[:, 1])
+        standardized = (a2 - (k - 1)) / np.sqrt(sigma_sq)
+    got = _ad_tail_p(k, standardized)
+    rows = np.flatnonzero(scored)
+    p[rows] = got
+    redo = ~(np.isfinite(sigma_sq) & (sigma_sq > 0.0)) | np.isnan(got)
+    for i in rows[redo].tolist():
+        keep = masks[i]
+        try:
+            p[i] = anderson_darling_p(
+                [values[keep & (codes == g)] for g in range(k)]
+            )
+        except UndefinedTestError:
+            p[i] = np.nan
+    return p
 
 
 @dataclass(frozen=True)
@@ -399,10 +499,14 @@ class TestFunction:
         return p
 
 
-# The built-in Welch test.  Criteria bound to this exact instance are scored
-# from sufficient statistics when many removal sets are scored at once; a
-# registry that maps "welch_t" to anything else is always called per subset.
+# The built-in tests.  When many subsets are scored at once, criteria bound
+# to these exact instances are scored in blocks: Welch from per-group
+# sufficient statistics (downdated for removal sets, two-pass moments for
+# keep-masks), Anderson-Darling with ``anderson_darling_p_masks``.  A
+# registry that maps either name to anything else is always called per
+# subset.
 BUILTIN_WELCH = TestFunction("welch_t", "two_sample", lambda s: welch_t_p(s[0], s[1]))
+BUILTIN_AD = TestFunction("anderson_darling", "k_sample", anderson_darling_p)
 
 
 class TestRegistry:
@@ -414,9 +518,7 @@ class TestRegistry:
         self._tests: dict[str, TestFunction] = {}
         if include_builtin:
             self.register(BUILTIN_WELCH)
-            self.register(
-                TestFunction("anderson_darling", "k_sample", anderson_darling_p)
-            )
+            self.register(BUILTIN_AD)
 
     def register(self, test: TestFunction) -> TestFunction:
         if test.name in self._tests:

@@ -1,7 +1,8 @@
-"""Batch scoring of removal sets (``CriteriaEvaluator.score_removals``).
+"""Batch scoring of removal sets and keep-masks
+(``CriteriaEvaluator.score_removals`` and ``score_masks``).
 
-Every removal set scored in one pass must agree with evaluating its subset
-on its own: the same sets undefined, r within 1e-11 relative, and the
+Every removal set or mask scored in one pass must agree with evaluating its
+subset on its own: the same sets undefined, r within 1e-11 relative, and the
 Student t tail bit for bit.
 """
 
@@ -16,8 +17,11 @@ from groupmatch.dataset import Dataset
 from groupmatch.errors import UndefinedTestError
 from groupmatch.search import exhaustive_search, greedy_search, lookahead_search
 from groupmatch.stats import (
+    BUILTIN_AD,
     TestFunction,
     TestRegistry,
+    anderson_darling_p,
+    anderson_darling_p_masks,
     student_t_sf,
     student_t_sf_array,
     welch_t_p,
@@ -190,9 +194,11 @@ class TestMixedAndCustomTests:
         for size in (1, 2):
             combos = removable_combos(d, keep, set(), size)
             ps, defined, reference = assert_agrees(ev, keep, combos)
-            # Anderson-Darling is scored on each subset: identical p-values
+            # Anderson-Darling is scored in blocks from one pooled sort: its
+            # p-values agree with the per-subset ones as closely as r does
             for row, ref in zip(ps[defined], [r for r in reference if r]):
-                assert row[0] == ref[1][0] and row[2] == ref[1][2]
+                for j in (0, 2):
+                    assert abs(row[j] - ref[1][j]) <= R_REL_TOL * ref[1][j]
 
     def test_registry_override_of_welch_is_honoured(self):
         calls = []
@@ -227,6 +233,219 @@ class TestMixedAndCustomTests:
         combos = removable_combos(d, keep, set(), 2)
         ps, defined, reference = assert_agrees(ev, keep, combos)
         assert [row[0] for row in ps[defined]] == [r[1][0] for r in reference if r]
+
+    def test_registry_override_of_anderson_darling_is_honoured(self):
+        calls = []
+
+        def fake_ad(samples):
+            calls.append(sum(len(s) for s in samples))
+            return 0.5 if len(samples[0]) % 2 else 0.05
+
+        registry = TestRegistry(include_builtin=False)
+        registry.register(TestFunction("anderson_darling", "k_sample", fake_ad))
+        rng = np.random.default_rng(8)
+        d = make_dataset(rng, (6, 6, 5), integer=False)
+        crit = CriteriaSet(
+            (CriterionSpec("anderson_darling", "a", ("g0", "g1", "g2"), 0.2),)
+        )
+        ev = CriteriaEvaluator(d, crit, registry)
+        keep = np.ones(d.n_subjects, dtype=bool)
+        ps, defined = ev.score_removals(keep, np.arange(d.n_subjects)[:, None])
+        assert defined.all() and len(calls) == d.n_subjects
+        assert ps[:, 0].tolist() == [
+            0.5 if row < 6 else 0.05 for row in range(d.n_subjects)
+        ]
+        keeps = random_masks(rng, d.n_subjects, 12)
+        ps, defined = ev.score_masks(keeps)
+        assert defined.all() and len(calls) == d.n_subjects + 12
+        assert ps[:, 0].tolist() == [
+            0.5 if keep[:6].sum() % 2 else 0.05 for keep in keeps
+        ]
+
+    def test_builtin_anderson_darling_is_the_registered_instance(self):
+        assert TestRegistry().get("anderson_darling") is BUILTIN_AD
+        assert stats.default_registry.get("anderson_darling") is BUILTIN_AD
+
+    def test_anderson_darling_under_another_instance_is_per_subset(self):
+        registry = TestRegistry(include_builtin=False)
+        registry.register(
+            TestFunction("anderson_darling", "k_sample", anderson_darling_p)
+        )
+        rng = np.random.default_rng(9)
+        d = make_dataset(rng, (6, 7, 5), integer=True)
+        crit = CriteriaSet(
+            (CriterionSpec("anderson_darling", "a", ("g0", "g1", "g2"), 0.2),)
+        )
+        ev = CriteriaEvaluator(d, crit, registry)
+        keeps = random_masks(rng, d.n_subjects, 40)
+        ps, defined = ev.score_masks(keeps)
+        for keep, row, ok in zip(keeps, ps, defined):
+            try:
+                ref = ev.p_values(keep)
+            except UndefinedTestError:
+                assert not ok
+                continue
+            assert ok and row[0] == ref[0]
+
+
+def mixed_criteria(labels):
+    """Pairwise Welch on both covariates, Anderson-Darling over every group
+    on one and over the first two groups on the other."""
+    specs = list(pairwise_welch(labels))
+    specs.append(CriterionSpec("anderson_darling", "a", tuple(labels), 0.2))
+    specs.append(CriterionSpec("anderson_darling", "b", tuple(labels[:2]), 0.25))
+    return CriteriaSet(tuple(specs))
+
+
+def assert_masks_agree(evaluator, keeps):
+    """score_masks against evaluate on each mask: the same masks undefined,
+    and every p-value (so r too) within R_REL_TOL."""
+    ps, defined = evaluator.score_masks(keeps)
+    alphas = np.array([c.alpha for c in evaluator.criteria])
+    for keep, row, ok in zip(keeps, ps, defined):
+        try:
+            r, ref = evaluator.evaluate(keep)
+        except UndefinedTestError:
+            assert not ok
+            continue
+        assert ok
+        assert np.all(np.abs(row - ref) <= R_REL_TOL * np.array(ref))
+        assert abs(float(np.min(row / alphas)) - r) <= R_REL_TOL * abs(r)
+    return ps, defined
+
+
+def random_masks(rng, n, m):
+    """Masks from nearly full down to a few rows, so groups drop below two."""
+    rates = rng.uniform(0.15, 1.0, size=(m, 1))
+    return rng.random((m, n)) < rates
+
+
+class TestMasksAgainstPerSubset:
+    @pytest.mark.parametrize("n_groups", [2, 4])
+    @pytest.mark.parametrize("integer", [False, True], ids=["normal", "ties"])
+    def test_random_masks(self, n_groups, integer):
+        rng = np.random.default_rng(300 + 10 * n_groups + integer)
+        undefined = 0
+        for _ in range(5):
+            d = make_dataset(rng, rng.integers(3, 10, size=n_groups), integer)
+            ev = CriteriaEvaluator(d, mixed_criteria(list(d.group_labels)))
+            _, defined = assert_masks_agree(ev, random_masks(rng, d.n_subjects, 60))
+            undefined += int((~defined).sum())
+        assert undefined > 0
+
+    def test_identical_pooled_values(self):
+        # every value of covariate b is equal: Anderson-Darling on b is
+        # undefined on every mask, Welch on b gives p = 1
+        rng = np.random.default_rng(12)
+        n = 14
+        values = np.column_stack([rng.normal(size=n), np.full(n, 2.5)])
+        d = Dataset([f"s{i}" for i in range(n)], ["A"] * 7 + ["B"] * 7,
+                    values, ["a", "b"])
+        crit = CriteriaSet((
+            CriterionSpec("welch_t", "b", ("A", "B"), 0.2),
+            CriterionSpec("anderson_darling", "a", ("A", "B"), 0.2),
+        ))
+        _, defined = assert_masks_agree(
+            CriteriaEvaluator(d, crit), random_masks(rng, n, 40)
+        )
+        ad_b = CriteriaSet((CriterionSpec("anderson_darling", "b", ("A", "B"), 0.2),))
+        _, defined = assert_masks_agree(
+            CriteriaEvaluator(d, ad_b), np.ones((3, n), dtype=bool)
+        )
+        assert not defined.any()
+
+    def test_clamped_and_extrapolated_tails(self):
+        # groups 40 sd apart extrapolate past the table's smallest level,
+        # near-copies clamp p at 1
+        rng = np.random.default_rng(13)
+        far = np.concatenate([rng.normal(0, 1, 30), rng.normal(40, 1, 30)])
+        near = np.concatenate([np.arange(30.0), np.arange(30.0) + 1e-3])
+        d = Dataset([f"s{i}" for i in range(60)], ["A"] * 30 + ["B"] * 30,
+                    np.column_stack([far, near]), ["a", "b"])
+        crit = CriteriaSet((
+            CriterionSpec("anderson_darling", "a", ("A", "B"), 0.2),
+            CriterionSpec("anderson_darling", "b", ("A", "B"), 0.2),
+        ))
+        ps, defined = assert_masks_agree(
+            CriteriaEvaluator(d, crit), random_masks(rng, 60, 50)
+        )
+        assert (ps[defined, 0] < 1e-3).any()
+        assert (ps[defined, 1] == 1.0).any()
+
+    def test_removal_sets_agree_with_their_masks(self):
+        rng = np.random.default_rng(14)
+        d = make_dataset(rng, (6, 7, 5), integer=True)
+        ev = CriteriaEvaluator(d, mixed_criteria(list(d.group_labels)))
+        keep = np.ones(d.n_subjects, dtype=bool)
+        keep[[0, 9]] = False
+        combos = np.array(removable_combos(d, keep, set(), 2), dtype=np.intp)
+        masks = np.repeat(keep[None], len(combos), axis=0)
+        masks[np.arange(len(combos))[:, None], combos] = False
+        by_removal, defined = ev.score_removals(keep, combos)
+        by_mask, defined_mask = ev.score_masks(masks)
+        assert defined.tolist() == defined_mask.tolist()
+        ad = [2 * 3, 2 * 3 + 1]        # the Anderson-Darling columns
+        assert by_removal[defined][:, ad].tobytes() == by_mask[defined][:, ad].tobytes()
+
+    def test_blocks_split_by_cell_count(self, monkeypatch):
+        import groupmatch.criteria as criteria
+
+        rng = np.random.default_rng(15)
+        d = make_dataset(rng, (8, 9), integer=False)
+        ev = CriteriaEvaluator(d, mixed_criteria(list(d.group_labels)))
+        keeps = random_masks(rng, d.n_subjects, 30)
+        whole = ev.score_masks(keeps)
+        monkeypatch.setattr(criteria, "MASK_BLOCK_CELLS", 3 * d.n_subjects)
+        split = ev.score_masks(keeps)
+        assert whole[1].tolist() == split[1].tolist()
+        assert whole[0].tobytes() == split[0].tobytes()
+
+
+class TestAndersonDarlingMasks:
+    def reference(self, values, codes, k, masks):
+        out = []
+        for keep in masks:
+            try:
+                out.append(anderson_darling_p(
+                    [values[keep & (codes == g)] for g in range(k)]
+                ))
+            except UndefinedTestError:
+                out.append(np.nan)
+        return np.array(out)
+
+    def test_agrees_with_per_subset(self):
+        rng = np.random.default_rng(16)
+        for trial in range(60):
+            k = int(rng.integers(2, 5))
+            codes = np.repeat(np.arange(k), rng.integers(2, 12, size=k))
+            if trial % 3 == 0:
+                values = rng.integers(0, 4, size=codes.size).astype(float)
+            else:
+                values = rng.normal(size=codes.size) + codes * rng.uniform(0, 2)
+            masks = random_masks(rng, codes.size, 30)
+            got = anderson_darling_p_masks(values, codes, k, masks)
+            want = self.reference(values, codes, k, masks)
+            assert np.isnan(got).tolist() == np.isnan(want).tolist()
+            ok = ~np.isnan(want)
+            assert np.all(np.abs(got[ok] - want[ok]) <= R_REL_TOL * want[ok])
+
+    def test_non_finite_variance_is_scored_per_subset(self, monkeypatch):
+        # a block whose null variance comes out NaN takes the scalar path
+        real = stats._ad_variance_from
+
+        def nan_for_arrays(k, N, H, h, g):
+            out = real(k, N, H, h, g)
+            return np.full_like(out, np.nan) if np.ndim(out) else out
+
+        monkeypatch.setattr(stats, "_ad_variance_from", nan_for_arrays)
+        rng = np.random.default_rng(17)
+        codes = np.repeat(np.arange(3), [6, 7, 5])
+        values = rng.normal(size=codes.size)
+        masks = random_masks(rng, codes.size, 25)
+        got = anderson_darling_p_masks(values, codes, 3, masks)
+        want = self.reference(values, codes, 3, masks)
+        assert got.tobytes() == want.tobytes()
+        assert not np.isnan(want).all()
 
 
 def per_subset_registry():

@@ -1,9 +1,17 @@
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
 
-from groupmatch.criteria import CriteriaEvaluator, MatchConfig, compute_r
+from groupmatch.criteria import (
+    CriteriaEvaluator,
+    CriteriaSet,
+    CriterionSpec,
+    MatchConfig,
+    compute_r,
+)
 from groupmatch.dataset import Dataset
 from groupmatch.errors import BudgetExceededError, ValidationError
 from groupmatch.search import (
@@ -16,7 +24,12 @@ from groupmatch.search import (
     random_search,
 )
 
-from conftest import build_two_group_dataset, welch_only_criteria
+from conftest import (
+    build_clinical_dataset,
+    build_two_group_dataset,
+    clinical_config,
+    welch_only_criteria,
+)
 
 
 def base_config(**overrides):
@@ -185,6 +198,21 @@ class TestLookahead:
             d2.n_subjects - plain.rank.preserved
         )
 
+    def test_time_limit_checked_between_chunks(self):
+        # the first L=2 step on the clinical fixture scores every pair of its
+        # 94 unlocked subjects, far longer than the limit: the search stops
+        # after a chunk of that step instead of finishing it
+        d = build_clinical_dataset()
+        cfg = clinical_config(lookahead=2, time_limit=0.01)
+        started = time.perf_counter()
+        result = lookahead_search(d, cfg, "h3")
+        elapsed = time.perf_counter() - started
+        first_step = math.comb(d.n_subjects - len(d.group_index["SLI"]), 2)
+        assert result.timed_out and not result.success
+        assert result.trace == ()
+        assert result.evaluations < len(cfg.criteria) * (1 + first_step)
+        assert elapsed < 1.0
+
     def test_low_reversion_threshold_disables_batching(self):
         d = build_two_group_dataset(60, 1.0, seed=41, n_shifted=20)
         cfg = base_config(reversion_threshold=1e-12)
@@ -226,6 +254,34 @@ class TestRandom:
         result = random_search(d, base_config(), iterations=20)
         assert not result.success
         assert result.rank.r < 1.0
+
+    def test_reported_p_values_are_per_subset(self):
+        # draws are scored in blocks; the reported state is evaluated again
+        # on its own, so its p-values are exactly those of evaluate
+        d = build_two_group_dataset(25, 1.2, seed=12)
+        criteria = CriteriaSet((
+            CriterionSpec("welch_t", "x", ("A", "B"), 0.2),
+            CriterionSpec("anderson_darling", "x", ("A", "B"), 0.2),
+        ))
+        for cfg in (base_config(criteria=criteria, seed=4),
+                    base_config(seed=4, locked_groups=frozenset({"A"}))):
+            result = random_search(d, cfg, iterations=300)
+            r, ps = CriteriaEvaluator(d, cfg.criteria).evaluate(result.best.keep)
+            assert result.p_values == ps
+            assert result.rank.r == r
+
+    def test_budget_charged_one_draw_at_a_time(self):
+        d = build_two_group_dataset(20, 1.0, seed=2)
+        criteria = CriteriaSet((
+            CriterionSpec("welch_t", "x", ("A", "B"), 0.2),
+            CriterionSpec("anderson_darling", "x", ("A", "B"), 0.2),
+        ))
+        cfg = base_config(criteria=criteria, eval_budget=10, seed=99)
+        with pytest.raises(BudgetExceededError) as raised:
+            random_search(d, cfg, iterations=50)
+        # two evaluations per state: the full set and the first four draws
+        # fit in 10, and the fifth draw is the first charge past the ceiling
+        assert raised.value.evaluations == 12
 
     def test_time_limit_flags(self):
         d = build_two_group_dataset(50, 0.5, seed=8)

@@ -221,6 +221,42 @@ class TestAndersonDarling:
         for samples in battery * 2:
             assert anderson_darling_p(samples) == p_refit(samples)
 
+    def test_memoised_null_variance_is_bit_identical(self):
+        # reference: the null variance with its N-only sums h and g
+        # recomputed on every call
+        from groupmatch import stats
+
+        def variance_refit(k, N, sizes):
+            H = float(np.sum(1.0 / sizes))
+            h = float((1.0 / np.arange(1, N)).sum())
+            prefix = np.cumsum(1.0 / np.arange(N - 1, 1, -1))
+            g = float(np.sum(prefix / np.arange(2, N)))
+            a = (4 * g - 6) * (k - 1) + (10 - 6 * g) * H
+            b = (2 * g - 4) * k**2 + 8 * h * k + (2 * g - 14 * h - 4) * H - 8 * h + 4 * g - 6
+            c = (6 * h + 2 * g - 2) * k**2 + (4 * h - 4 * g + 6) * k + (2 * h - 6) * H + 4 * h
+            d = (2 * h + 6) * k**2 - 4 * h * k
+            return (a * N**3 + b * N**2 + c * N + d) / ((N - 1.0) * (N - 2.0) * (N - 3.0))
+
+        rng = np.random.default_rng(41)
+        battery = {k: [rng.integers(2, 300, size=k) for _ in range(30)]
+                   for k in (2, 3, 4, 6)}
+        battery[2] += [np.array([2, 2]), np.array([2000, 2000])]
+        battery[3].append(np.array([2, 2, 2]))
+        for k, cases in battery.items():
+            sizes = np.array(cases, dtype=float)
+            totals = sizes.sum(axis=1).astype(np.int64)
+            want = np.array([variance_refit(k, int(N), s) for N, s in zip(totals, sizes)])
+            for _ in range(2):      # first computed, then memoised
+                got = [stats._ad_variance(k, int(N), s) for N, s in zip(totals, sizes)]
+                assert np.array(got).tobytes() == want.tobytes()
+            # the array form the batch kernel evaluates gives the same bits
+            H = 1.0 / sizes[:, 0]
+            for j in range(1, k):
+                H = H + 1.0 / sizes[:, j]
+            h, g = np.array([stats._ad_harmonic_sums(int(N)) for N in totals]).T
+            got = stats._ad_variance_from(k, totals, H, h, g)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestRegistryContract:
     def test_register_and_resolve(self):
