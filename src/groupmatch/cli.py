@@ -30,6 +30,9 @@ from .dataset import load_dataset
 from .errors import GroupMatchError
 from .harness import evaluate_run, run_algorithm, run_experiment_grid
 from .search import MatchResult, estimate_exhaustive, format_duration
+# commands look the registry up under this module name on each call, so a
+# caller may replace cli._registry (for instance with a timed registry)
+from .search import _default_registry as _registry
 from .synthgen import generate_dataset, write_generated
 
 EXIT_OK = 0
@@ -305,12 +308,6 @@ def cmd_evaluate(args) -> int:
         return EXIT_ERROR
 
 
-def _registry():
-    from .stats import default_registry
-
-    return default_registry
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupmatch",
@@ -353,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="run an experiment grid")
     p_eval.add_argument("--grid", required=True, help="JSON grid configuration")
     p_eval.add_argument("--output-dir", default=None)
-    p_eval.add_argument("--workers", type=int, default=None)
+    p_eval.add_argument("--workers", type=int, default=None,
+                        help="accepted for compatibility; grid cells run "
+                        "one after another")
     p_eval.set_defaults(func=cmd_evaluate)
     return parser
 

@@ -8,7 +8,7 @@ after parsing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .criteria import CriteriaSet, CriterionSpec, MatchConfig
@@ -49,6 +49,20 @@ def _reject_unknown(mapping: dict, allowed: set[str], context: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
         raise ConfigError(f"{context}: unknown keys {unknown}")
+
+
+def _read_json_object(path: Path) -> dict:
+    """The JSON object stored at ``path``; raises ConfigError when the file
+    is missing, is not JSON, or holds something other than an object."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: no such file") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: top level must be an object")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -111,14 +125,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     """Parse a match run configuration; raises ConfigError on any problem."""
     path = Path(path)
     context = str(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{context}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{context}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{context}: top level must be an object")
+    raw = _read_json_object(path)
     _reject_unknown(
         raw,
         {
@@ -216,22 +223,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     )
 
 
-_SPEC_KEYS = {
-    "n_items",
-    "n_intruders",
-    "n_covariates",
-    "n_shifted_covariates",
-    "group_split",
-    "mean_range",
-    "variance_factor_range",
-    "shift_range",
-    "shift_scale",
-    "pd_eigenvalue_range",
-    "basic_p_range",
-    "full_p_max",
-    "max_attempts",
-    "seed",
-}
+_SPEC_KEYS = {f.name for f in fields(SyntheticSpec)}
 
 
 def _spec_from_dict(raw: dict, context: str) -> SyntheticSpec:
@@ -251,15 +243,7 @@ def _spec_from_dict(raw: dict, context: str) -> SyntheticSpec:
 
 def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return _spec_from_dict(raw, str(path))
+    return _spec_from_dict(_read_json_object(path), str(path))
 
 
 @dataclass(frozen=True)
@@ -278,14 +262,7 @@ class GridConfig:
 def load_grid_config(path: str | Path) -> GridConfig:
     path = Path(path)
     context = str(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{context}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{context}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{context}: top level must be an object")
+    raw = _read_json_object(path)
     _reject_unknown(
         raw,
         {

@@ -40,6 +40,7 @@ __all__ = [
     "kl_divergence",
     "compare_solutions",
     "solution_rank",
+    "balance_from_counts",
 ]
 
 # Relative tolerance for floating-point rank components; differing summation
@@ -618,13 +619,24 @@ def _queue_tails(tails: list, j: int, todo, t, df, slow, defined) -> np.ndarray:
 def _fill_tails(tails: list, p: np.ndarray, defined: np.ndarray) -> None:
     """Every queued tail in one ``student_t_sf_array`` call, so the continued
     fraction runs once for all Welch criteria; a p that is NaN or outside
-    [0, 1] leaves its set undefined."""
+    [0, 1] leaves its set undefined.
+
+    The kernel reads t only through t * t, so each distinct (t * t, df) pair
+    is computed once, from the first t that gives it; removal sets that
+    downdate a criterion alike (a pair that touches one of its groups like
+    the single removal, one that touches neither like no removal) share it.
+    """
     if not tails:
         return
-    ps = student_t_sf_array(
-        np.concatenate([t for _, _, t, _ in tails]),
-        np.concatenate([df for _, _, _, df in tails]),
+    t = np.concatenate([t for _, _, t, _ in tails])
+    df = np.concatenate([df for _, _, _, df in tails])
+    pairs = np.empty((t.size, 2))
+    pairs[:, 0] = t * t
+    pairs[:, 1] = df
+    _, first, inverse = np.unique(
+        pairs.view(np.complex128).ravel(), return_index=True, return_inverse=True
     )
+    ps = student_t_sf_array(t[first], df[first])[inverse]
     ps[(ps < 0.0) | (ps > 1.0)] = np.nan   # outside [0, 1] is undefined
     start = 0
     for j, sets, _, _ in tails:
@@ -646,6 +658,22 @@ def compute_r(
     return r
 
 
+def balance_from_counts(
+    dataset: Dataset, config: MatchConfig, counts: np.ndarray
+) -> Balance:
+    """Balance term of a subset that keeps ``counts[g]`` rows of each group
+    (canonical label order): the KL divergence of its group proportions from
+    the target, or the removals per group in precedence order."""
+    if config.balance_mode == "proportions":
+        if np.any(counts == 0):
+            raise ValidationError("cannot rank a subset with an empty group")
+        observed = counts / counts.sum()
+        return kl_divergence(observed, config.target_vector(dataset))
+    removed = dataset.group_sizes() - counts
+    code_of = {g: i for i, g in enumerate(dataset.group_labels)}
+    return tuple(int(removed[code_of[g]]) for g in config.precedence)  # type: ignore[union-attr]
+
+
 def solution_rank(
     dataset: Dataset,
     keep: np.ndarray,
@@ -653,17 +681,7 @@ def solution_rank(
     r: float,
 ) -> SolutionRank:
     """Rank a subset given its already-computed match score."""
-    preserved = int(keep.sum())
     counts = np.bincount(dataset.group_codes[keep], minlength=dataset.n_groups)
-    if config.balance_mode == "proportions":
-        if np.any(counts == 0):
-            raise ValidationError("cannot rank a subset with an empty group")
-        observed = counts / counts.sum()
-        balance: Balance = kl_divergence(observed, config.target_vector(dataset))
-    else:
-        sizes = dataset.group_sizes()
-        removed = {
-            g: int(sizes[i] - counts[i]) for i, g in enumerate(dataset.group_labels)
-        }
-        balance = tuple(removed[g] for g in config.precedence)  # type: ignore[union-attr]
-    return SolutionRank(preserved, balance, r)
+    return SolutionRank(
+        int(keep.sum()), balance_from_counts(dataset, config, counts), r
+    )

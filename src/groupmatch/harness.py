@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -384,7 +383,9 @@ def run_experiment_grid(
 
     Each replicate regenerates its dataset under a seed derived from the
     master seed, so the whole grid is reproducible.  Individual run
-    failures become unsuccessful rows; they never abort the grid.
+    failures become unsuccessful rows; they never abort the grid.  Cells
+    run one after another: ``workers`` is accepted and does not change a
+    result, as a thread pool over cells ran slower than one thread.
     """
     if not specs or not algorithms:
         raise GroupMatchError("specs and algorithms must be nonempty")
@@ -429,10 +430,5 @@ def run_experiment_grid(
             rows.append(GridRow(si, rep, alg.display(), seed, error, metrics))
         return rows
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(run_cell, cells))
-    else:
-        nested = [run_cell(c) for c in cells]
-    rows = [row for group in nested for row in group]
+    rows = [row for cell in cells for row in run_cell(cell)]
     return GridReport(rows=rows, replications=replications, master_seed=master_seed)

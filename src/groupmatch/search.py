@@ -18,13 +18,17 @@ All randomness flows from one generator seeded by the config, so identical
 (dataset, config, seed) triples replay identically.  Searches run on one
 thread; the ``threads`` setting is accepted and does not change a result.
 
-The constructive and exhaustive searches score each step's removal sets in
-chunks of ``_SCORE_CHUNK``, one ``CriteriaEvaluator.score_removals`` call
-each; random search makes its draws in chunks of ``MASK_BLOCK_CELLS`` cells
-and scores each chunk with one ``CriteriaEvaluator.score_masks`` call.  The
-clock (``time_limit``) is read between chunks.  Every r a result reports
-(its p-values, its rank and each trace entry) comes from evaluating that
-subset on its own.
+The constructive and exhaustive searches generate each step's removal sets
+as (m, L) row arrays, in the order of ``itertools.combinations``, keep the
+feasible ones (``_Feasibility``: locks, per-group and total caps and the
+minimum group size, one rule set for every search) and score them in chunks
+of ``_SCORE_CHUNK``, one ``CriteriaEvaluator.score_removals`` call each.  A
+step holds its candidates as arrays: the sets, their r, and an index into
+the balances of the distinct per-group removal counts.  Random search makes
+its draws in chunks of ``MASK_BLOCK_CELLS`` cells and scores each chunk with
+one ``CriteriaEvaluator.score_masks`` call.  The clock (``time_limit``) is
+read between chunks.  Every r a result reports (its p-values, its rank and
+each trace entry) comes from evaluating that subset on its own.
 """
 
 from __future__ import annotations
@@ -35,16 +39,18 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .criteria import (
     MASK_BLOCK_CELLS,
+    RANK_REL_TOL,
     CriteriaEvaluator,
     MatchConfig,
     SolutionRank,
     balance_close,
+    balance_from_counts,
     compare_solutions,
     r_close,
     solution_rank,
@@ -157,8 +163,108 @@ class _Budget:
             )
 
 
+class _Feasibility:
+    """The removal limits every search obeys, on per-group removal counts.
+
+    Group g may lose at most ``room[g]`` rows: none when it is locked, else
+    its size less ``min_group_size``, and no more than its own cap.  ``cap``
+    bounds the rows removed in all (None: unbounded).
+    """
+
+    def __init__(self, dataset: Dataset, config: MatchConfig):
+        self.codes = dataset.group_codes
+        self.groups = np.arange(dataset.n_groups)
+        room = []
+        for size, g in zip(dataset.group_sizes().tolist(), dataset.group_labels):
+            if g in config.locked_groups:
+                room.append(0)
+            else:
+                left = size - config.min_group_size
+                cap = config.max_removed_per_group.get(g)
+                room.append(left if cap is None else min(left, cap))
+        self.room = np.array(room, dtype=np.intp)
+        self.cap = config.max_removed_total
+
+    def allows(self, removed: np.ndarray) -> np.ndarray:
+        """Whether per-group removal counts (the last axis) keep every
+        limit; one answer per row of a 2-D array."""
+        ok = np.all(removed <= self.room, axis=-1)
+        if self.cap is not None:
+            ok &= removed.sum(axis=-1) <= self.cap
+        return ok
+
+    def group_counts(self, sets: np.ndarray) -> np.ndarray:
+        """(m, n_groups) rows that each of m removal sets takes per group."""
+        return (self.codes[sets][:, :, None] == self.groups).sum(axis=1)
+
+    def open_rows(self, keep: np.ndarray, removed: np.ndarray, size: int = 1):
+        """Kept rows of the groups with room left, ascending; none when
+        ``size`` more removals would pass the total cap."""
+        if self.cap is not None and int(removed.sum()) + size > self.cap:
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(keep & (removed < self.room)[self.codes])
+
+    def removal_sets(self, rows: np.ndarray, size: int, removed: np.ndarray):
+        """Every ``size``-subset of ``rows`` (open rows) that keeps the
+        limits on top of ``removed``, as (m, size) arrays of
+        ``_SCORE_CHUNK`` sets, in the order of ``itertools.combinations``."""
+        sets = _removal_sets(rows, size)
+        if size < 2:
+            return sets   # open rows are feasible one at a time
+        return _rechunk(
+            chunk[self.allows(removed + self.group_counts(chunk))] for chunk in sets
+        )
+
+
+def _removal_sets(rows: np.ndarray, size: int):
+    """Every ``size``-subset of ``rows`` as (m, size) arrays of at most
+    ``_SCORE_CHUNK`` sets, in the order of ``itertools.combinations``."""
+    n = rows.size
+    if size == 0:
+        yield np.empty((1, 0), dtype=np.intp)
+    elif size == 1:
+        for start in range(0, n, _SCORE_CHUNK):
+            yield rows[start:start + _SCORE_CHUNK, None]
+    elif size == 2:
+        # pair k is (i, j) with before[i] <= k < before[i + 1], where
+        # before[i] counts the pairs whose first row precedes position i
+        i = np.arange(n)
+        before = i * (2 * n - i - 1) // 2
+        total = n * (n - 1) // 2
+        for start in range(0, total, _SCORE_CHUNK):
+            k = np.arange(start, min(start + _SCORE_CHUNK, total))
+            first = np.searchsorted(before, k, side="right") - 1
+            second = k - before[first] + first + 1
+            yield np.stack([rows[first], rows[second]], axis=1)
+    else:
+        combos = itertools.combinations(rows.tolist(), size)
+        while True:
+            flat = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(combos, _SCORE_CHUNK)),
+                dtype=np.intp,
+            )
+            if not flat.size:
+                return
+            yield flat.reshape(-1, size)
+
+
+def _rechunk(chunks):
+    """The sets of ``chunks`` regrouped into chunks of ``_SCORE_CHUNK``."""
+    held: list[np.ndarray] = []
+    count = 0
+    for chunk in chunks:
+        held.append(chunk)
+        count += len(chunk)
+        while count >= _SCORE_CHUNK:
+            merged = np.concatenate(held)
+            yield merged[:_SCORE_CHUNK]
+            held, count = [merged[_SCORE_CHUNK:]], count - _SCORE_CHUNK
+    if count:
+        yield np.concatenate(held)
+
+
 class _Engine:
-    """Shared machinery: bound evaluator, budget, rng, feasibility counts."""
+    """Shared machinery: bound evaluator, budget, rng, feasibility rules."""
 
     def __init__(
         self,
@@ -176,15 +282,7 @@ class _Engine:
         self.locked_mask = np.zeros(dataset.n_subjects, dtype=bool)
         for g in config.locked_groups:
             self.locked_mask[dataset.group_index[g]] = True
-        bounds = []
-        for i, g in enumerate(dataset.group_labels):
-            if g in config.locked_groups:
-                bounds.append(0)
-            else:
-                room = int(self.sizes[i]) - config.min_group_size
-                cap = config.max_removed_per_group.get(g)
-                bounds.append(room if cap is None else min(room, cap))
-        self.group_removal_room = np.array(bounds, dtype=np.intp)
+        self.feasible = _Feasibility(dataset, config)
         self.alphas = np.array([c.alpha for c in config.criteria])
         self.deadline: float | None = None
 
@@ -271,10 +369,10 @@ class _SolutionPool:
                 self._keys.add(key)
                 self.states.append(keep.copy())
 
-    def wants(self, keep: np.ndarray, r: float) -> bool:
-        """False when offering ``keep`` cannot change the pool: it preserves
-        fewer subjects than the stored states."""
-        return self.rank is None or int(keep.sum()) >= self.rank.preserved
+    def wants(self, preserved: int, r: float) -> bool:
+        """False when offering a state that keeps ``preserved`` subjects
+        cannot change the pool: the stored states keep more."""
+        return self.rank is None or preserved >= self.rank.preserved
 
     def __bool__(self) -> bool:
         return self.rank is not None
@@ -292,7 +390,7 @@ class _BestFailing:
         self.rank: SolutionRank | None = None
         self.ps: tuple[float, ...] = ()
 
-    def wants(self, keep: np.ndarray, r: float) -> bool:
+    def wants(self, preserved: int, r: float) -> bool:
         """False when offering a state of match score r cannot change the
         stored one: r is lower and not tied."""
         return self.r is None or r > self.r or r_close(r, self.r)
@@ -432,16 +530,7 @@ def random_search(
         counts = np.bincount(
             dataset.group_codes[keep], minlength=dataset.n_groups
         )
-        removed = engine.sizes - counts
-        if np.any(removed > engine.group_removal_room):
-            return None
-        if config.max_removed_total is not None and int(removed.sum()) > (
-            config.max_removed_total
-        ):
-            return None
-        if np.any(counts[unlocked_groups] < min_size):
-            return None
-        return keep
+        return keep if engine.feasible.allows(engine.sizes - counts) else None
 
     # draws are made and charged one at a time, in chunks that are scored
     # in one call each; the clock is read between chunks
@@ -463,7 +552,7 @@ def random_search(
             if math.isnan(r):
                 continue
             target = successes if r >= 1.0 else failing
-            if target.wants(keep, r):
+            if target.wants(int(keep.sum()), r):
                 target.offer(keep, engine.rank(keep, r), tuple(row.tolist()))
 
     params = {
@@ -506,33 +595,6 @@ class _Walk:
         self.current_r: float | None = None
         self.current_ps: tuple[float, ...] = ()
 
-    def removable_rows(self) -> np.ndarray:
-        cfg = self.engine.config
-        if (
-            cfg.max_removed_total is not None
-            and self.total_removed >= cfg.max_removed_total
-        ):
-            return np.empty(0, dtype=np.intp)
-        group_open = self.removed_counts < self.engine.group_removal_room
-        ok = self.keep & group_open[self.engine.dataset.group_codes]
-        return np.flatnonzero(ok)
-
-    def combo_feasible(self, combo: tuple[int, ...]) -> bool:
-        cfg = self.engine.config
-        if cfg.max_removed_total is not None:
-            if self.total_removed + len(combo) > cfg.max_removed_total:
-                return False
-        if len(combo) == 1:
-            return True  # singles from removable_rows are feasible already
-        counts: dict[int, int] = {}
-        for row in combo:
-            g = int(self.engine.dataset.group_codes[row])
-            counts[g] = counts.get(g, 0) + 1
-        for g, c in counts.items():
-            if self.removed_counts[g] + c > self.engine.group_removal_room[g]:
-                return False
-        return True
-
     def remove(self, row: int) -> None:
         self.keep[row] = False
         g = self.engine.dataset.group_codes[row]
@@ -540,34 +602,15 @@ class _Walk:
         self.removed_counts[g] += 1
         self.total_removed += 1
 
-    def balance_of_mask(self, rows: Iterable[int]):
-        """Balance term of the current state with `rows` also removed."""
-        cfg = self.engine.config
-        d = self.engine.dataset
-        counts = self.kept_counts.copy()
-        for row in rows:
-            counts[d.group_codes[row]] -= 1
-        if cfg.balance_mode == "proportions":
-            observed = counts / counts.sum()
-            target = cfg.target_vector(d)
-            mask = observed > 0
-            return float(
-                max(np.sum(observed[mask] * np.log(observed[mask] / target[mask])), 0.0)
-            )
-        removed = self.removed_counts.copy()
-        for row in rows:
-            removed[d.group_codes[row]] += 1
-        order = {g: i for i, g in enumerate(d.group_labels)}
-        return tuple(int(removed[order[g]]) for g in cfg.precedence)
-
 
 @dataclass
 class _StepCandidates:
-    """Evaluated removal sets for one step, in canonical order."""
+    """The defined removal sets of one step, in canonical order."""
 
-    combos: list[tuple[int, ...]]
-    rs: list[float]          # aligned with combos (undefined ones dropped)
-    balances: list
+    combos: np.ndarray         # (m, L) rows of each set
+    rs: np.ndarray             # (m,) match score of each set
+    balance_index: np.ndarray  # (m,) position of each set's balance in balances
+    balances: list             # balance of each distinct per-group count pattern
 
 
 class _OutOfTime(Exception):
@@ -578,60 +621,64 @@ def _evaluate_step(engine: _Engine, walk: _Walk, size: int) -> _StepCandidates |
     """Score every feasible removal set of ``size`` rows, ``_SCORE_CHUNK``
     sets per call; raises _OutOfTime when the deadline passes between two
     calls."""
-    rows = walk.removable_rows()
+    rows = engine.feasible.open_rows(walk.keep, walk.removed_counts, size)
     if rows.size < size:
         return None
-    if size == 1:
-        combos = iter([(i,) for i in rows.tolist()])
-        # a single removal's balance depends only on the subject's group
-        codes = engine.dataset.group_codes
-        groups, first = np.unique(codes[rows], return_index=True)
-        per_group = {
-            g: walk.balance_of_mask((int(rows[i]),))
-            for g, i in zip(groups.tolist(), first.tolist())
-        }
-        group_of = codes.tolist()
-        balance_for = lambda c: per_group[group_of[c[0]]]
-    else:
-        combos = (
-            c
-            for c in itertools.combinations(rows.tolist(), size)
-            if walk.combo_feasible(c)
-        )
-        balance_for = walk.balance_of_mask
-    kept_combos: list[tuple[int, ...]] = []
-    rs: list[float] = []
-    balances: list = []
-    chunk = list(itertools.islice(combos, _SCORE_CHUNK))
-    while chunk:
-        for combo, r in zip(chunk, engine.score(walk.keep, chunk).tolist()):
-            if math.isnan(r):
-                continue
-            kept_combos.append(combo)
-            rs.append(r)
-            balances.append(balance_for(combo))
-        chunk = list(itertools.islice(combos, _SCORE_CHUNK))
-        if chunk and engine.out_of_time():
+    sets = engine.feasible.removal_sets(rows, size, walk.removed_counts)
+    kept: list[np.ndarray] = []
+    rs: list[np.ndarray] = []
+    chunk = next(sets, None)
+    while chunk is not None:
+        scored = engine.score(walk.keep, chunk)
+        defined = ~np.isnan(scored)
+        kept.append(chunk[defined])
+        rs.append(scored[defined])
+        chunk = next(sets, None)
+        if chunk is not None and engine.out_of_time():
             raise _OutOfTime
-    if not kept_combos:
+    if not sum(len(c) for c in kept):
         return None
-    return _StepCandidates(kept_combos, rs, balances)
+    combos = np.concatenate(kept)
+    # a set's balance depends only on how many rows it takes from each
+    # group: key the sets by their sorted group codes
+    d = engine.dataset
+    codes = np.sort(d.group_codes[combos], axis=1)
+    keys = np.ravel_multi_index(tuple(codes.T), (d.n_groups,) * size)
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    counts = walk.kept_counts - engine.feasible.group_counts(combos[first])
+    balances = [balance_from_counts(d, engine.config, c) for c in counts]
+    return _StepCandidates(combos, np.concatenate(rs), index, balances)
 
 
 def _argmax_pool(engine: _Engine, step: _StepCandidates) -> list[int]:
     """Indices of step candidates tied with the best (r desc, balance asc)
-    key, capped at the configured pool size by seeded subsampling."""
+    key, capped at the configured pool size by seeded subsampling.
+
+    Candidates are scanned in canonical order, as pairwise ``r_close`` ties
+    chain.  Only those above the first gap in descending r between two
+    values that are not ``r_close`` are scanned: one below it cannot beat,
+    tie with or displace one above it, so the result is that of a scan over
+    every candidate.
+    """
+    ordered = np.sort(step.rs)[::-1]
+    upper, lower = ordered[:-1], ordered[1:]
+    gaps = np.flatnonzero(
+        np.abs(upper - lower) > RANK_REL_TOL * np.maximum(np.abs(upper), np.abs(lower))
+    )
+    floor = ordered[gaps[0]] if gaps.size else ordered[-1]
+    scanned = np.flatnonzero(step.rs >= floor)
+    rs = step.rs[scanned].tolist()
+    balances = [step.balances[b] for b in step.balance_index[scanned].tolist()]
     best = 0
     pool = [0]
-    for j in range(1, len(step.combos)):
-        cmp = _step_key_better(
-            step.rs[j], step.balances[j], step.rs[best], step.balances[best]
-        )
+    for j in range(1, len(rs)):
+        cmp = _step_key_better(rs[j], balances[j], rs[best], balances[best])
         if cmp > 0:
             best = j
             pool = [j]
         elif cmp == 0:
             pool.append(j)
+    pool = scanned[pool].tolist()
     cap = engine.config.pool_cap
     if len(pool) > cap:
         picked = engine.rng.choice(len(pool), size=cap, replace=False)
@@ -639,14 +686,22 @@ def _argmax_pool(engine: _Engine, step: _StepCandidates) -> list[int]:
     return pool
 
 
+def _batch_order(step: _StepCandidates) -> np.ndarray:
+    """Step candidates ranked by r desc, then balance asc, then rows."""
+    distinct = sorted(set(step.balances))
+    rank_of = {b: i for i, b in enumerate(distinct)}
+    ranks = np.array([rank_of[b] for b in step.balances])[step.balance_index]
+    return np.lexsort((*step.combos.T[::-1], ranks, -step.rs))
+
+
 def _choose_index(engine: _Engine, count: int) -> int:
     return 0 if count == 1 else int(engine.rng.integers(count))
 
 
-def _narrow_by_r(engine: _Engine, walk: _Walk, pool_sets: list[tuple[int, ...]]) -> int:
+def _narrow_by_r(engine: _Engine, walk: _Walk, pool_sets: np.ndarray) -> int:
     """Recursive narrowing on r alone: shrink candidate sets one element at
     a time, keeping the subsets with the highest r, until singletons remain."""
-    candidates = pool_sets
+    candidates = [tuple(c) for c in pool_sets.tolist()]
     size = len(candidates[0])
     while size > 1:
         size -= 1
@@ -686,14 +741,14 @@ def _choose_by_membership(
     """Pick the subject occurring in the most pool sets; ties by
     single-removal r, then seeded-random."""
     counts: dict[int, int] = {}
-    for j in pool:
-        for row in step.combos[j]:
+    for combo in step.combos[pool].tolist():
+        for row in combo:
             counts[row] = counts.get(row, 0) + 1
     top = max(counts.values())
     candidates = sorted(row for row, c in counts.items() if c == top)
     if len(candidates) == 1:
         return candidates[0]
-    if len(step.combos[pool[0]]) == 1:
+    if step.combos.shape[1] == 1:
         # pool members are singletons whose r values are already tied
         return candidates[_choose_index(engine, len(candidates))]
     singles = [(c,) for c in candidates]
@@ -765,22 +820,15 @@ def _constructive(
         if not careful:
             batch_limit = config.batch_size
             if config.batch_fraction is not None:
-                remaining = walk.removable_rows().size
+                remaining = engine.feasible.open_rows(
+                    walk.keep, walk.removed_counts
+                ).size
                 batch_limit = max(1, int(config.batch_fraction * remaining))
         plan = [first]
         if batch_limit > 1:
-            ranked = sorted(
-                range(len(step.combos)),
-                key=lambda j: (
-                    -step.rs[j],
-                    step.balances[j],
-                    step.combos[j],
-                ),
-            )
-            for j in ranked:
+            for row in step.combos[_batch_order(step), 0].tolist():
                 if len(plan) >= batch_limit:
                     break
-                row = step.combos[j][0]
                 if row != first:
                     plan.append(row)
 
@@ -790,10 +838,10 @@ def _constructive(
             if not walk.keep[row]:
                 continue
             g = int(engine.dataset.group_codes[row])
-            if walk.removed_counts[g] >= engine.group_removal_room[g]:
+            if walk.removed_counts[g] >= engine.feasible.room[g]:
                 continue
-            if config.max_removed_total is not None and (
-                walk.total_removed >= config.max_removed_total
+            if engine.feasible.cap is not None and (
+                walk.total_removed >= engine.feasible.cap
             ):
                 break
             walk.remove(row)
@@ -858,7 +906,7 @@ def greedy_search(
     removed."""
 
     def select(engine, walk, step, pool):
-        return step.combos[pool[_choose_index(engine, len(pool))]][0]
+        return int(step.combos[pool[_choose_index(engine, len(pool))], 0])
 
     return _constructive(dataset, config, registry, "greedy", 1, select)
 
@@ -895,8 +943,8 @@ def lookahead_search(
 
         def select(engine, walk, step, pool):
             if size == 1:
-                return step.combos[pool[_choose_index(engine, len(pool))]][0]
-            return _narrow_by_r(engine, walk, [step.combos[j] for j in pool])
+                return int(step.combos[pool[_choose_index(engine, len(pool))], 0])
+            return _narrow_by_r(engine, walk, step.combos[pool])
 
     else:
 
@@ -932,16 +980,16 @@ def exhaustive_search(
     bound = n if max_removed is None else max_removed
     if config.max_removed_total is not None:
         bound = min(bound, config.max_removed_total)
-    removable = [int(i) for i in np.flatnonzero(~engine.locked_mask)]
-    room_total = int(engine.group_removal_room.sum())
-    bound = min(bound, room_total, len(removable))
-    codes = engine.dataset.group_codes
+    feasible = engine.feasible
+    none_removed = np.zeros(dataset.n_groups, dtype=np.intp)
     full = np.ones(n, dtype=bool)
+    rows = feasible.open_rows(full, none_removed)
+    bound = min(bound, int(feasible.room.sum()), rows.size)
     failing = _BestFailing()
 
     for depth in range(bound + 1):
         pool = _SolutionPool(config.max_solutions)
-        combos = itertools.combinations(removable, depth)
+        sets = feasible.removal_sets(rows, depth, none_removed)
         while True:
             if engine.out_of_time():
                 # partial depth: optimality within the depth cannot be
@@ -958,29 +1006,16 @@ def exhaustive_search(
                     engine, "exhaustive", {"max_removed": bound}, False,
                     best, started, timed_out=True, rescore=True,
                 )
-            chunk = list(itertools.islice(combos, _SCORE_CHUNK))
-            if not chunk:
+            chunk = next(sets, None)
+            if chunk is None:
                 break
-            feasible = []
-            for combo in chunk:
-                counts: dict[int, int] = {}
-                for row in combo:
-                    g = int(codes[row])
-                    counts[g] = counts.get(g, 0) + 1
-                if all(
-                    c <= engine.group_removal_room[g] for g, c in counts.items()
-                ):
-                    feasible.append(combo)
-            if not feasible:
-                continue
-            rs = engine.score(full, feasible)
-            for combo, r in zip(feasible, rs.tolist()):
+            for i, r in enumerate(engine.score(full, chunk).tolist()):
                 if math.isnan(r):
                     continue
-                mask = full.copy()
-                mask[list(combo)] = False
                 target = pool if r >= 1.0 else failing
-                if target.wants(mask, r):
+                if target.wants(n - depth, r):
+                    mask = full.copy()
+                    mask[chunk[i]] = False
                     target.offer(mask, engine.rank(mask, r), ())
         if pool:
             return _result(
@@ -1036,7 +1071,7 @@ def format_duration(seconds: float) -> str:
 @dataclass(frozen=True)
 class ExhaustiveEstimate:
     configurations: int
-    rate: float               # full-criteria evaluations per second
+    rate: float               # states (removal sets) scored per second
     seconds: float
     criterion_evaluations: int
     budget: int
@@ -1064,9 +1099,11 @@ def estimate_exhaustive(
     """Project the cost of exhaustive search up to a removal bound discovered
     by a heuristic run.
 
-    When no rate is supplied, one is measured by timing criteria evaluation
-    on the actual dataset.  The verdict compares the projected number of
-    criterion evaluations against the configured budget.
+    When no rate is supplied, one is measured on the actual dataset the way
+    exhaustive search scores states: ``score_removals`` over chunks of
+    single removals from the full set, in removal sets per second.  The
+    verdict compares the projected number of criterion evaluations against
+    the configured budget.
     """
     if calibrated_rate is not None and calibrated_rate <= 0:
         raise ValidationError("calibrated_rate must be positive")
@@ -1074,14 +1111,14 @@ def estimate_exhaustive(
     if calibrated_rate is None:
         evaluator = CriteriaEvaluator(dataset, config.criteria, registry)
         keep = np.ones(dataset.n_subjects, dtype=bool)
+        chunks = list(_removal_sets(np.arange(dataset.n_subjects), 1))
         begin = time.perf_counter()
-        done = 0
+        calls = done = 0
         while time.perf_counter() - begin < calibration_seconds or done == 0:
-            try:
-                evaluator.evaluate(keep)
-            except UndefinedTestError:
-                pass
-            done += 1
+            chunk = chunks[calls % len(chunks)]
+            evaluator.score_removals(keep, chunk)
+            calls += 1
+            done += len(chunk)
         calibrated_rate = done / max(time.perf_counter() - begin, 1e-9)
     seconds = configurations / calibrated_rate
     criterion_evals = configurations * len(config.criteria)

@@ -1,0 +1,289 @@
+"""Property tests over small random problems.
+
+* Every search returns only solutions that keep every constraint: locks,
+  per-group caps, the total cap and the minimum group size.
+* The array removal sets of a search step are exactly the sets
+  ``itertools.combinations`` gives, in its order, that a per-set check of
+  the constraints accepts.
+* A step's best-candidate pool and its lazy-batch ranking equal a
+  sequential scan and a Python sort over every candidate.
+"""
+
+from __future__ import annotations
+
+import itertools
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupmatch import search
+from groupmatch.criteria import (
+    RANK_REL_TOL,
+    CriteriaSet,
+    CriterionSpec,
+    MatchConfig,
+    balance_close,
+    r_close,
+)
+from groupmatch.dataset import Dataset
+from groupmatch.errors import UndefinedTestError
+
+# fixed examples, and no example database written next to the tests
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+RANKING = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def problems(draw):
+    """A dataset of 2-4 groups and 6-14 rows with random constraints."""
+    k = draw(st.integers(2, 4))
+    labels = [f"g{i}" for i in range(k)]
+    n_rows = draw(st.integers(max(6, 2 * k), 14))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n_rows - 2 * k,
+                          max_size=n_rows - 2 * k))
+    sizes = [2 + extra.count(g) for g in range(k)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids, groups, values = [], [], []
+    for g, size in zip(labels, sizes):
+        x = rng.normal(rng.normal(0.0, 1.5), 1.0, size=(size, 2))
+        if draw(st.booleans()):
+            x = np.round(x)   # ties and constant groups
+        for i in range(size):
+            ids.append(f"{g}_{i}")
+            groups.append(g)
+            values.append(x[i])
+    dataset = Dataset(ids, groups, np.array(values), ["x", "y"])
+
+    pairs = list(itertools.combinations(labels, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+    alpha = draw(st.sampled_from([0.2, 0.5]))
+    specs = [CriterionSpec("welch_t", "x", pair, alpha) for pair in chosen]
+    if draw(st.booleans()):
+        specs.append(CriterionSpec("anderson_darling", "y", tuple(labels), alpha))
+
+    locked = frozenset(g for g in labels if draw(st.integers(0, 3)) == 0)
+    min_size = draw(st.integers(1, min(2, *sizes)))
+    caps = {
+        g: draw(st.integers(0, 4))
+        for g in labels
+        if g not in locked and draw(st.booleans())
+    }
+    total = draw(st.none() | st.integers(0, 6))
+    precedence = draw(st.none() | st.permutations(labels))
+    config = MatchConfig(
+        criteria=CriteriaSet(tuple(specs)),
+        balance_mode="proportions" if precedence is None else "precedence",
+        precedence=precedence,
+        locked_groups=locked,
+        max_removed_per_group=caps,
+        max_removed_total=total,
+        min_group_size=min_size,
+        seed=draw(st.integers(0, 1000)),
+        pool_cap=draw(st.integers(1, 4)),
+    )
+    return dataset, config
+
+
+def room_of(dataset, config) -> np.ndarray:
+    """Rows each group may lose, worked out from the config on its own."""
+    room = []
+    for g in dataset.group_labels:
+        size = len(dataset.group_index[g])
+        if g in config.locked_groups:
+            room.append(0)
+        else:
+            room.append(min(size - config.min_group_size,
+                            config.max_removed_per_group.get(g, size)))
+    return np.array(room)
+
+
+def assert_within_limits(dataset, config, keep) -> None:
+    kept = np.bincount(dataset.group_codes[keep], minlength=dataset.n_groups)
+    removed = dataset.group_sizes() - kept
+    for i, g in enumerate(dataset.group_labels):
+        if g in config.locked_groups:
+            assert removed[i] == 0, f"locked group {g} lost rows"
+        else:
+            assert kept[i] >= config.min_group_size, f"group {g} below minimum"
+        assert removed[i] <= config.max_removed_per_group.get(g, removed[i])
+    if config.max_removed_total is not None:
+        assert removed.sum() <= config.max_removed_total
+
+
+RUNNERS = {
+    "random": lambda d, c: search.random_search(d, c, iterations=50),
+    "greedy": search.greedy_search,
+    "h3_L1": lambda d, c: search.lookahead_search(d, c, "h3", lookahead=1),
+    "h4_L1": lambda d, c: search.lookahead_search(d, c, "h4", lookahead=1),
+    "h3_L2": lambda d, c: search.lookahead_search(d, c, "h3", lookahead=2),
+    "h4_L2": lambda d, c: search.lookahead_search(d, c, "h4", lookahead=2),
+    "exhaustive": lambda d, c: search.exhaustive_search(d, c, max_removed=3),
+}
+
+
+@SETTINGS
+@given(problems())
+def test_solutions_keep_every_constraint(problem):
+    dataset, config = problem
+    for runner in RUNNERS.values():
+        try:
+            result = runner(dataset, config)
+        except UndefinedTestError:
+            continue
+        for state in result.solutions:
+            assert_within_limits(dataset, config, state.keep)
+
+
+def reference_sets(dataset, room, cap, keep, removed, size):
+    """The removal sets of one step by the per-set rule: kept rows of the
+    groups with room left, every combination of them, each checked on its
+    own against the total cap and the room of every group it touches."""
+    if cap is not None and removed.sum() >= cap:
+        return []
+    open_rows = [
+        row for row in range(dataset.n_subjects)
+        if keep[row] and removed[dataset.group_codes[row]] < room[dataset.group_codes[row]]
+    ]
+    out = []
+    for combo in itertools.combinations(open_rows, size):
+        if cap is not None and removed.sum() + size > cap:
+            continue
+        per_group = np.bincount(dataset.group_codes[list(combo)],
+                                minlength=dataset.n_groups)
+        if np.all(removed + per_group <= room):
+            out.append(combo)
+    return out
+
+
+@SETTINGS
+@given(problems(), st.integers(0, 2**32 - 1), st.integers(1, 7))
+def test_removal_sets_match_per_set_rule(problem, seed, chunk):
+    dataset, config = problem
+    feasible = search._Feasibility(dataset, config)
+    room = room_of(dataset, config)
+    assert feasible.room.tolist() == room.tolist()
+    # walk a few random feasible removals, then enumerate every step size
+    rng = np.random.default_rng(seed)
+    keep = np.ones(dataset.n_subjects, dtype=bool)
+    removed = np.zeros(dataset.n_groups, dtype=np.intp)
+    for _ in range(int(rng.integers(0, 4))):
+        rows = feasible.open_rows(keep, removed)
+        if not rows.size:
+            break
+        row = int(rng.choice(rows))
+        keep[row] = False
+        removed[dataset.group_codes[row]] += 1
+    with mock.patch.object(search, "_SCORE_CHUNK", chunk):
+        for size in range(0, 4):
+            rows = feasible.open_rows(keep, removed, max(size, 1))
+            chunks = list(feasible.removal_sets(rows, size, removed))
+            got = [tuple(c) for block in chunks for c in block.tolist()]
+            if size == 0:
+                assert got == [()]
+                continue
+            assert got == reference_sets(
+                dataset, room, config.max_removed_total, keep, removed, size
+            )
+            assert all(len(block) == chunk for block in chunks[:-1])
+            assert all(0 < len(block) <= chunk for block in chunks)
+
+
+# ---------------------------------------------------------------------------
+# the step pool and the lazy-batch ranking against sequential references
+# ---------------------------------------------------------------------------
+
+
+def reference_better(r_a, bal_a, r_b, bal_b) -> int:
+    """r desc (``r_close`` ties), then balance asc (``balance_close`` ties
+    for floats); +1 when a is better."""
+    if not r_close(r_a, r_b):
+        return 1 if r_a > r_b else -1
+
+    def strictly(a, b):
+        return a < b if isinstance(a, tuple) else a < b and not balance_close(a, b)
+
+    if strictly(bal_a, bal_b):
+        return 1
+    if strictly(bal_b, bal_a):
+        return -1
+    return 0
+
+
+def reference_pool(rs, balances, cap, rng) -> list[int]:
+    best, pool = 0, [0]
+    for j in range(1, len(rs)):
+        cmp = reference_better(rs[j], balances[j], rs[best], balances[best])
+        if cmp > 0:
+            best, pool = j, [j]
+        elif cmp == 0:
+            pool.append(j)
+    if len(pool) > cap:
+        picked = rng.choice(len(pool), size=cap, replace=False)
+        pool = [pool[int(i)] for i in sorted(picked)]
+    return pool
+
+
+@st.composite
+def r_values(draw):
+    """Match scores with exact ties, chains of ``r_close`` neighbours,
+    near misses just outside the tolerance and plain gaps, in any order."""
+    value = draw(st.floats(0.05, 3.0))
+    out = [value]
+    for _ in range(draw(st.integers(0, 24))):
+        move = draw(st.sampled_from(["same", "chain", "miss", "gap"]))
+        if move == "chain":
+            value *= 1.0 - 0.9 * RANK_REL_TOL
+        elif move == "miss":
+            value *= 1.0 - 1.5 * RANK_REL_TOL
+        elif move == "gap":
+            value *= draw(st.floats(0.5, 0.99))
+        out.append(value)
+    order = draw(st.sampled_from(["descending", "ascending", "shuffled"]))
+    if order == "ascending":
+        out.reverse()
+    elif order == "shuffled":
+        out = draw(st.permutations(out))
+    return np.array(out)
+
+
+@st.composite
+def steps(draw):
+    rs = draw(r_values())
+    m = rs.size
+    if draw(st.booleans()):
+        # precedence mode: removals per group, as tuples
+        table = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              min_size=1, max_size=4, unique=True))
+    else:
+        # proportions mode: KL values, some within balance_close of another
+        base = draw(st.floats(0.0, 0.05))
+        table = [base + draw(st.sampled_from([0.0, 0.0, 4e-13, 9e-13, 3e-12, 1e-3]))
+                 for _ in range(draw(st.integers(1, 4)))]
+    index = np.array(draw(st.lists(st.integers(0, len(table) - 1),
+                                   min_size=m, max_size=m)))
+    rows = np.array(draw(st.permutations(range(m))))[:, None]
+    return search._StepCandidates(rows, rs, index, table)
+
+
+@RANKING
+@given(steps(), st.integers(1, 5), st.integers(0, 1000))
+def test_argmax_pool_matches_sequential_scan(step, cap, seed):
+    engine = SimpleNamespace(config=SimpleNamespace(pool_cap=cap),
+                             rng=np.random.default_rng(seed))
+    balances = [step.balances[b] for b in step.balance_index.tolist()]
+    expected = reference_pool(step.rs.tolist(), balances, cap,
+                              np.random.default_rng(seed))
+    assert search._argmax_pool(engine, step) == expected
+
+
+@RANKING
+@given(steps())
+def test_batch_order_matches_python_sort(step):
+    balances = [step.balances[b] for b in step.balance_index.tolist()]
+    combos = [tuple(c) for c in step.combos.tolist()]
+    rs = step.rs.tolist()
+    expected = sorted(range(len(rs)), key=lambda j: (-rs[j], balances[j], combos[j]))
+    assert search._batch_order(step).tolist() == expected

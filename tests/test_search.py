@@ -428,3 +428,35 @@ class TestFeasibilityArithmetic:
         )
         assert est.rate > 0
         assert est.seconds > 0
+
+    def test_estimate_calibrates_on_removal_scoring(self, monkeypatch):
+        """The rate is measured on the path exhaustive search takes: batch
+        scoring of single removals from the full set, never a full-mask
+        evaluation, and it counts removal sets, not calls."""
+        d = build_two_group_dataset(15, 0.5, seed=14)
+        calls = []
+        score = CriteriaEvaluator.score_removals
+
+        def counting(self, keep, combos):
+            calls.append((keep.copy(), np.array(combos)))
+            return score(self, keep, combos)
+
+        def forbidden(self, keep):
+            raise AssertionError("calibration evaluated a full mask")
+
+        monkeypatch.setattr(CriteriaEvaluator, "score_removals", counting)
+        monkeypatch.setattr(CriteriaEvaluator, "evaluate", forbidden)
+        clock = iter(range(100))
+        monkeypatch.setattr(
+            "groupmatch.search.time.perf_counter", lambda: float(next(clock))
+        )
+        est = estimate_exhaustive(d, base_config(), 2, calibration_seconds=3.5)
+        # clock reads: begin 0, checks 1, 2, 3 pass and 4 stops, end 5:
+        # three calls in five seconds
+        assert len(calls) == 3
+        for keep, combos in calls:
+            assert keep.all()
+            assert combos.shape == (d.n_subjects, 1)
+            assert combos[:, 0].tolist() == list(range(d.n_subjects))
+        assert est.rate == pytest.approx(3 * d.n_subjects / 5.0)
+        assert est.seconds == pytest.approx(est.configurations / est.rate)
