@@ -48,10 +48,6 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _write_manifest(out_dir: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["versions"] = {

@@ -19,12 +19,13 @@ from typing import Mapping, Union
 import numpy as np
 
 from .dataset import Dataset, SubsetState
-from .errors import UndefinedTestError, ValidationError
+from .errors import ValidationError
 from .stats import (
     BUILTIN_AD,
     BUILTIN_WELCH,
     TestFunction,
     TestRegistry,
+    _per_mask_p,
     anderson_darling_p_masks,
     default_registry,
     student_t_sf_array,
@@ -413,35 +414,21 @@ class CriteriaEvaluator:
 
         Criteria bound to the built-in Welch test are scored from each
         group's count, mean and sum of squared deviations on ``keep``,
-        downdated by the removed rows, with the Student t tails of all of
-        them taken in one call; criteria bound to the built-in
-        Anderson-Darling test are scored with ``anderson_darling_p_masks``
-        on ``keep`` less each removal set.  Every other criterion, and every
-        removal set too close to degenerate to downdate, is scored on its
-        own subset as ``evaluate`` would.
+        downdated by the removed rows; a set too close to degenerate to
+        downdate is scored on its own.  Every other criterion is scored as
+        ``score_masks`` scores it, on ``keep`` less each removal set.
         """
         combos = np.asarray(combos, dtype=np.intp)
-        p = np.full((combos.shape[0], len(self._bound)), np.nan)
-        defined = np.ones(combos.shape[0], dtype=bool)
-        tails: list = []
-        work = keep.copy()
-        for j, (test, _, column, rows) in enumerate(self._bound):
-            todo = np.flatnonzero(defined)
-            if test is BUILTIN_AD:
-                p[todo, j] = self._ad_removed(j, keep, combos[todo])
-                defined[todo] = ~np.isnan(p[todo, j])
-                continue
-            if test is BUILTIN_WELCH:
-                t, df, slow = self._welch_downdated(keep, combos[todo], column, rows)
-                todo = _queue_tails(tails, j, todo, t, df, slow, defined)
-            for i in todo.tolist():
-                removed = combos[i]
-                work[removed] = False
-                p[i, j] = _per_subset(test, column, rows, work)
-                defined[i] = not math.isnan(p[i, j])
-                work[removed] = True
-        _fill_tails(tails, p, defined)
-        return p, defined
+
+        def masks(j: int, sets: np.ndarray) -> np.ndarray:
+            pooled, _, where = self._pooled[j]
+            block = np.repeat(keep[pooled][None, :], sets.size, axis=0)
+            positions = where[combos[sets]]
+            hit, col = np.nonzero(positions >= 0)
+            block[hit, positions[hit, col]] = False
+            return block
+
+        return self._score(combos.shape[0], masks, keep, combos)
 
     def score_masks(self, keeps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-criterion p-values of many keep-masks at once.
@@ -455,60 +442,52 @@ class CriteriaEvaluator:
         group's two-pass masked moments, those bound to the built-in
         Anderson-Darling test with ``anderson_darling_p_masks``; every other
         criterion, and every mask that leaves a group constant or gives a
-        non-finite statistic, is scored on its own subset.  Masks are scored
-        in blocks of at most ``MASK_BLOCK_CELLS`` cells.
+        non-finite statistic, is scored on its own subset.
         """
         keeps = np.asarray(keeps, dtype=bool).reshape(-1, self.dataset.n_subjects)
-        p = np.full((keeps.shape[0], len(self._bound)), np.nan)
-        defined = np.ones(keeps.shape[0], dtype=bool)
-        step = max(1, MASK_BLOCK_CELLS // max(1, keeps.shape[1]))
-        for start in range(0, keeps.shape[0], step):
-            block = slice(start, start + step)
-            self._score_mask_block(keeps[block], p[block], defined[block])
-        return p, defined
+        return self._score(
+            keeps.shape[0], lambda j, sets: keeps[sets][:, self._pooled[j][0]]
+        )
 
-    def _score_mask_block(
-        self, keeps: np.ndarray, p: np.ndarray, defined: np.ndarray
-    ) -> None:
-        """``score_masks`` of one block, written into the views p, defined."""
+    def _score(
+        self, m: int, masks, keep=None, combos=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(p, defined) of m subsets, criterion by criterion.
+
+        ``masks(j, sets)`` gives the keep-masks of the subsets ``sets`` over
+        criterion j's pooled rows, built in blocks of at most
+        ``MASK_BLOCK_CELLS`` cells.  Removal sets come with ``keep`` and
+        ``combos`` so that Welch criteria downdate them.  The Student t
+        tails of every Welch criterion are taken in one call at the end.
+        """
+        p = np.full((m, len(self._bound)), np.nan)
+        defined = np.ones(m, dtype=bool)
         tails: list = []
         for j, (test, _, column, rows) in enumerate(self._bound):
             todo = np.flatnonzero(defined)
-            if test is BUILTIN_AD:
-                pooled, codes, _ = self._pooled[j]
-                p[todo, j] = anderson_darling_p_masks(
-                    column[pooled], codes, len(rows), keeps[np.ix_(todo, pooled)]
-                )
-                defined[todo] = ~np.isnan(p[todo, j])
-                continue
-            if test is BUILTIN_WELCH:
-                t, df, slow = _welch_masked(keeps[todo], column, rows)
-                todo = _queue_tails(tails, j, todo, t, df, slow, defined)
-            for i in todo.tolist():
-                p[i, j] = _per_subset(test, column, rows, keeps[i])
-                defined[i] = not math.isnan(p[i, j])
+            moments = test is BUILTIN_WELCH
+            if moments and combos is not None:
+                t, df, slow = self._welch_downdated(keep, combos[todo], column, rows)
+                _queue_tails(tails, j, todo, t, df, slow, defined)
+                todo, moments = todo[slow], False   # slow sets go per mask
+            pooled, codes, _ = self._pooled[j]
+            values = column[pooled]
+            step = max(1, MASK_BLOCK_CELLS // pooled.size)
+            for start in range(0, todo.size, step):
+                sets = todo[start:start + step]
+                block = masks(j, sets)
+                if moments:
+                    t, df, slow = _welch_masked(block, values, codes, len(rows))
+                    _queue_tails(tails, j, sets, t, df, slow, defined)
+                    sets, block = sets[slow], block[slow]
+                if test is BUILTIN_AD:
+                    got = anderson_darling_p_masks(values, codes, len(rows), block)
+                else:
+                    got = _per_mask_p(test, values, codes, len(rows), block)
+                p[sets, j] = got
+                defined[sets] = ~np.isnan(got)
         _fill_tails(tails, p, defined)
-
-    def _ad_removed(self, j: int, keep: np.ndarray, combos: np.ndarray) -> np.ndarray:
-        """Anderson-Darling p-values of criterion j on ``keep`` less each
-        removal set, NaN where undefined; masks are built over the
-        criterion's own rows, in blocks of at most ``MASK_BLOCK_CELLS``."""
-        _, _, column, rows = self._bound[j]
-        pooled, codes, where = self._pooled[j]
-        values = column[pooled]
-        base = keep[pooled]
-        positions = where[combos]
-        out = np.empty(combos.shape[0])
-        step = max(1, MASK_BLOCK_CELLS // max(1, pooled.size))
-        for start in range(0, combos.shape[0], step):
-            pos = positions[start:start + step]
-            block = np.repeat(base[None, :], pos.shape[0], axis=0)
-            hit, col = np.nonzero(pos >= 0)
-            block[hit, pos[hit, col]] = False
-            out[start:start + step] = anderson_darling_p_masks(
-                values, codes, len(rows), block
-            )
-        return out
+        return p, defined
 
     def _welch_downdated(
         self,
@@ -553,31 +532,22 @@ class CriteriaEvaluator:
         return t, df, slow | ~(np.isfinite(t) & np.isfinite(df) & (df > 0.0))
 
 
-def _per_subset(
-    test: TestFunction, column: np.ndarray, rows: list[np.ndarray], keep: np.ndarray
-) -> float:
-    """The test on the kept rows of each group, NaN where undefined."""
-    try:
-        return test([column[idx[keep[idx]]] for idx in rows])
-    except UndefinedTestError:
-        return math.nan
-
-
 def _welch_masked(
-    keeps: np.ndarray, column: np.ndarray, rows: list[np.ndarray]
+    keeps: np.ndarray, values: np.ndarray, codes: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Welch t and df of keep-masks from each group's two-pass masked
-    moments: (t, df, slow) as from ``_welch_downdated``, with t NaN on the
-    masks that keep fewer than two rows of a group (undefined).  A mask
-    that leaves a group constant is slow, since ``welch_t`` decides that
-    case itself."""
+    """Welch t and df of keep-masks over a pooled sample (``values``, with
+    sample ``codes``) from each sample's two-pass masked moments: (t, df,
+    slow) as from ``_welch_downdated``, with t NaN on the masks that keep
+    fewer than two rows of a sample (undefined).  A mask that leaves a
+    sample constant is slow, since ``welch_t`` decides that case itself."""
     undefined = np.zeros(keeps.shape[0], dtype=bool)
     slow = np.zeros(keeps.shape[0], dtype=bool)
     moments = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for idx in rows:
-            kept = keeps[:, idx]
-            x = column[idx]
+        for g in range(k):
+            mine = codes == g
+            kept = keeps[:, mine]
+            x = values[mine]
             n = kept.sum(axis=1)
             mean = np.where(kept, x, 0.0).sum(axis=1) / n
             dev = np.where(kept, x - mean[:, None], 0.0)
@@ -605,15 +575,14 @@ def _welch_t_df(moments) -> tuple[np.ndarray, np.ndarray]:
     return t, df
 
 
-def _queue_tails(tails: list, j: int, todo, t, df, slow, defined) -> np.ndarray:
+def _queue_tails(tails: list, j: int, todo, t, df, slow, defined) -> None:
     """Queue the Student t tails of criterion j's sets ``todo`` that are
-    neither slow nor undefined (t NaN), mark the undefined ones, and return
-    the slow ones for the caller to score per subset."""
+    neither slow nor undefined (t NaN) and mark the undefined ones; the
+    slow ones are left to the caller."""
     undefined = ~slow & np.isnan(t)
     defined[todo[undefined]] = False
     fast = ~(slow | undefined)
     tails.append((j, todo[fast], t[fast], df[fast]))
-    return todo[slow]
 
 
 def _fill_tails(tails: list, p: np.ndarray, defined: np.ndarray) -> None:

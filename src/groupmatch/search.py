@@ -27,8 +27,13 @@ step holds its candidates as arrays: the sets, their r, and an index into
 the balances of the distinct per-group removal counts.  Random search makes
 its draws in chunks of ``MASK_BLOCK_CELLS`` cells and scores each chunk with
 one ``CriteriaEvaluator.score_masks`` call.  The clock (``time_limit``) is
-read between chunks.  Every r a result reports (its p-values, its rank and
-each trace entry) comes from evaluating that subset on its own.
+read between chunks.
+
+Scores from a batch only rank and select states.  Every r a result reports
+comes from evaluating that subset on its own: a constructive search
+evaluates its current state once per pass, and that r goes into the trace
+and the pools; the reported p-values and rank come from evaluating the
+reported state again (``_result``, uncharged).
 """
 
 from __future__ import annotations
@@ -293,13 +298,6 @@ class _Engine:
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.perf_counter() > self.deadline
 
-    def try_evaluate(self, keep: np.ndarray):
-        """(r, p_values), or None when a test is undefined for this subset."""
-        try:
-            return self.evaluator.evaluate(keep)
-        except UndefinedTestError:
-            return None
-
     def score(self, keep: np.ndarray, combos) -> np.ndarray:
         """r of each removal set in ``combos`` (an (m, L) array of rows kept
         in ``keep``) applied to ``keep``, NaN where a test is undefined.
@@ -314,9 +312,14 @@ class _Engine:
         rs[defined] = np.min(ps[defined] / self.alphas, axis=1)
         return rs
 
-    def evaluate_one(self, keep: np.ndarray):
+    def evaluate_one(self, keep: np.ndarray) -> float | None:
+        """r of ``keep``, charged as one evaluation; None when a test is
+        undefined for this subset."""
         self.budget.charge_states(1)
-        return self.try_evaluate(keep)
+        try:
+            return self.evaluator.evaluate(keep)[0]
+        except UndefinedTestError:
+            return None
 
     def rank(self, keep: np.ndarray, r: float) -> SolutionRank:
         return solution_rank(self.dataset, keep, self.config, r)
@@ -354,14 +357,12 @@ class _SolutionPool:
         self.cap = cap
         self.rank: SolutionRank | None = None
         self.states: list[np.ndarray] = []
-        self.p_values: tuple[float, ...] = ()
         self._keys: set[bytes] = set()
 
-    def offer(self, keep: np.ndarray, rank: SolutionRank, ps: tuple[float, ...]):
+    def offer(self, keep: np.ndarray, rank: SolutionRank):
         if self.rank is None or compare_solutions(rank, self.rank) > 0:
             self.rank = rank
             self.states = [keep.copy()]
-            self.p_values = ps
             self._keys = {keep.tobytes()}
         elif compare_solutions(rank, self.rank) == 0 and len(self.states) < self.cap:
             key = keep.tobytes()
@@ -377,9 +378,6 @@ class _SolutionPool:
     def __bool__(self) -> bool:
         return self.rank is not None
 
-    def subset_states(self) -> tuple[SubsetState, ...]:
-        return tuple(SubsetState(s) for s in self.states)
-
 
 class _BestFailing:
     """Closest-to-matching failing state: highest r, then better rank."""
@@ -388,14 +386,13 @@ class _BestFailing:
         self.r: float | None = None
         self.keep: np.ndarray | None = None
         self.rank: SolutionRank | None = None
-        self.ps: tuple[float, ...] = ()
 
     def wants(self, preserved: int, r: float) -> bool:
         """False when offering a state of match score r cannot change the
         stored one: r is lower and not tied."""
         return self.r is None or r > self.r or r_close(r, self.r)
 
-    def offer(self, keep: np.ndarray, rank: SolutionRank, ps: tuple[float, ...]):
+    def offer(self, keep: np.ndarray, rank: SolutionRank):
         if self.r is None:
             better = True
         elif r_close(rank.r, self.r):
@@ -406,7 +403,6 @@ class _BestFailing:
             self.r = rank.r
             self.keep = keep.copy()
             self.rank = rank
-            self.ps = ps
 
 
 def _result(
@@ -414,32 +410,20 @@ def _result(
     algorithm: str,
     parameters: dict,
     success: bool,
-    pool_or_state,
+    states: Sequence[np.ndarray],
     started: float,
     trace: Sequence[TraceStep] = (),
     timed_out: bool = False,
-    rescore: bool = False,
 ) -> MatchResult:
-    """Build the result; ``rescore`` re-evaluates the reported state on its
-    own subset (uncharged) when it was ranked from a batch score."""
+    """Build the result.  Its p-values and rank come from evaluating the
+    first reported state on its own subset (uncharged), however the search
+    scored it."""
     wall = time.perf_counter() - started
-    if isinstance(pool_or_state, _SolutionPool):
-        solutions = pool_or_state.subset_states()
-        rank = pool_or_state.rank
-        ps = pool_or_state.p_values
-    else:
-        best: _BestFailing = pool_or_state
-        solutions = (SubsetState(best.keep),)
-        rank = best.rank
-        ps = best.ps
-    if rescore:
-        keep = solutions[0].keep
-        r, ps = engine.evaluator.evaluate(keep)
-        rank = engine.rank(keep, r)
+    r, ps = engine.evaluator.evaluate(states[0])
     return MatchResult(
         algorithm=algorithm,
-        solutions=solutions,
-        rank=rank,
+        solutions=tuple(SubsetState(s) for s in states),
+        rank=engine.rank(states[0], r),
         p_values=ps,
         success=success,
         wall_time=wall,
@@ -504,14 +488,9 @@ def random_search(
     # the full set is always evaluated first: an already-matched dataset
     # needs no removals at all
     full = np.ones(n, dtype=bool)
-    evaluated = engine.evaluate_one(full)
-    if evaluated is not None:
-        r, ps = evaluated
-        rank = engine.rank(full, r)
-        if r >= 1.0:
-            successes.offer(full, rank, ps)
-        else:
-            failing.offer(full, rank, ps)
+    r = engine.evaluate_one(full)
+    if r is not None:
+        (successes if r >= 1.0 else failing).offer(full, engine.rank(full, r))
 
     def draw(i: int) -> np.ndarray | None:
         """Draw i, or None when it breaks a removal bound."""
@@ -547,13 +526,13 @@ def random_search(
                 drawn.append(keep)
         if not drawn:
             continue
-        ps, defined = engine.evaluator.score_masks(np.array(drawn))
-        for keep, r, row in zip(drawn, engine.r_values(ps, defined).tolist(), ps):
+        rs = engine.r_values(*engine.evaluator.score_masks(np.array(drawn)))
+        for keep, r in zip(drawn, rs.tolist()):
             if math.isnan(r):
                 continue
             target = successes if r >= 1.0 else failing
             if target.wants(int(keep.sum()), r):
-                target.offer(keep, engine.rank(keep, r), tuple(row.tolist()))
+                target.offer(keep, engine.rank(keep, r))
 
     params = {
         "iterations": total,
@@ -561,19 +540,15 @@ def random_search(
         "jitter": config.schedule_jitter,
     }
     if successes:
-        return _result(
-            engine, "random", params, True, successes, started,
-            timed_out=timed_out, rescore=True,
-        )
+        return _result(engine, "random", params, True, successes.states,
+                       started, timed_out=timed_out)
     if failing.keep is None:
         raise UndefinedTestError(
             "criteria are undefined on the full dataset and every "
             "random draw was infeasible"
         )
-    return _result(
-        engine, "random", params, False, failing, started,
-        timed_out=timed_out, rescore=True,
-    )
+    return _result(engine, "random", params, False, [failing.keep], started,
+                   timed_out=timed_out)
 
 
 # ---------------------------------------------------------------------------
@@ -582,25 +557,17 @@ def random_search(
 
 
 class _Walk:
-    """Mutable state of a constructive search."""
+    """Mutable state of a constructive search: the kept rows and the rows
+    removed from each group."""
 
     def __init__(self, engine: _Engine):
-        self.engine = engine
-        d = engine.dataset
-        self.keep = np.ones(d.n_subjects, dtype=bool)
-        self.kept_counts = engine.sizes.copy()
-        self.removed_counts = np.zeros(d.n_groups, dtype=np.intp)
-        self.total_removed = 0
-        self.trace: list[TraceStep] = []
-        self.current_r: float | None = None
-        self.current_ps: tuple[float, ...] = ()
+        self.codes = engine.dataset.group_codes
+        self.keep = np.ones(engine.dataset.n_subjects, dtype=bool)
+        self.removed_counts = np.zeros(engine.dataset.n_groups, dtype=np.intp)
 
     def remove(self, row: int) -> None:
         self.keep[row] = False
-        g = self.engine.dataset.group_codes[row]
-        self.kept_counts[g] -= 1
-        self.removed_counts[g] += 1
-        self.total_removed += 1
+        self.removed_counts[self.codes[row]] += 1
 
 
 @dataclass
@@ -645,9 +612,37 @@ def _evaluate_step(engine: _Engine, walk: _Walk, size: int) -> _StepCandidates |
     codes = np.sort(d.group_codes[combos], axis=1)
     keys = np.ravel_multi_index(tuple(codes.T), (d.n_groups,) * size)
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    counts = walk.kept_counts - engine.feasible.group_counts(combos[first])
+    counts = (
+        engine.sizes - walk.removed_counts - engine.feasible.group_counts(combos[first])
+    )
     balances = [balance_from_counts(d, engine.config, c) for c in counts]
     return _StepCandidates(combos, np.concatenate(rs), index, balances)
+
+
+def _cap_pool(engine: _Engine, pool: list) -> list:
+    """``pool`` cut to the configured pool size by seeded subsampling, in
+    its own order."""
+    cap = engine.config.pool_cap
+    if len(pool) <= cap:
+        return pool
+    picked = engine.rng.choice(len(pool), size=cap, replace=False)
+    return [pool[int(i)] for i in sorted(picked)]
+
+
+def _best_by_r(items: Sequence, rs: list[float]) -> list:
+    """The items whose r ties (``r_close``) with the highest r, in order,
+    skipping NaN (undefined); empty when every r is NaN."""
+    best_r: float | None = None
+    best: list = []
+    for item, r in zip(items, rs):
+        if math.isnan(r):
+            continue
+        if best_r is None or (r > best_r and not r_close(r, best_r)):
+            best_r = r
+            best = [item]
+        elif r_close(r, best_r):
+            best.append(item)
+    return best
 
 
 def _argmax_pool(engine: _Engine, step: _StepCandidates) -> list[int]:
@@ -678,12 +673,7 @@ def _argmax_pool(engine: _Engine, step: _StepCandidates) -> list[int]:
             pool = [j]
         elif cmp == 0:
             pool.append(j)
-    pool = scanned[pool].tolist()
-    cap = engine.config.pool_cap
-    if len(pool) > cap:
-        picked = engine.rng.choice(len(pool), size=cap, replace=False)
-        pool = [pool[int(i)] for i in sorted(picked)]
-    return pool
+    return _cap_pool(engine, scanned[pool].tolist())
 
 
 def _batch_order(step: _StepCandidates) -> np.ndarray:
@@ -698,37 +688,26 @@ def _choose_index(engine: _Engine, count: int) -> int:
     return 0 if count == 1 else int(engine.rng.integers(count))
 
 
-def _narrow_by_r(engine: _Engine, walk: _Walk, pool_sets: np.ndarray) -> int:
-    """Recursive narrowing on r alone: shrink candidate sets one element at
-    a time, keeping the subsets with the highest r, until singletons remain."""
-    candidates = [tuple(c) for c in pool_sets.tolist()]
+def _narrow_by_r(
+    engine: _Engine, walk: _Walk, step: _StepCandidates, pool: list[int]
+) -> int:
+    """Select by recursive narrowing on r alone (greedy, h3): shrink the
+    pool's sets one element at a time, keeping the subsets with the highest
+    r, until singletons remain, then pick one at random (seeded)."""
+    candidates = [tuple(c) for c in step.combos[pool].tolist()]
     size = len(candidates[0])
     while size > 1:
         size -= 1
         universe = sorted(
             {sub for c in candidates for sub in itertools.combinations(c, size)}
         )
-        best_r: float | None = None
-        narrowed: list[tuple[int, ...]] = []
-        for combo, r in zip(universe, engine.score(walk.keep, universe).tolist()):
-            if math.isnan(r):
-                continue
-            if best_r is None or (r > best_r and not r_close(r, best_r)):
-                best_r = r
-                narrowed = [combo]
-            elif r_close(r, best_r):
-                narrowed.append(combo)
+        narrowed = _best_by_r(universe, engine.score(walk.keep, universe).tolist())
         if not narrowed:
             # every subset hit an undefined test; fall back to the subjects
             # of the current candidate sets
             subjects = sorted({row for c in candidates for row in c})
             return subjects[_choose_index(engine, len(subjects))]
-        if len(narrowed) > engine.config.pool_cap:
-            picked = engine.rng.choice(
-                len(narrowed), size=engine.config.pool_cap, replace=False
-            )
-            narrowed = [narrowed[int(i)] for i in sorted(picked)]
-        candidates = narrowed
+        candidates = _cap_pool(engine, narrowed)
     return candidates[_choose_index(engine, len(candidates))][0]
 
 
@@ -738,7 +717,7 @@ def _choose_by_membership(
     step: _StepCandidates,
     pool: list[int],
 ) -> int:
-    """Pick the subject occurring in the most pool sets; ties by
+    """Select the subject occurring in the most pool sets (h4); ties by
     single-removal r, then seeded-random."""
     counts: dict[int, int] = {}
     for combo in step.combos[pool].tolist():
@@ -752,16 +731,7 @@ def _choose_by_membership(
         # pool members are singletons whose r values are already tied
         return candidates[_choose_index(engine, len(candidates))]
     singles = [(c,) for c in candidates]
-    best_r: float | None = None
-    finalists: list[int] = []
-    for row, r in zip(candidates, engine.score(walk.keep, singles).tolist()):
-        if math.isnan(r):
-            continue
-        if best_r is None or (r > best_r and not r_close(r, best_r)):
-            best_r = r
-            finalists = [row]
-        elif r_close(r, best_r):
-            finalists.append(row)
+    finalists = _best_by_r(candidates, engine.score(walk.keep, singles).tolist())
     if not finalists:
         finalists = candidates
     return finalists[_choose_index(engine, len(finalists))]
@@ -777,32 +747,49 @@ def _constructive(
 ) -> MatchResult:
     """Shared driver for greedy and lookahead searches.
 
-    ``select(engine, walk, step, pool) -> row`` picks the subject removed
-    first in each step; with lazy batching active, further removals follow
-    the step's stale ranking until the batch fills.
+    Each pass evaluates the current state, traces the removals that led to
+    it and offers it, then scores a step.  ``select(engine, walk, step,
+    pool) -> row`` picks the subject removed first in each step; with lazy
+    batching active, further removals follow the step's stale ranking until
+    the batch fills.
     """
     engine = _Engine(dataset, config, registry)
     started = time.perf_counter()
     engine.start_clock(started)
+    params = _params(config, set_size)
     walk = _Walk(engine)
+    trace: list[TraceStep] = []
     failing = _BestFailing()
+    careful = False
     timed_out = False
-    evaluated = engine.evaluate_one(walk.keep)
-    if evaluated is not None:
-        r, ps = evaluated
-        walk.current_r, walk.current_ps = r, ps
-        rank = engine.rank(walk.keep, r)
-        if r >= 1.0:
-            pool = _SolutionPool(config.max_solutions)
-            pool.offer(walk.keep, rank, ps)
-            return _result(engine, algorithm, _params(config, set_size), True,
-                           pool, started)
-        failing.offer(walk.keep, rank, ps)
-    careful = walk.current_r is not None and (
-        walk.current_r >= config.reversion_threshold
-    )
+    r: float | None = None
+    removed_now: list[int] = []
+    pool: list[int] = []
 
     while True:
+        stale_r = r
+        r = engine.evaluate_one(walk.keep)
+        done = int(walk.removed_counts.sum()) - len(removed_now)
+        for idx, row in enumerate(removed_now):
+            last = idx == len(removed_now) - 1
+            trace.append(
+                TraceStep(
+                    step=done + idx + 1,
+                    removed_id=dataset.subject_ids[row],
+                    r_before=stale_r,
+                    r_after=r if last else None,
+                    pool_size=len(pool),
+                )
+            )
+        # a state where a test is undefined is not offered; candidate
+        # scoring steers the walk back among defined states
+        if r is not None:
+            if r >= 1.0:
+                return _result(engine, algorithm, params, True, [walk.keep],
+                               started, trace)
+            failing.offer(walk.keep, engine.rank(walk.keep, r))
+            careful = careful or r >= config.reversion_threshold
+
         if engine.out_of_time():
             timed_out = True
             break
@@ -832,16 +819,15 @@ def _constructive(
                 if row != first:
                     plan.append(row)
 
-        stale_r = walk.current_r
-        removed_now: list[int] = []
+        removed_now = []
         for row in plan:
             if not walk.keep[row]:
                 continue
-            g = int(engine.dataset.group_codes[row])
+            g = int(dataset.group_codes[row])
             if walk.removed_counts[g] >= engine.feasible.room[g]:
                 continue
             if engine.feasible.cap is not None and (
-                walk.total_removed >= engine.feasible.cap
+                int(walk.removed_counts.sum()) >= engine.feasible.cap
             ):
                 break
             walk.remove(row)
@@ -849,42 +835,12 @@ def _constructive(
         if not removed_now:
             break
 
-        evaluated = engine.evaluate_one(walk.keep)
-        fresh_r = evaluated[0] if evaluated is not None else None
-        for idx, row in enumerate(removed_now):
-            last = idx == len(removed_now) - 1
-            walk.trace.append(
-                TraceStep(
-                    step=walk.total_removed - len(removed_now) + idx + 1,
-                    removed_id=dataset.subject_ids[row],
-                    r_before=stale_r,
-                    r_after=fresh_r if last else None,
-                    pool_size=len(pool),
-                )
-            )
-        if evaluated is None:
-            # tests undefined on the new state: keep walking; candidate
-            # evaluation will steer among defined states
-            walk.current_r, walk.current_ps = None, ()
-            continue
-        r, ps = evaluated
-        walk.current_r, walk.current_ps = r, ps
-        rank = engine.rank(walk.keep, r)
-        if r >= 1.0:
-            pool_out = _SolutionPool(config.max_solutions)
-            pool_out.offer(walk.keep, rank, ps)
-            return _result(engine, algorithm, _params(config, set_size), True,
-                           pool_out, started, walk.trace)
-        failing.offer(walk.keep, rank, ps)
-        if r >= config.reversion_threshold:
-            careful = True
-
     if failing.keep is None:
         raise UndefinedTestError(
             "criteria were undefined on every state the search visited"
         )
-    return _result(engine, algorithm, _params(config, set_size), False,
-                   failing, started, walk.trace, timed_out=timed_out)
+    return _result(engine, algorithm, params, False, [failing.keep], started,
+                   trace, timed_out=timed_out)
 
 
 def _params(config: MatchConfig, set_size: int) -> dict:
@@ -904,11 +860,7 @@ def greedy_search(
     """Remove, at every step, the subject whose removal yields the highest r
     (ties by balance, then seeded-random), until r >= 1 or no subject may be
     removed."""
-
-    def select(engine, walk, step, pool):
-        return int(step.combos[pool[_choose_index(engine, len(pool))], 0])
-
-    return _constructive(dataset, config, registry, "greedy", 1, select)
+    return _constructive(dataset, config, registry, "greedy", 1, _narrow_by_r)
 
 
 def lookahead_search(
@@ -937,21 +889,10 @@ def lookahead_search(
         overrides["batch_size"] = int(batch_size)
     if overrides:
         config = config.with_(**overrides)
-    size = config.lookahead
-
-    if variant == "h3":
-
-        def select(engine, walk, step, pool):
-            if size == 1:
-                return int(step.combos[pool[_choose_index(engine, len(pool))], 0])
-            return _narrow_by_r(engine, walk, step.combos[pool])
-
-    else:
-
-        def select(engine, walk, step, pool):
-            return _choose_by_membership(engine, walk, step, pool)
-
-    return _constructive(dataset, config, registry, f"lookahead_{variant}", size, select)
+    select = _narrow_by_r if variant == "h3" else _choose_by_membership
+    return _constructive(
+        dataset, config, registry, f"lookahead_{variant}", config.lookahead, select
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -994,17 +935,14 @@ def exhaustive_search(
             if engine.out_of_time():
                 # partial depth: optimality within the depth cannot be
                 # claimed, so report the best state seen as a failure
-                best = failing
-                if pool:
-                    best = _BestFailing()
-                    best.offer(pool.states[0], pool.rank, pool.p_values)
-                if best.keep is None:
+                best = pool.states[:1] or [failing.keep]
+                if best[0] is None:
                     raise UndefinedTestError(
                         "timed out before any state could be evaluated"
                     )
                 return _result(
                     engine, "exhaustive", {"max_removed": bound}, False,
-                    best, started, timed_out=True, rescore=True,
+                    best, started, timed_out=True,
                 )
             chunk = next(sets, None)
             if chunk is None:
@@ -1016,19 +954,19 @@ def exhaustive_search(
                 if target.wants(n - depth, r):
                     mask = full.copy()
                     mask[chunk[i]] = False
-                    target.offer(mask, engine.rank(mask, r), ())
+                    target.offer(mask, engine.rank(mask, r))
         if pool:
             return _result(
-                engine, "exhaustive", {"max_removed": bound}, True, pool,
-                started, rescore=True,
+                engine, "exhaustive", {"max_removed": bound}, True, pool.states,
+                started,
             )
     if failing.keep is None:
         raise UndefinedTestError(
             "criteria were undefined on every enumerated state"
         )
     return _result(
-        engine, "exhaustive", {"max_removed": bound}, False, failing, started,
-        rescore=True,
+        engine, "exhaustive", {"max_removed": bound}, False, [failing.keep],
+        started,
     )
 
 
@@ -1047,6 +985,22 @@ def count_configurations(n_subjects: int, max_removed: int) -> int:
             f"max_removed {max_removed} exceeds subject count {n_subjects}"
         )
     return sum(math.comb(n_subjects, i) for i in range(max_removed + 1))
+
+
+def _count_removal_sets(sizes, rooms, bound: int) -> int:
+    """Number of removal sets of at most ``bound`` rows that take at most
+    ``rooms[g]`` of the ``sizes[g]`` rows of each group g: the sum of the
+    coefficients up to x^bound of the product over groups of
+    sum_{k <= rooms[g]} C(sizes[g], k) x^k.  Arbitrary precision."""
+    poly = [1]
+    for size, room in zip(sizes, rooms):
+        term = [math.comb(size, k) for k in range(min(room, bound) + 1)]
+        product = [0] * min(len(poly) + len(term) - 1, bound + 1)
+        for i, a in enumerate(poly):
+            for k, b in enumerate(term[:len(product) - i]):
+                product[i + k] += a * b
+        poly = product
+    return sum(poly)
 
 
 def format_duration(seconds: float) -> str:
@@ -1099,7 +1053,9 @@ def estimate_exhaustive(
     """Project the cost of exhaustive search up to a removal bound discovered
     by a heuristic run.
 
-    When no rate is supplied, one is measured on the actual dataset the way
+    The configurations counted are the states ``exhaustive_search`` would
+    enumerate to that bound: locks, per-group caps, ``min_group_size`` and
+    the total cap all apply.  When no rate is supplied, one is measured on the actual dataset the way
     exhaustive search scores states: ``score_removals`` over chunks of
     single removals from the full set, in removal sets per second.  The
     verdict compares the projected number of criterion evaluations against
@@ -1107,7 +1063,18 @@ def estimate_exhaustive(
     """
     if calibrated_rate is not None and calibrated_rate <= 0:
         raise ValidationError("calibrated_rate must be positive")
-    configurations = count_configurations(dataset.n_subjects, heuristic_removals)
+    if not 0 <= heuristic_removals <= dataset.n_subjects:
+        raise ValidationError(
+            f"heuristic_removals must lie in [0, {dataset.n_subjects}], "
+            f"got {heuristic_removals}"
+        )
+    feasible = _Feasibility(dataset, config)
+    bound = heuristic_removals
+    if feasible.cap is not None:
+        bound = min(bound, feasible.cap)
+    configurations = _count_removal_sets(
+        dataset.group_sizes().tolist(), feasible.room.tolist(), bound
+    )
     if calibrated_rate is None:
         evaluator = CriteriaEvaluator(dataset, config.criteria, registry)
         keep = np.ones(dataset.n_subjects, dtype=bool)

@@ -454,13 +454,19 @@ def anderson_darling_p_masks(values, codes, k: int, masks) -> np.ndarray:
     got = _ad_tail_p(k, standardized)
     rows = np.flatnonzero(scored)
     p[rows] = got
-    redo = ~(np.isfinite(sigma_sq) & (sigma_sq > 0.0)) | np.isnan(got)
-    for i in rows[redo].tolist():
-        keep = masks[i]
+    redo = rows[~(np.isfinite(sigma_sq) & (sigma_sq > 0.0)) | np.isnan(got)]
+    p[redo] = _per_mask_p(anderson_darling_p, values, codes, k, masks[redo])
+    return p
+
+
+def _per_mask_p(test, values, codes, k: int, masks) -> np.ndarray:
+    """``test`` on the samples ``values[mask & (codes == g)]``, g = 0..k-1,
+    of each keep-mask in ``masks``, one call per mask; NaN where it raises
+    UndefinedTestError."""
+    p = np.empty(len(masks))
+    for i, keep in enumerate(masks):
         try:
-            p[i] = anderson_darling_p(
-                [values[keep & (codes == g)] for g in range(k)]
-            )
+            p[i] = test([values[keep & (codes == g)] for g in range(k)])
         except UndefinedTestError:
             p[i] = np.nan
     return p
@@ -499,12 +505,13 @@ class TestFunction:
         return p
 
 
-# The built-in tests.  When many subsets are scored at once, criteria bound
-# to these exact instances are scored in blocks: Welch from per-group
-# sufficient statistics (downdated for removal sets, two-pass moments for
-# keep-masks), Anderson-Darling with ``anderson_darling_p_masks``.  A
-# registry that maps either name to anything else is always called per
-# subset.
+# The built-in tests.  When many subsets are scored at once
+# (``CriteriaEvaluator.score_removals`` and ``score_masks``), criteria bound
+# to these exact instances take a batch kernel: Welch downdates per-group
+# sufficient statistics for removal sets and takes two-pass masked moments
+# for keep-masks, and Anderson-Darling runs ``anderson_darling_p_masks``.
+# Any other test, including either name mapped to another instance, is
+# called once per keep-mask (``_per_mask_p``).
 BUILTIN_WELCH = TestFunction("welch_t", "two_sample", lambda s: welch_t_p(s[0], s[1]))
 BUILTIN_AD = TestFunction("anderson_darling", "k_sample", anderson_darling_p)
 

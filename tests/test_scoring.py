@@ -262,6 +262,53 @@ class TestMixedAndCustomTests:
             0.5 if keep[:6].sum() % 2 else 0.05 for keep in keeps
         ]
 
+    def test_user_test_receives_the_samples_of_p_values(self):
+        # whichever path scores a subset, a user-registered test receives
+        # the samples p_values passes for it: same values, order and dtype
+        received = []
+
+        def recording(samples):
+            received.append(list(samples))
+            return 0.5
+
+        registry = TestRegistry()
+        registry.register(TestFunction("recording", "k_sample", recording))
+        rng = np.random.default_rng(10)
+        d = make_dataset(rng, (6, 7, 5), integer=False)
+        crit = CriteriaSet(
+            (CriterionSpec("recording", "b", ("g2", "g0", "g1"), 0.2),)
+        )
+        ev = CriteriaEvaluator(d, crit, registry)
+
+        def batch_samples(score, *args):
+            received.clear()
+            score(*args)
+            return list(received)
+
+        def subset_samples(keep):
+            received.clear()
+            ev.p_values(keep)
+            return received[0]
+
+        keep = np.ones(d.n_subjects, dtype=bool)
+        keep[[1, 9]] = False
+        combos = removable_combos(d, keep, set(), 2)
+        masks = []
+        for combo in combos:
+            mask = keep.copy()
+            mask[list(combo)] = False
+            masks.append(mask)
+        masks += list(random_masks(rng, d.n_subjects, 20))
+        got = batch_samples(ev.score_removals, keep, np.array(combos))
+        got += batch_samples(ev.score_masks, np.array(masks[len(combos):]))
+        assert len(got) == len(masks)
+        for samples, mask in zip(got, masks):
+            want = subset_samples(mask)
+            assert len(samples) == len(want) == 3
+            for a, b in zip(samples, want):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+
     def test_builtin_anderson_darling_is_the_registered_instance(self):
         assert TestRegistry().get("anderson_darling") is BUILTIN_AD
         assert stats.default_registry.get("anderson_darling") is BUILTIN_AD

@@ -255,21 +255,6 @@ class TestRandom:
         assert not result.success
         assert result.rank.r < 1.0
 
-    def test_reported_p_values_are_per_subset(self):
-        # draws are scored in blocks; the reported state is evaluated again
-        # on its own, so its p-values are exactly those of evaluate
-        d = build_two_group_dataset(25, 1.2, seed=12)
-        criteria = CriteriaSet((
-            CriterionSpec("welch_t", "x", ("A", "B"), 0.2),
-            CriterionSpec("anderson_darling", "x", ("A", "B"), 0.2),
-        ))
-        for cfg in (base_config(criteria=criteria, seed=4),
-                    base_config(seed=4, locked_groups=frozenset({"A"}))):
-            result = random_search(d, cfg, iterations=300)
-            r, ps = CriteriaEvaluator(d, cfg.criteria).evaluate(result.best.keep)
-            assert result.p_values == ps
-            assert result.rank.r == r
-
     def test_budget_charged_one_draw_at_a_time(self):
         d = build_two_group_dataset(20, 1.0, seed=2)
         criteria = CriteriaSet((
@@ -288,6 +273,52 @@ class TestRandom:
         cfg = base_config(time_limit=1e-6)
         result = random_search(d, cfg, iterations=100000)
         assert result.timed_out
+
+
+class TestReportedState:
+    SEARCHES = {
+        "random": lambda d, c: random_search(d, c, iterations=300),
+        "greedy": greedy_search,
+        "h3_L2": lambda d, c: lookahead_search(d, c, "h3", lookahead=2),
+        "h4_L2": lambda d, c: lookahead_search(d, c, "h4", lookahead=2),
+        "exhaustive": exhaustive_search,
+        # under the fake clock below: cut before depth 2, and cut after the
+        # last chunk of depth 5 with matches in the pool (first config)
+        "exhaustive_cut_early": lambda d, c: exhaustive_search(
+            d, c.with_(time_limit=4.5)
+        ),
+        "exhaustive_cut_with_matches": lambda d, c: exhaustive_search(
+            d, c.with_(time_limit=21.5)
+        ),
+    }
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_reported_p_values_are_per_subset(self, search, monkeypatch):
+        # states are scored in batches; the reported state is evaluated
+        # again on its own, so its p-values and r are exactly those of
+        # evaluate
+        exhaustive = search.startswith("exhaustive")
+        d = build_two_group_dataset(*((9, 1.6) if exhaustive else (25, 1.2)), seed=12)
+        criteria = CriteriaSet((
+            CriterionSpec("welch_t", "x", ("A", "B"), 0.2),
+            CriterionSpec("anderson_darling", "x", ("A", "B"), 0.2),
+        ))
+        timed_out = []
+        for cfg in (base_config(criteria=criteria, seed=4),
+                    base_config(criteria=criteria, seed=4,
+                                locked_groups=frozenset({"A"}))):
+            if exhaustive:
+                # one tick per clock read: the search starts at 0 and reads
+                # the clock before each scoring chunk
+                ticks = itertools.count()
+                monkeypatch.setattr("groupmatch.search.time.perf_counter",
+                                    lambda ticks=ticks: float(next(ticks)))
+            result = self.SEARCHES[search](d, cfg)
+            timed_out.append(result.timed_out)
+            r, ps = CriteriaEvaluator(d, cfg.criteria).evaluate(result.best.keep)
+            assert result.p_values == ps
+            assert result.rank.r == r
+        assert timed_out[0] == search.startswith("exhaustive_cut")
 
 
 class TestExhaustive:
@@ -414,6 +445,66 @@ class TestFeasibilityArithmetic:
         assert est.seconds == pytest.approx(760.099, abs=1e-9)
         assert "13 minutes" in est.describe()
         assert est.feasible
+
+    def test_estimate_counts_what_exhaustive_enumerates(self):
+        # brute force over every removal set under locks, per-group caps,
+        # min_group_size and the total cap; groups this far apart never
+        # match, so exhaustive search scores every state to the bound
+        rng = np.random.default_rng(31)
+        for trial in range(30):
+            sizes = rng.integers(2, 6, size=int(rng.integers(2, 4)))
+            labels = [f"g{i}" for i in range(sizes.size)]
+            groups = [g for g, n in zip(labels, sizes) for _ in range(n)]
+            values = np.array([100.0 * labels.index(g) for g in groups])
+            values += rng.normal(size=values.size)
+            d = Dataset([f"s{i}" for i in range(len(groups))], groups,
+                        values[:, None], ["x"])
+            floor = int(rng.integers(1, 3))
+            locked = {g for g in labels if rng.random() < 0.3}
+            caps = {g: int(rng.integers(0, 4)) for g in labels
+                    if g not in locked and rng.random() < 0.5}
+            total = int(rng.integers(0, 5)) if rng.random() < 0.5 else None
+            specs = tuple(CriterionSpec("welch_t", "x", (a, b), 0.2)
+                          for a, b in itertools.combinations(labels, 2))
+            cfg = MatchConfig(criteria=CriteriaSet(specs), min_group_size=floor,
+                              locked_groups=frozenset(locked),
+                              max_removed_per_group=caps, max_removed_total=total)
+            bound = int(rng.integers(0, d.n_subjects + 1))
+            limit = {g: 0 if g in locked else min(n - floor, caps.get(g, n))
+                     for g, n in zip(labels, sizes.tolist())}
+            brute = 0
+            for depth in range(bound + 1):
+                if total is not None and depth > total:
+                    break
+                for rows in itertools.combinations(range(d.n_subjects), depth):
+                    taken = [groups[i] for i in rows]
+                    if all(taken.count(g) <= limit[g] for g in labels):
+                        brute += 1
+            est = estimate_exhaustive(d, cfg, bound, calibrated_rate=1.0)
+            assert est.configurations == brute
+            result = exhaustive_search(d, cfg, max_removed=bound)
+            assert not result.success
+            assert result.evaluations == brute * len(specs)
+
+    def test_estimate_under_locks_and_caps(self):
+        # three groups of 8 (locked), 10 and 10 rows, two of each unlocked
+        # group and three in all removable: 1 + 20 + 190 + 900 states
+        groups = ["A"] * 8 + ["B"] * 10 + ["C"] * 10
+        d = Dataset([f"s{i}" for i in range(28)], groups,
+                    np.arange(28.0)[:, None], ["x"])
+        cfg = MatchConfig(
+            criteria=CriteriaSet((CriterionSpec("welch_t", "x", ("B", "C"), 0.2),)),
+            locked_groups=frozenset({"A"}),
+            max_removed_per_group={"B": 2, "C": 2},
+            max_removed_total=3,
+        )
+        est = estimate_exhaustive(d, cfg, 3, calibrated_rate=1000.0)
+        assert est.configurations == 1111
+        assert count_configurations(28, 3) == 3683
+        # the clinical fixture with SLI locked
+        est = estimate_exhaustive(build_clinical_dataset(), clinical_config(), 5,
+                                  calibrated_rate=1000.0)
+        assert est.configurations == 58_079_029
 
     def test_estimate_zero_bound(self):
         d = build_two_group_dataset(20, 0.5, seed=13)
