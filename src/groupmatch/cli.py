@@ -14,10 +14,12 @@ Every run writes a manifest sufficient to reproduce its outputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import platform
 import sys
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -28,7 +30,14 @@ from .config import RunConfig, load_grid_config, load_run_config, load_synthetic
 from .criteria import compare_solutions
 from .dataset import load_dataset
 from .errors import GroupMatchError
-from .harness import evaluate_run, run_algorithm, run_experiment_grid
+from .harness import (
+    EvalMetrics,
+    GridRow,
+    build_default_criteria,
+    evaluate_run,
+    run_algorithm,
+    run_experiment_grid,
+)
 from .search import MatchResult, estimate_exhaustive, format_duration
 # commands look the registry up under this module name on each call, so a
 # caller may replace cli._registry (for instance with a timed registry)
@@ -67,241 +76,194 @@ def _solutions_lines(result: MatchResult, dataset) -> list[str]:
     return sorted(lines)
 
 
-_METRIC_COLUMNS = [
-    "algorithm",
-    "seed",
-    "success",
-    "timed_out",
-    "preserved",
-    "pct_excluded_items",
-    "balanced_divergence",
-    "post_match_p",
-    "r",
-    "n_solutions",
-    "evaluations",
-    "wall_time",
-]
-
-
-def _metrics_csv(rows: list[dict]) -> str:
-    out = [",".join(_METRIC_COLUMNS)]
-    for row in rows:
-        out.append(",".join(str(row[c]) for c in _METRIC_COLUMNS))
-    return "\n".join(out) + "\n"
-
-
 def cmd_match(args) -> int:
-    try:
-        run_cfg: RunConfig = load_run_config(args.config)
-        match_cfg = run_cfg.match_config
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if args.budget is not None:
-            overrides["eval_budget"] = args.budget
-        if overrides:
-            match_cfg = match_cfg.with_(**overrides)
-        dataset = load_dataset(
-            run_cfg.dataset_path, run_cfg.schema, delimiter=run_cfg.delimiter
-        )
-        match_cfg.validate_for(dataset, _registry())
-        algorithms = run_cfg.algorithms
-        if args.algorithms:
-            wanted = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-            algorithms = tuple(a for a in algorithms if a.name in wanted)
-            if not algorithms:
-                raise GroupMatchError(
-                    f"--algorithms {args.algorithms!r} matches none of the "
-                    f"configured algorithms"
-                )
-        out_dir = Path(args.output_dir) if args.output_dir else run_cfg.output_dir
-        if out_dir is None:
-            out_dir = Path("groupmatch-out")
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-        results = []
-        metric_rows = []
-        for alg in algorithms:
-            result = run_algorithm(dataset, match_cfg, alg, _registry())
-            metrics = evaluate_run(dataset, result, None, match_cfg)
-            results.append((alg, result))
-            metric_rows.append(
-                {
-                    "algorithm": alg.display(),
-                    "seed": result.seed,
-                    "success": int(result.success),
-                    "timed_out": int(result.timed_out),
-                    "preserved": result.rank.preserved,
-                    "pct_excluded_items": repr(metrics.pct_excluded_items),
-                    "balanced_divergence": repr(metrics.balanced_divergence),
-                    "post_match_p": repr(metrics.post_match_p),
-                    "r": repr(result.r),
-                    "n_solutions": len(result.solutions),
-                    "evaluations": result.evaluations,
-                    "wall_time": f"{result.wall_time:.6f}",
-                }
+    run_cfg: RunConfig = load_run_config(args.config)
+    match_cfg = run_cfg.match_config
+    overrides = {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.threads is not None:
+        overrides["threads"] = args.threads
+    if args.budget is not None:
+        overrides["eval_budget"] = args.budget
+    if overrides:
+        match_cfg = match_cfg.with_(**overrides)
+    dataset = load_dataset(
+        run_cfg.dataset_path, run_cfg.schema, delimiter=run_cfg.delimiter
+    )
+    match_cfg.validate_for(dataset, _registry())
+    algorithms = run_cfg.algorithms
+    if args.algorithms:
+        wanted = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+        algorithms = tuple(a for a in algorithms if a.name in wanted)
+        if not algorithms:
+            raise GroupMatchError(
+                f"--algorithms {args.algorithms!r} matches none of the "
+                f"configured algorithms"
             )
-            status = "matched" if result.success else "no match"
-            print(
-                f"{alg.display()}: {status}, kept {result.rank.preserved}/"
-                f"{dataset.n_subjects}, r={result.r:.4f}, "
-                f"{len(result.solutions)} solution(s), "
-                f"{result.wall_time:.2f}s"
-            )
+    out_dir = Path(args.output_dir) if args.output_dir else run_cfg.output_dir
+    if out_dir is None:
+        out_dir = Path("groupmatch-out")
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-        successes = [(a, r) for a, r in results if r.success]
-        if successes:
-            winner_alg, winner = successes[0]
-            for alg, result in successes[1:]:
-                if compare_solutions(result.rank, winner.rank) > 0:
-                    winner_alg, winner = alg, result
-        else:
-            winner_alg, winner = results[0]
-            for alg, result in results[1:]:
-                if result.r > winner.r:
-                    winner_alg, winner = alg, result
-
-        (out_dir / "solutions.txt").write_text(
-            "\n".join(_solutions_lines(winner, dataset)) + "\n", encoding="utf-8"
+    results = []
+    records = []
+    for alg in algorithms:
+        result = run_algorithm(dataset, match_cfg, alg, _registry())
+        metrics = evaluate_run(dataset, result, None, match_cfg)
+        results.append((alg, result))
+        records.append(
+            GridRow(0, 0, alg.display(), result.seed, None, metrics).as_record()
         )
-        (out_dir / "metrics.csv").write_text(_metrics_csv(metric_rows), encoding="utf-8")
-        (out_dir / "trace.jsonl").write_text(
-            "".join(step.to_json() + "\n" for step in winner.trace), encoding="utf-8"
-        )
-        _write_manifest(
-            out_dir,
-            {
-                "command": "match",
-                "config_path": str(args.config),
-                "config_sha256": _sha256_file(Path(args.config)),
-                "dataset_sha256": _sha256_file(run_cfg.dataset_path),
-                "overrides": overrides,
-                "algorithms": [a.display() for a in algorithms],
-                "winner": winner_alg.display(),
-                "seed": match_cfg.seed,
-                "success": winner.success,
-            },
-        )
+        status = "matched" if result.success else "no match"
         print(
-            f"best: {winner_alg.display()} "
-            f"({'matched' if winner.success else 'no match found'}); "
-            f"artifacts in {out_dir}"
+            f"{alg.display()}: {status}, kept {result.rank.preserved}/"
+            f"{dataset.n_subjects}, r={result.r:.4f}, "
+            f"{len(result.solutions)} solution(s), "
+            f"{result.wall_time:.2f}s"
         )
-        return EXIT_OK if winner.success else EXIT_NO_MATCH
-    except GroupMatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+
+    successes = [(a, r) for a, r in results if r.success]
+    if successes:
+        winner_alg, winner = successes[0]
+        for alg, result in successes[1:]:
+            if compare_solutions(result.rank, winner.rank) > 0:
+                winner_alg, winner = alg, result
+    else:
+        winner_alg, winner = results[0]
+        for alg, result in results[1:]:
+            if result.r > winner.r:
+                winner_alg, winner = alg, result
+
+    (out_dir / "solutions.txt").write_text(
+        "\n".join(_solutions_lines(winner, dataset)) + "\n", encoding="utf-8"
+    )
+    with (out_dir / "metrics.csv").open("w", newline="", encoding="utf-8") as fh:
+        # a grid row's record, less the columns that place it in a grid
+        writer = csv.DictWriter(
+            fh,
+            ["algorithm", "seed", *(f.name for f in fields(EvalMetrics))],
+            extrasaction="ignore",
+            lineterminator="\n",
+        )
+        writer.writeheader()
+        writer.writerows(records)
+    (out_dir / "trace.jsonl").write_text(
+        "".join(step.to_json() + "\n" for step in winner.trace), encoding="utf-8"
+    )
+    _write_manifest(
+        out_dir,
+        {
+            "command": "match",
+            "config_path": str(args.config),
+            "config_sha256": _sha256_file(Path(args.config)),
+            "dataset_sha256": _sha256_file(run_cfg.dataset_path),
+            "overrides": overrides,
+            "algorithms": [a.display() for a in algorithms],
+            "winner": winner_alg.display(),
+            "seed": match_cfg.seed,
+            "success": winner.success,
+        },
+    )
+    print(
+        f"best: {winner_alg.display()} "
+        f"({'matched' if winner.success else 'no match found'}); "
+        f"artifacts in {out_dir}"
+    )
+    return EXIT_OK if winner.success else EXIT_NO_MATCH
 
 
 def cmd_simulate(args) -> int:
-    try:
-        spec = load_synthetic_spec(args.spec)
-        if args.seed is not None:
-            from dataclasses import replace
-
-            spec = replace(spec, seed=args.seed)
-        out_dir = Path(args.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        generated = generate_dataset(spec)
-        write_generated(
-            generated,
-            out_dir / "dataset.csv",
-            out_dir / "truth.csv",
-            out_dir / "generation.json",
-        )
-        _write_manifest(
-            out_dir,
-            {
-                "command": "simulate",
-                "spec_path": str(args.spec),
-                "spec": spec.to_json_dict(),
-                "attempts": generated.info.attempts,
-            },
-        )
-        d = generated.dataset
-        print(
-            f"wrote {d.n_subjects} rows ({int(generated.intruder_flags.sum())} "
-            f"intruders), {d.n_covariates} covariates, groups "
-            f"{ {g: len(d.group_index[g]) for g in d.group_labels} } to {out_dir}"
-        )
-        return EXIT_OK
-    except GroupMatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    spec = load_synthetic_spec(args.spec)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    generated = generate_dataset(spec)
+    write_generated(
+        generated,
+        out_dir / "dataset.csv",
+        out_dir / "truth.csv",
+        out_dir / "generation.json",
+    )
+    _write_manifest(
+        out_dir,
+        {
+            "command": "simulate",
+            "spec_path": str(args.spec),
+            "spec": spec.to_json_dict(),
+            "attempts": generated.info.attempts,
+        },
+    )
+    d = generated.dataset
+    print(
+        f"wrote {d.n_subjects} rows ({int(generated.intruder_flags.sum())} "
+        f"intruders), {d.n_covariates} covariates, groups "
+        f"{ {g: len(d.group_index[g]) for g in d.group_labels} } to {out_dir}"
+    )
+    return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
-    try:
-        run_cfg = load_run_config(args.config)
-        dataset = load_dataset(
-            run_cfg.dataset_path, run_cfg.schema, delimiter=run_cfg.delimiter
-        )
-        match_cfg = run_cfg.match_config
-        match_cfg.validate_for(dataset, _registry())
-        estimate = estimate_exhaustive(
-            dataset,
-            match_cfg,
-            heuristic_removals=args.removals,
-            calibrated_rate=args.rate,
-        )
-        plural = "s" if estimate.configurations != 1 else ""
-        print(f"{estimate.configurations} configuration{plural}")
-        print(
-            f"projected time at {estimate.rate:.0f} evaluations/second: "
-            f"{format_duration(estimate.seconds)}"
-        )
-        print(
-            f"verdict: {estimate.verdict} "
-            f"({estimate.criterion_evaluations} criterion evaluations vs "
-            f"budget {estimate.budget})"
-        )
-        return EXIT_OK
-    except GroupMatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    run_cfg = load_run_config(args.config)
+    dataset = load_dataset(
+        run_cfg.dataset_path, run_cfg.schema, delimiter=run_cfg.delimiter
+    )
+    match_cfg = run_cfg.match_config
+    match_cfg.validate_for(dataset, _registry())
+    estimate = estimate_exhaustive(
+        dataset,
+        match_cfg,
+        heuristic_removals=args.removals,
+        calibrated_rate=args.rate,
+    )
+    plural = "s" if estimate.configurations != 1 else ""
+    print(f"{estimate.configurations} configuration{plural}")
+    print(
+        f"projected time at {estimate.rate:.0f} evaluations/second: "
+        f"{format_duration(estimate.seconds)}"
+    )
+    print(
+        f"verdict: {estimate.verdict} "
+        f"({estimate.criterion_evaluations} criterion evaluations vs "
+        f"budget {estimate.budget})"
+    )
+    return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        grid = load_grid_config(args.grid)
-        from .harness import build_default_criteria
-
-        report = run_experiment_grid(
-            grid.specs,
-            grid.algorithms,
-            grid.replications,
-            grid.master_seed,
-            criteria_builder=lambda d: build_default_criteria(
-                d, alpha=grid.alpha, tests=grid.tests
-            ),
-            workers=args.workers if args.workers is not None else grid.workers,
-            time_limit=grid.time_limit,
-        )
-        out_dir = Path(args.output_dir) if args.output_dir else grid.output_dir
-        if out_dir is None:
-            out_dir = Path("groupmatch-grid")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report.write_rows_csv(out_dir / "rows.csv")
-        table = report.summary_table()
-        (out_dir / "summary.txt").write_text(table, encoding="utf-8")
-        _write_manifest(
-            out_dir,
-            {
-                "command": "evaluate",
-                "grid_path": str(args.grid),
-                "grid_sha256": _sha256_file(Path(args.grid)),
-                "master_seed": grid.master_seed,
-                "replications": grid.replications,
-            },
-        )
-        print(table, end="")
-        print(f"raw rows in {out_dir / 'rows.csv'}")
-        return EXIT_OK
-    except GroupMatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    grid = load_grid_config(args.grid)
+    report = run_experiment_grid(
+        grid.specs,
+        grid.algorithms,
+        grid.replications,
+        grid.master_seed,
+        criteria_builder=lambda d: build_default_criteria(
+            d, alpha=grid.alpha, tests=grid.tests
+        ),
+        workers=args.workers if args.workers is not None else grid.workers,
+        time_limit=grid.time_limit,
+    )
+    out_dir = Path(args.output_dir) if args.output_dir else grid.output_dir
+    if out_dir is None:
+        out_dir = Path("groupmatch-grid")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report.write_rows_csv(out_dir / "rows.csv")
+    table = report.summary_table()
+    (out_dir / "summary.txt").write_text(table, encoding="utf-8")
+    _write_manifest(
+        out_dir,
+        {
+            "command": "evaluate",
+            "grid_path": str(args.grid),
+            "grid_sha256": _sha256_file(Path(args.grid)),
+            "master_seed": grid.master_seed,
+            "replications": grid.replications,
+        },
+    )
+    print(table, end="")
+    print(f"raw rows in {out_dir / 'rows.csv'}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,7 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GroupMatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -19,24 +19,31 @@ from .synthgen import SyntheticSpec
 
 __all__ = ["RunConfig", "load_run_config", "load_synthetic_spec", "load_grid_config"]
 
-_SEARCH_KEYS = {
-    "iterations",
-    "lookahead",
-    "batch_size",
-    "batch_fraction",
-    "reversion_threshold",
-    "random_schedule",
-    "schedule_jitter",
-    "ensure_feasible_draws",
-    "pool_cap",
-    "max_solutions",
-    "eval_budget",
-    "threads",
-    "time_limit",
+# keys of a run config's top level; "balance" sets three more MatchConfig
+# fields, and the "search" object sets the rest
+_RUN_KEYS = {
+    "dataset",
+    "criteria",
+    "balance",
+    "locked_groups",
+    "max_removed_total",
+    "max_removed_per_group",
+    "min_group_size",
+    "seed",
+    "algorithms",
+    "search",
+    "output_dir",
 }
+_BALANCE_FIELDS = {"balance_mode", "target_proportions", "precedence"}
+_MATCH_TYPES = {f.name: f.type for f in fields(MatchConfig)}
+_SEARCH_KEYS = set(_MATCH_TYPES) - _RUN_KEYS - _BALANCE_FIELDS
 
 _ALGORITHM_NAMES = ("random", "greedy", "h3", "h4", "exhaustive")
-_ALGORITHM_PARAM_KEYS = _SEARCH_KEYS | {"max_removed", "seed"}
+_ALGORITHM_PARAM_TYPES = {k: _MATCH_TYPES[k] for k in _SEARCH_KEYS | {"seed"}}
+_ALGORITHM_PARAM_TYPES["max_removed"] = "int | None"
+
+# JSON values each scalar annotation accepts; a bool is not a number
+_SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -49,6 +56,45 @@ def _reject_unknown(mapping: dict, allowed: set[str], context: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
         raise ConfigError(f"{context}: unknown keys {unknown}")
+
+
+def _checked(key: str, value, annotation: str, context: str):
+    """``value`` when its type is one that ``annotation`` ("int",
+    "float | None", ...) names; raises ConfigError naming ``key`` if not."""
+    for kind in annotation.split(" | "):
+        if value is None and kind == "None":
+            return value
+        expected = _SCALAR_TYPES.get(kind)
+        if expected and isinstance(value, expected) and (
+            kind == "bool" or not isinstance(value, bool)
+        ):
+            return value
+    raise ConfigError(f"{context}: {key!r} must be {annotation}, got {value!r}")
+
+
+def _get(mapping: dict, key: str, types: dict, context: str, default=None):
+    """``mapping[key]``, or ``default`` when absent, checked against the
+    annotation ``types[key]``."""
+    return _checked(key, mapping.get(key, default), types[key], context)
+
+
+def _names(value, key: str, context: str) -> tuple[str, ...]:
+    """A JSON list as a tuple of strings; a bare string is refused rather
+    than split into its letters."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{context}: {key!r} must be a list, got {value!r}")
+    return tuple(str(v) for v in value)
+
+
+def _mapping(value, key: str, annotation: str, context: str) -> dict:
+    """A JSON object as a dict with string keys, each value checked against
+    ``annotation``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: {key!r} must be an object, got {value!r}")
+    return {
+        str(k): _checked(f"{key}.{k}", v, annotation, context)
+        for k, v in value.items()
+    }
 
 
 def _read_json_object(path: Path) -> dict:
@@ -88,8 +134,10 @@ def _parse_criteria(raw, context: str) -> CriteriaSet:
             CriterionSpec(
                 test_name=str(_require(item, "test", ctx)),
                 covariate=str(_require(item, "covariate", ctx)),
-                group_subset=tuple(str(g) for g in _require(item, "groups", ctx)),
-                alpha=float(_require(item, "alpha", ctx)),
+                group_subset=_names(_require(item, "groups", ctx), "groups", ctx),
+                alpha=float(
+                    _checked("alpha", _require(item, "alpha", ctx), "float", ctx)
+                ),
             )
         )
     return CriteriaSet(tuple(specs))
@@ -114,9 +162,9 @@ def _parse_algorithms(raw, context: str) -> tuple[AlgorithmSpec, ...]:
         params = {
             k: v for k, v in item.items() if k not in ("name", "label")
         }
-        _reject_unknown(
-            {k: None for k in params}, _ALGORITHM_PARAM_KEYS, ctx
-        )
+        _reject_unknown(params, set(_ALGORITHM_PARAM_TYPES), ctx)
+        for key, value in params.items():
+            _checked(key, value, _ALGORITHM_PARAM_TYPES[key], ctx)
         out.append(AlgorithmSpec(name=name, params=params, label=label))
     return tuple(out)
 
@@ -126,23 +174,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     context = str(path)
     raw = _read_json_object(path)
-    _reject_unknown(
-        raw,
-        {
-            "dataset",
-            "criteria",
-            "balance",
-            "locked_groups",
-            "max_removed_total",
-            "max_removed_per_group",
-            "min_group_size",
-            "seed",
-            "algorithms",
-            "search",
-            "output_dir",
-        },
-        context,
-    )
+    _reject_unknown(raw, _RUN_KEYS, context)
 
     ds = _require(raw, "dataset", context)
     ctx = f"{context}: dataset"
@@ -155,8 +187,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         schema = ColumnSchema(
             id_column=str(_require(ds, "id_column", ctx)),
             group_column=str(_require(ds, "group_column", ctx)),
-            covariate_columns=tuple(
-                str(c) for c in _require(ds, "covariate_columns", ctx)
+            covariate_columns=_names(
+                _require(ds, "covariate_columns", ctx), "covariate_columns", ctx
             ),
         )
     except GroupMatchError as exc:
@@ -175,18 +207,34 @@ def load_run_config(path: str | Path) -> RunConfig:
         _reject_unknown(bal, {"mode", "target", "precedence"}, ctx)
         balance_mode = str(bal.get("mode", "proportions"))
         if bal.get("target") is not None:
-            target = {str(k): float(v) for k, v in bal["target"].items()}
+            target = {
+                k: float(v)
+                for k, v in _mapping(bal["target"], "target", "float", ctx).items()
+            }
         if bal.get("precedence") is not None:
-            precedence = tuple(str(g) for g in bal["precedence"])
+            precedence = _names(bal["precedence"], "precedence", ctx)
 
-    search_kwargs: dict = {}
+    kwargs = {
+        "locked_groups": frozenset(
+            _names(raw.get("locked_groups", []), "locked_groups", context)
+        ),
+        "max_removed_total": _get(raw, "max_removed_total", _MATCH_TYPES, context),
+        "max_removed_per_group": _mapping(
+            raw.get("max_removed_per_group") or {}, "max_removed_per_group", "int",
+            context,
+        ),
+        "min_group_size": _get(raw, "min_group_size", _MATCH_TYPES, context, 2),
+        "seed": _get(raw, "seed", _MATCH_TYPES, context, 0),
+    }
     if "search" in raw:
         sr = raw["search"]
         ctx = f"{context}: search"
         if not isinstance(sr, dict):
             raise ConfigError(f"{ctx}: expected an object")
         _reject_unknown(sr, _SEARCH_KEYS, ctx)
-        search_kwargs = dict(sr)
+        for key, value in sr.items():
+            _checked(key, value, _MATCH_TYPES[key], ctx)
+        kwargs.update(sr)
 
     try:
         match_config = MatchConfig(
@@ -194,22 +242,10 @@ def load_run_config(path: str | Path) -> RunConfig:
             balance_mode=balance_mode,
             target_proportions=target,
             precedence=precedence,
-            locked_groups=frozenset(
-                str(g) for g in raw.get("locked_groups", [])
-            ),
-            max_removed_total=raw.get("max_removed_total"),
-            max_removed_per_group={
-                str(k): int(v)
-                for k, v in (raw.get("max_removed_per_group") or {}).items()
-            },
-            min_group_size=int(raw.get("min_group_size", 2)),
-            seed=int(raw.get("seed", 0)),
-            **search_kwargs,
+            **kwargs,
         )
     except GroupMatchError as exc:
         raise ConfigError(f"{context}: {exc}") from None
-    except TypeError as exc:
-        raise ConfigError(f"{context}: bad search settings: {exc}") from None
 
     algorithms = _parse_algorithms(_require(raw, "algorithms", context), context)
     output_dir = Path(raw["output_dir"]) if raw.get("output_dir") else None
@@ -259,25 +295,14 @@ class GridConfig:
     output_dir: Path | None
 
 
+_GRID_TYPES = {f.name: f.type for f in fields(GridConfig)}
+
+
 def load_grid_config(path: str | Path) -> GridConfig:
     path = Path(path)
     context = str(path)
     raw = _read_json_object(path)
-    _reject_unknown(
-        raw,
-        {
-            "specs",
-            "algorithms",
-            "replications",
-            "master_seed",
-            "alpha",
-            "tests",
-            "workers",
-            "time_limit",
-            "output_dir",
-        },
-        context,
-    )
+    _reject_unknown(raw, set(_GRID_TYPES), context)
     raw_specs = _require(raw, "specs", context)
     if not isinstance(raw_specs, list) or not raw_specs:
         raise ConfigError(f"{context}: 'specs' must be a nonempty list")
@@ -287,11 +312,13 @@ def load_grid_config(path: str | Path) -> GridConfig:
     return GridConfig(
         specs=specs,
         algorithms=_parse_algorithms(_require(raw, "algorithms", context), context),
-        replications=int(raw.get("replications", 1)),
-        master_seed=int(raw.get("master_seed", 0)),
-        alpha=float(raw.get("alpha", 0.2)),
-        tests=tuple(raw.get("tests", ("welch_t", "anderson_darling"))),
-        workers=int(raw.get("workers", 1)),
-        time_limit=raw.get("time_limit"),
+        replications=_get(raw, "replications", _GRID_TYPES, context, 1),
+        master_seed=_get(raw, "master_seed", _GRID_TYPES, context, 0),
+        alpha=float(_get(raw, "alpha", _GRID_TYPES, context, 0.2)),
+        tests=_names(
+            raw.get("tests", ["welch_t", "anderson_darling"]), "tests", context
+        ),
+        workers=_get(raw, "workers", _GRID_TYPES, context, 1),
+        time_limit=_get(raw, "time_limit", _GRID_TYPES, context),
         output_dir=Path(raw["output_dir"]) if raw.get("output_dir") else None,
     )

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -201,62 +201,31 @@ class GridRow:
     metrics: EvalMetrics | None
 
     def as_record(self) -> dict:
-        base = {
-            "spec_index": self.spec_index,
-            "replicate": self.replicate,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "error": self.error or "",
-        }
-        m = self.metrics
-        base.update(
-            {
-                "success": int(m.success) if m else 0,
-                "timed_out": int(m.timed_out) if m else 0,
-                "preserved": m.preserved if m else "",
-                "pct_excluded_items": _fmt(m.pct_excluded_items) if m else "",
-                "pct_excluded_intruders": _fmt(m.pct_excluded_intruders) if m else "",
-                "intruder_recall": _fmt(m.intruder_recall) if m else "",
-                "balanced_divergence": _fmt(m.balanced_divergence) if m else "",
-                "post_match_p": _fmt(m.post_match_p) if m else "",
-                "r": _fmt(m.r) if m else "",
-                "n_solutions": m.n_solutions if m else "",
-                "evaluations": m.evaluations if m else "",
-                "wall_time": _fmt(m.wall_time) if m else "",
-            }
-        )
-        return base
+        """The row as CSV cells, one per column of ``rows.csv``; a row
+        without metrics reads 0 for its flags and empty for the rest."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        metrics = record.pop("metrics")
+        for f in fields(EvalMetrics):
+            default = False if f.type == "bool" else None
+            record[f.name] = getattr(metrics, f.name, default)
+        return {name: _csv_cell(value) for name, value in record.items()}
 
 
-_COLUMNS = [
-    "spec_index",
-    "replicate",
-    "algorithm",
-    "seed",
-    "error",
-    "success",
-    "timed_out",
-    "preserved",
-    "pct_excluded_items",
-    "pct_excluded_intruders",
-    "intruder_recall",
-    "balanced_divergence",
-    "post_match_p",
-    "r",
-    "n_solutions",
-    "evaluations",
-    "wall_time",
+_COLUMNS = [f.name for f in fields(GridRow) if f.name != "metrics"] + [
+    f.name for f in fields(EvalMetrics)
 ]
 
-# wall-clock and evaluation-rate columns vary run to run; everything else is
-# reproducible byte-for-byte under a fixed master seed
-NONDETERMINISTIC_COLUMNS = ("wall_time",)
 
-
-def _fmt(value) -> str:
+def _csv_cell(value):
+    """Flags as 0/1, floats by ``repr``, None as empty; counts and text as
+    they are."""
     if value is None:
         return ""
-    return repr(float(value))
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return value
 
 
 @dataclass
@@ -295,22 +264,19 @@ class GridReport:
                 "algorithm": alg,
                 "runs": len(rows),
                 "success_rate": 100.0 * len(ok) / len(rows),
-                "n_solutions": middle([m.n_solutions for m in ok]) if ok else None,
-                "pct_excluded_items": (
-                    middle([m.pct_excluded_items for m in ok]) if ok else None
-                ),
-                "pct_excluded_intruders": _center_optional(
-                    middle, [m.pct_excluded_intruders for m in ok]
-                ),
-                "intruder_recall": _center_optional(
-                    middle, [m.intruder_recall for m in ok]
-                ),
-                "balanced_divergence": (
-                    middle([m.balanced_divergence for m in ok]) if ok else None
-                ),
-                "post_match_p": middle([m.post_match_p for m in ok]) if ok else None,
-                "wall_time": middle([m.wall_time for m in ok]) if ok else None,
             }
+            for name in (
+                "n_solutions",
+                "pct_excluded_items",
+                "pct_excluded_intruders",
+                "intruder_recall",
+                "balanced_divergence",
+                "post_match_p",
+                "wall_time",
+            ):
+                present = [getattr(m, name) for m in ok]
+                present = [v for v in present if v is not None]
+                entry[name] = middle(present) if present else None
             out.append(entry)
         return out
 
@@ -352,11 +318,6 @@ class GridReport:
         out = [fmt_row(headers), fmt_row(["-" * w for w in widths])]
         out.extend(fmt_row(row) for row in lines)
         return "\n".join(out) + "\n"
-
-
-def _center_optional(middle, values):
-    present = [v for v in values if v is not None]
-    return middle(present) if present else None
 
 
 def _cell(value, fmt: str) -> str:

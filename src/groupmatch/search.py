@@ -98,16 +98,7 @@ class TraceStep:
     def to_json(self) -> str:
         # interned: a replayed run yields equal lines, so callers that keep
         # the traces of many replays (determinism checks) share one copy
-        return sys.intern(json.dumps(
-            {
-                "step": self.step,
-                "removed_id": self.removed_id,
-                "r_before": self.r_before,
-                "r_after": self.r_after,
-                "pool_size": self.pool_size,
-            },
-            sort_keys=True,
-        ))
+        return sys.intern(json.dumps(vars(self), sort_keys=True))
 
 
 @dataclass(frozen=True)
@@ -193,7 +184,7 @@ class _Feasibility:
     def allows(self, removed: np.ndarray) -> np.ndarray:
         """Whether per-group removal counts (the last axis) keep every
         limit; one answer per row of a 2-D array."""
-        ok = np.all(removed <= self.room, axis=-1)
+        ok = (removed <= self.room).all(axis=-1)
         if self.cap is not None:
             ok &= removed.sum(axis=-1) <= self.cap
         return ok
@@ -821,17 +812,11 @@ def _constructive(
 
         removed_now = []
         for row in plan:
-            if not walk.keep[row]:
-                continue
-            g = int(dataset.group_codes[row])
-            if walk.removed_counts[g] >= engine.feasible.room[g]:
-                continue
-            if engine.feasible.cap is not None and (
-                int(walk.removed_counts.sum()) >= engine.feasible.cap
-            ):
-                break
-            walk.remove(row)
-            removed_now.append(row)
+            after = walk.removed_counts.copy()
+            after[dataset.group_codes[row]] += 1
+            if walk.keep[row] and engine.feasible.allows(after):
+                walk.remove(row)
+                removed_now.append(row)
         if not removed_now:
             break
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -118,22 +118,7 @@ class SyntheticSpec:
         return tuple(f"g{i}" for i in range(self.n_groups))
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_items": self.n_items,
-            "n_intruders": self.n_intruders,
-            "n_covariates": self.n_covariates,
-            "n_shifted_covariates": self.n_shifted_covariates,
-            "group_split": list(self.group_split),
-            "mean_range": list(self.mean_range),
-            "variance_factor_range": list(self.variance_factor_range),
-            "shift_range": list(self.shift_range),
-            "shift_scale": self.shift_scale,
-            "pd_eigenvalue_range": list(self.pd_eigenvalue_range),
-            "basic_p_range": list(self.basic_p_range) if self.basic_p_range else None,
-            "full_p_max": self.full_p_max,
-            "max_attempts": self.max_attempts,
-            "seed": self.seed,
-        }
+        return _json_fields(self)
 
 
 @dataclass(frozen=True)
@@ -321,19 +306,24 @@ def write_generated(
         for s, f in zip(generated.dataset.subject_ids, generated.intruder_flags):
             writer.writerow([s, int(f)])
     if info_path is not None:
-        info = generated.info
-        payload = {
-            "means": info.means.tolist(),
-            "variances": info.variances.tolist(),
-            "covariance": info.covariance.tolist(),
-            "shifted_covariates": list(info.shifted_covariates),
-            "shifts": info.shifts.tolist(),
-            "attempts": info.attempts,
-        }
         Path(info_path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
+            json.dumps(_json_fields(generated.info), indent=2, sort_keys=True),
+            encoding="utf-8",
         )
     return schema
+
+
+def _json_fields(record) -> dict:
+    """The fields of a dataclass as JSON values: arrays and tuples as lists."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
 
 
 def load_truth(path: str | Path) -> dict[str, bool]:

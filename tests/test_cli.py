@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -57,6 +58,27 @@ class TestMatch:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["success"] is True
         assert "config_sha256" in manifest and "dataset_sha256" in manifest
+
+    def test_metrics_csv_quotes_labels_with_commas(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = run_config(
+            tmp_path, matched_csv(tmp_path), out,
+            algorithms=[
+                {"name": "h3", "lookahead": 2, "pool_cap": 4},
+                {"name": "greedy", "label": "g, plain"},
+            ],
+        )
+        assert main(["match", "--config", str(cfg)]) == 0
+        with (out / "metrics.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        header = rows[0]
+        assert header[:3] == ["algorithm", "seed", "success"]
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[0] for row in rows[1:]] == ["h3(lookahead=2,pool_cap=4)", "g, plain"]
+        record = dict(zip(header, rows[2]))
+        assert record["success"] == "1" and record["preserved"] == "8"
+        # no ground truth in a match run
+        assert record["pct_excluded_intruders"] == record["intruder_recall"] == ""
 
     def test_invalid_alpha_exits_one(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,7 +1,10 @@
 """Property tests over small random problems.
 
-* Every search returns only solutions that keep every constraint: locks,
-  per-group caps, the total cap and the minimum group size.
+* Every search returns only solutions, and walks only through states, that
+  keep every constraint: locks, per-group caps, the total cap and the
+  minimum group size, under every setting of the batching and random-draw
+  options.
+* A run replays identically under the same seed.
 * The array removal sets of a search step are exactly the sets
   ``itertools.combinations`` gives, in its order, that a per-set check of
   the constraints accepts.
@@ -113,21 +116,49 @@ def assert_within_limits(dataset, config, keep) -> None:
         assert removed.sum() <= config.max_removed_total
 
 
+def unbatched(config):
+    """Batched removal needs lookahead 1; searches of larger sets run without it."""
+    return config.with_(batch_fraction=None)
+
+
 RUNNERS = {
     "random": lambda d, c: search.random_search(d, c, iterations=50),
     "greedy": search.greedy_search,
     "h3_L1": lambda d, c: search.lookahead_search(d, c, "h3", lookahead=1),
     "h4_L1": lambda d, c: search.lookahead_search(d, c, "h4", lookahead=1),
-    "h3_L2": lambda d, c: search.lookahead_search(d, c, "h3", lookahead=2),
-    "h4_L2": lambda d, c: search.lookahead_search(d, c, "h4", lookahead=2),
+    "h3_L2": lambda d, c: search.lookahead_search(d, unbatched(c), "h3", lookahead=2),
+    "h4_L2": lambda d, c: search.lookahead_search(d, unbatched(c), "h4", lookahead=2),
     "exhaustive": lambda d, c: search.exhaustive_search(d, c, max_removed=3),
 }
 
+# search options that no fixed example or benchmark input sets; a reversion
+# threshold of 2 keeps a batched walk batching until it matches
+OPTIONS = st.fixed_dictionaries({
+    "batch_fraction": st.none() | st.sampled_from([0.2, 0.5, 1.0]),
+    "reversion_threshold": st.sampled_from([0.5, 2.0]),
+    "schedule_jitter": st.booleans(),
+    "random_schedule": st.sampled_from(["geometric", "linear"]),
+    "ensure_feasible_draws": st.booleans(),
+})
+
+
+def outcome(result):
+    """Everything a run reports that does not depend on the clock."""
+    return (
+        [state.keep.tobytes() for state in result.solutions],
+        [step.to_json() for step in result.trace],
+        repr(result.rank),
+        repr(result.p_values),
+        result.evaluations,
+        result.success,
+    )
+
 
 @SETTINGS
-@given(problems())
-def test_solutions_keep_every_constraint(problem):
+@given(problems(), OPTIONS)
+def test_solutions_keep_every_constraint(problem, options):
     dataset, config = problem
+    config = config.with_(**options)
     for runner in RUNNERS.values():
         try:
             result = runner(dataset, config)
@@ -135,6 +166,25 @@ def test_solutions_keep_every_constraint(problem):
             continue
         for state in result.solutions:
             assert_within_limits(dataset, config, state.keep)
+        # every state a constructive walk passed through, batches included
+        row_of = {s: i for i, s in enumerate(dataset.subject_ids)}
+        keep = np.ones(dataset.n_subjects, dtype=bool)
+        for step in result.trace:
+            keep[row_of[step.removed_id]] = False
+            assert_within_limits(dataset, config, keep)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(problems(), OPTIONS)
+def test_same_seed_replays_identically(problem, options):
+    dataset, config = problem
+    config = config.with_(**options)
+    for name, runner in RUNNERS.items():
+        try:
+            first = outcome(runner(dataset, config))
+        except UndefinedTestError:
+            continue
+        assert outcome(runner(dataset, config)) == first, name
 
 
 def reference_sets(dataset, room, cap, keep, removed, size):
