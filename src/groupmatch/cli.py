@@ -29,7 +29,7 @@ from . import __version__
 from .config import RunConfig, load_grid_config, load_run_config, load_synthetic_spec
 from .criteria import compare_solutions
 from .dataset import load_dataset
-from .errors import GroupMatchError
+from .errors import ConfigError, GroupMatchError
 from .harness import (
     EvalMetrics,
     GridRow,
@@ -233,6 +233,13 @@ def cmd_estimate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     grid = load_grid_config(args.grid)
+    registry = _registry()
+    for name in grid.tests:
+        if name not in registry:
+            raise ConfigError(
+                f"{args.grid}: 'tests' names unknown test {name!r}; "
+                f"registered: {registry.names()}"
+            )
     report = run_experiment_grid(
         grid.specs,
         grid.algorithms,
@@ -243,6 +250,7 @@ def cmd_evaluate(args) -> int:
         ),
         workers=args.workers if args.workers is not None else grid.workers,
         time_limit=grid.time_limit,
+        registry=registry,
     )
     out_dir = Path(args.output_dir) if args.output_dir else grid.output_dir
     if out_dir is None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .criteria import CriteriaSet, CriterionSpec, MatchConfig
 from .dataset import ColumnSchema
-from .errors import ConfigError, GroupMatchError
+from .errors import ConfigError, GroupMatchError, scalar_fits
 from .harness import AlgorithmSpec
 from .synthgen import SyntheticSpec
 
@@ -42,9 +42,6 @@ _ALGORITHM_NAMES = ("random", "greedy", "h3", "h4", "exhaustive")
 _ALGORITHM_PARAM_TYPES = {k: _MATCH_TYPES[k] for k in _SEARCH_KEYS | {"seed"}}
 _ALGORITHM_PARAM_TYPES["max_removed"] = "int | None"
 
-# JSON values each scalar annotation accepts; a bool is not a number
-_SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
-
 
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
@@ -59,16 +56,10 @@ def _reject_unknown(mapping: dict, allowed: set[str], context: str) -> None:
 
 
 def _checked(key: str, value, annotation: str, context: str):
-    """``value`` when its type is one that ``annotation`` ("int",
-    "float | None", ...) names; raises ConfigError naming ``key`` if not."""
-    for kind in annotation.split(" | "):
-        if value is None and kind == "None":
-            return value
-        expected = _SCALAR_TYPES.get(kind)
-        if expected and isinstance(value, expected) and (
-            kind == "bool" or not isinstance(value, bool)
-        ):
-            return value
+    """``value`` when it fits the scalar annotation ``annotation`` ("int",
+    "float | None", ...); raises ConfigError naming ``key`` if not."""
+    if scalar_fits(value, annotation):
+        return value
     raise ConfigError(f"{context}: {key!r} must be {annotation}, got {value!r}")
 
 

@@ -19,7 +19,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .dataset import Dataset, SubsetState
-from .errors import ValidationError
+from .errors import ValidationError, check_scalar_fields
 from .stats import (
     BUILTIN_AD,
     BUILTIN_WELCH,
@@ -172,6 +172,7 @@ class MatchConfig:
     time_limit: float | None = None  # cooperative; checked between scoring chunks
 
     def __post_init__(self):
+        check_scalar_fields(self)
         object.__setattr__(self, "locked_groups", frozenset(self.locked_groups))
         object.__setattr__(
             self, "max_removed_per_group", dict(self.max_removed_per_group)

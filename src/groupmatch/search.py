@@ -21,19 +21,24 @@ thread; the ``threads`` setting is accepted and does not change a result.
 The constructive and exhaustive searches generate each step's removal sets
 as (m, L) row arrays, in the order of ``itertools.combinations``, keep the
 feasible ones (``_Feasibility``: locks, per-group and total caps and the
-minimum group size, one rule set for every search) and score them in chunks
-of ``_SCORE_CHUNK``, one ``CriteriaEvaluator.score_removals`` call each.  A
-step holds its candidates as arrays: the sets, their r, and an index into
-the balances of the distinct per-group removal counts.  Random search makes
-its draws in chunks of ``MASK_BLOCK_CELLS`` cells and scores each chunk with
-one ``CriteriaEvaluator.score_masks`` call.  The clock (``time_limit``) is
-read between chunks.
+minimum group size, one rule set for every search) and score them through
+one loop, ``_scored``: ``_SCORE_CHUNK`` sets per
+``CriteriaEvaluator.score_removals`` call, with the clock (``time_limit``)
+read before each call and once after the last.  A step holds its candidates
+as arrays: the sets, their r, and an index into the balances of the
+distinct per-group removal counts.  Random search makes and charges its
+draws one at a time, in chunks of ``MASK_BLOCK_CELLS`` cells that are
+scored with one ``CriteriaEvaluator.score_masks`` call each; it reads the
+clock between chunks.
 
-Scores from a batch only rank and select states.  Every r a result reports
-comes from evaluating that subset on its own: a constructive search
+One keeper (``_Keeper``) serves every search: it stores the matches and
+the best failing state, walks each scored chunk in one loop that builds a
+keep-mask only for a state that can change what is stored, and builds the
+result.  Scores from a batch only rank and select states.  Every r a result
+reports comes from evaluating that subset on its own: a constructive search
 evaluates its current state once per pass, and that r goes into the trace
-and the pools; the reported p-values and rank come from evaluating the
-reported state again (``_result``, uncharged).
+and the keeper; the reported p-values and rank come from evaluating the
+reported state again (``_Keeper.report``, uncharged).
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .criteria import (
     CriteriaEvaluator,
     MatchConfig,
     SolutionRank,
-    balance_close,
+    _compare_balance,
     balance_from_counts,
     compare_solutions,
     r_close,
@@ -322,108 +327,100 @@ def _default_registry() -> TestRegistry:
     return default_registry
 
 
-def _balance_better(a, b) -> bool:
-    """Strictly better (smaller) balance, tolerance-aware for floats."""
-    if isinstance(a, tuple):
-        return a < b
-    return a < b and not balance_close(a, b)
-
-
 def _step_key_better(r_a: float, bal_a, r_b: float, bal_b) -> int:
     """Compare step candidates: r desc, then balance asc.  +1 a better."""
     if not r_close(r_a, r_b):
         return 1 if r_a > r_b else -1
-    if _balance_better(bal_a, bal_b):
-        return 1
-    if _balance_better(bal_b, bal_a):
-        return -1
-    return 0
+    return -_compare_balance(bal_a, bal_b)
 
 
-class _SolutionPool:
-    """Best-rank states, deduplicated; extras beyond the cap are dropped in
-    encounter order (deterministic)."""
+class _Keeper:
+    """The states a search keeps, and the result it reports.
 
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.rank: SolutionRank | None = None
-        self.states: list[np.ndarray] = []
+    Matches (r >= 1) of the best rank are stored once each, in encounter
+    order, up to ``max_solutions`` (deterministic); of the failing states,
+    the one closest to matching: highest r, an ``r_close`` tie going to the
+    better rank.  Creating a keeper starts the search clock.
+    """
+
+    def __init__(self, engine: _Engine, algorithm: str, parameters: dict):
+        self.engine = engine
+        self.algorithm = algorithm
+        self.parameters = parameters
+        self.rank: SolutionRank | None = None            # of the stored matches
+        self.matches: list[np.ndarray] = []
         self._keys: set[bytes] = set()
+        self.failing_rank: SolutionRank | None = None
+        self.failing: list[np.ndarray] = []              # at most one state
+        self.started = time.perf_counter()
+        engine.start_clock(self.started)
 
-    def offer(self, keep: np.ndarray, rank: SolutionRank):
-        if self.rank is None or compare_solutions(rank, self.rank) > 0:
-            self.rank = rank
-            self.states = [keep.copy()]
-            self._keys = {keep.tobytes()}
-        elif compare_solutions(rank, self.rank) == 0 and len(self.states) < self.cap:
+    def offer(self, keep: np.ndarray, r: float) -> None:
+        """Store ``keep``, of match score r, if it ranks among the kept."""
+        rank = self.engine.rank(keep, r)
+        if r >= 1.0:
+            cmp = 1 if self.rank is None else compare_solutions(rank, self.rank)
             key = keep.tobytes()
-            if key not in self._keys:
+            if cmp > 0:
+                self.rank, self.matches, self._keys = rank, [keep.copy()], {key}
+            elif (cmp == 0 and key not in self._keys
+                    and len(self.matches) < self.engine.config.max_solutions):
                 self._keys.add(key)
-                self.states.append(keep.copy())
+                self.matches.append(keep.copy())
+        elif self.failing_rank is None or (
+            compare_solutions(rank, self.failing_rank) > 0
+            if r_close(r, self.failing_rank.r) else r > self.failing_rank.r
+        ):
+            self.failing_rank, self.failing = rank, [keep.copy()]
 
-    def wants(self, preserved: int, r: float) -> bool:
-        """False when offering a state that keeps ``preserved`` subjects
-        cannot change the pool: the stored states keep more."""
-        return self.rank is None or preserved >= self.rank.preserved
+    def offer_chunk(self, rs: np.ndarray, preserved, state) -> None:
+        """Offer the states of one scored chunk, in order.  State i has
+        match score ``rs[i]`` (NaN: undefined, skipped) and keeps
+        ``preserved[i]`` rows; its keep-mask ``state(i)`` is built only
+        when it can change what is stored: a match that keeps no fewer rows
+        than the stored matches, or a failing state whose r is not below
+        the stored one's unless ``r_close`` to it."""
+        for i, (r, kept) in enumerate(zip(rs.tolist(), preserved)):
+            if math.isnan(r):
+                continue
+            if r >= 1.0:
+                if self.rank is not None and kept < self.rank.preserved:
+                    continue
+            elif (self.failing_rank is not None and r < self.failing_rank.r
+                    and not r_close(r, self.failing_rank.r)):
+                continue
+            self.offer(state(i), r)
 
-    def __bool__(self) -> bool:
-        return self.rank is not None
-
-
-class _BestFailing:
-    """Closest-to-matching failing state: highest r, then better rank."""
-
-    def __init__(self):
-        self.r: float | None = None
-        self.keep: np.ndarray | None = None
-        self.rank: SolutionRank | None = None
-
-    def wants(self, preserved: int, r: float) -> bool:
-        """False when offering a state of match score r cannot change the
-        stored one: r is lower and not tied."""
-        return self.r is None or r > self.r or r_close(r, self.r)
-
-    def offer(self, keep: np.ndarray, rank: SolutionRank):
-        if self.r is None:
-            better = True
-        elif r_close(rank.r, self.r):
-            better = compare_solutions(rank, self.rank) > 0
-        else:
-            better = rank.r > self.r
-        if better:
-            self.r = rank.r
-            self.keep = keep.copy()
-            self.rank = rank
-
-
-def _result(
-    engine: _Engine,
-    algorithm: str,
-    parameters: dict,
-    success: bool,
-    states: Sequence[np.ndarray],
-    started: float,
-    trace: Sequence[TraceStep] = (),
-    timed_out: bool = False,
-) -> MatchResult:
-    """Build the result.  Its p-values and rank come from evaluating the
-    first reported state on its own subset (uncharged), however the search
-    scored it."""
-    wall = time.perf_counter() - started
-    r, ps = engine.evaluator.evaluate(states[0])
-    return MatchResult(
-        algorithm=algorithm,
-        solutions=tuple(SubsetState(s) for s in states),
-        rank=engine.rank(states[0], r),
-        p_values=ps,
-        success=success,
-        wall_time=wall,
-        seed=engine.config.seed,
-        evaluations=engine.budget.spent,
-        parameters=parameters,
-        trace=tuple(trace),
-        timed_out=timed_out,
-    )
+    def report(self, trace: Sequence[TraceStep] = (), timed_out: bool = False,
+               partial: bool = False) -> MatchResult:
+        """Every stored match (a success), else the best failing state.
+        ``partial``: the search stopped before it could claim its matches
+        are optimal, so the first of them is reported as a failure.  The
+        p-values and rank come from evaluating the first reported state on
+        its own subset (uncharged), however the search scored it."""
+        states = self.matches or self.failing
+        if not states:
+            raise UndefinedTestError(
+                "criteria were undefined on every state the search visited"
+            )
+        if partial:
+            states = states[:1]
+        wall = time.perf_counter() - self.started
+        engine = self.engine
+        r, ps = engine.evaluator.evaluate(states[0])
+        return MatchResult(
+            algorithm=self.algorithm,
+            solutions=tuple(SubsetState(s) for s in states),
+            rank=engine.rank(states[0], r),
+            p_values=ps,
+            success=bool(self.matches) and not partial,
+            wall_time=wall,
+            seed=engine.config.seed,
+            evaluations=engine.budget.spent,
+            parameters=self.parameters,
+            trace=tuple(trace),
+            timed_out=timed_out,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +458,11 @@ def random_search(
     if total < 1:
         raise ValidationError(f"iterations must be >= 1, got {total}")
     engine = _Engine(dataset, config, registry)
-    started = time.perf_counter()
-    engine.start_clock(started)
+    keeper = _Keeper(engine, "random", {
+        "iterations": total,
+        "schedule": config.random_schedule,
+        "jitter": config.schedule_jitter,
+    })
     n = dataset.n_subjects
     min_size = config.min_group_size
     unlocked_rows = np.flatnonzero(~engine.locked_mask)
@@ -472,8 +472,6 @@ def random_search(
         for i, g in enumerate(dataset.group_labels)
         if g not in config.locked_groups
     ]
-    successes = _SolutionPool(config.max_solutions)
-    failing = _BestFailing()
     timed_out = False
 
     # the full set is always evaluated first: an already-matched dataset
@@ -481,7 +479,7 @@ def random_search(
     full = np.ones(n, dtype=bool)
     r = engine.evaluate_one(full)
     if r is not None:
-        (successes if r >= 1.0 else failing).offer(full, engine.rank(full, r))
+        keeper.offer(full, r)
 
     def draw(i: int) -> np.ndarray | None:
         """Draw i, or None when it breaks a removal bound."""
@@ -515,31 +513,11 @@ def random_search(
             if keep is not None:
                 engine.budget.charge_states(1)
                 drawn.append(keep)
-        if not drawn:
-            continue
-        rs = engine.r_values(*engine.evaluator.score_masks(np.array(drawn)))
-        for keep, r in zip(drawn, rs.tolist()):
-            if math.isnan(r):
-                continue
-            target = successes if r >= 1.0 else failing
-            if target.wants(int(keep.sum()), r):
-                target.offer(keep, engine.rank(keep, r))
-
-    params = {
-        "iterations": total,
-        "schedule": config.random_schedule,
-        "jitter": config.schedule_jitter,
-    }
-    if successes:
-        return _result(engine, "random", params, True, successes.states,
-                       started, timed_out=timed_out)
-    if failing.keep is None:
-        raise UndefinedTestError(
-            "criteria are undefined on the full dataset and every "
-            "random draw was infeasible"
-        )
-    return _result(engine, "random", params, False, [failing.keep], started,
-                   timed_out=timed_out)
+        if drawn:
+            masks = np.array(drawn)
+            rs = engine.r_values(*engine.evaluator.score_masks(masks))
+            keeper.offer_chunk(rs, masks.sum(axis=1).tolist(), masks.__getitem__)
+    return keeper.report(timed_out=timed_out)
 
 
 # ---------------------------------------------------------------------------
@@ -572,28 +550,33 @@ class _StepCandidates:
 
 
 class _OutOfTime(Exception):
-    """The deadline passed between two scoring chunks of a step."""
+    """The deadline passed while removal sets were being scored."""
+
+
+def _scored(engine: _Engine, keep: np.ndarray, chunks):
+    """``(sets, r)`` for each (m, L) chunk of removal sets that the iterator
+    ``chunks`` yields, applied to ``keep``; r is NaN where a test is
+    undefined.  The clock is read before each chunk and once after the
+    last; raises _OutOfTime when the deadline has passed."""
+    while not engine.out_of_time():
+        chunk = next(chunks, None)
+        if chunk is None:
+            return
+        yield chunk, engine.score(keep, chunk)
+    raise _OutOfTime
 
 
 def _evaluate_step(engine: _Engine, walk: _Walk, size: int) -> _StepCandidates | None:
-    """Score every feasible removal set of ``size`` rows, ``_SCORE_CHUNK``
-    sets per call; raises _OutOfTime when the deadline passes between two
-    calls."""
+    """Score every feasible removal set of ``size`` rows; None when no set
+    is feasible and defined.  Raises _OutOfTime (see ``_scored``)."""
     rows = engine.feasible.open_rows(walk.keep, walk.removed_counts, size)
-    if rows.size < size:
-        return None
     sets = engine.feasible.removal_sets(rows, size, walk.removed_counts)
     kept: list[np.ndarray] = []
     rs: list[np.ndarray] = []
-    chunk = next(sets, None)
-    while chunk is not None:
-        scored = engine.score(walk.keep, chunk)
+    for chunk, scored in _scored(engine, walk.keep, sets):
         defined = ~np.isnan(scored)
         kept.append(chunk[defined])
         rs.append(scored[defined])
-        chunk = next(sets, None)
-        if chunk is not None and engine.out_of_time():
-            raise _OutOfTime
     if not sum(len(c) for c in kept):
         return None
     combos = np.concatenate(kept)
@@ -745,14 +728,10 @@ def _constructive(
     the batch fills.
     """
     engine = _Engine(dataset, config, registry)
-    started = time.perf_counter()
-    engine.start_clock(started)
-    params = _params(config, set_size)
+    keeper = _Keeper(engine, algorithm, _params(config, set_size))
     walk = _Walk(engine)
     trace: list[TraceStep] = []
-    failing = _BestFailing()
     careful = False
-    timed_out = False
     r: float | None = None
     removed_now: list[int] = []
     pool: list[int] = []
@@ -775,20 +754,15 @@ def _constructive(
         # a state where a test is undefined is not offered; candidate
         # scoring steers the walk back among defined states
         if r is not None:
+            keeper.offer(walk.keep, r)
             if r >= 1.0:
-                return _result(engine, algorithm, params, True, [walk.keep],
-                               started, trace)
-            failing.offer(walk.keep, engine.rank(walk.keep, r))
+                return keeper.report(trace)
             careful = careful or r >= config.reversion_threshold
 
-        if engine.out_of_time():
-            timed_out = True
-            break
         try:
             step = _evaluate_step(engine, walk, set_size)
         except _OutOfTime:
-            timed_out = True
-            break
+            return keeper.report(trace, timed_out=True)
         if step is None:
             break
         pool = _argmax_pool(engine, step)
@@ -819,13 +793,7 @@ def _constructive(
                 removed_now.append(row)
         if not removed_now:
             break
-
-    if failing.keep is None:
-        raise UndefinedTestError(
-            "criteria were undefined on every state the search visited"
-        )
-    return _result(engine, algorithm, params, False, [failing.keep], started,
-                   trace, timed_out=timed_out)
+    return keeper.report(trace)
 
 
 def _params(config: MatchConfig, set_size: int) -> dict:
@@ -897,8 +865,6 @@ def exhaustive_search(
     when the criterion-evaluation ceiling is hit first.
     """
     engine = _Engine(dataset, config, registry)
-    started = time.perf_counter()
-    engine.start_clock(started)
     n = dataset.n_subjects
     if max_removed is not None and max_removed < 0:
         raise ValidationError(f"max_removed must be >= 0, got {max_removed}")
@@ -911,48 +877,21 @@ def exhaustive_search(
     full = np.ones(n, dtype=bool)
     rows = feasible.open_rows(full, none_removed)
     bound = min(bound, int(feasible.room.sum()), rows.size)
-    failing = _BestFailing()
-
-    for depth in range(bound + 1):
-        pool = _SolutionPool(config.max_solutions)
-        sets = feasible.removal_sets(rows, depth, none_removed)
-        while True:
-            if engine.out_of_time():
-                # partial depth: optimality within the depth cannot be
-                # claimed, so report the best state seen as a failure
-                best = pool.states[:1] or [failing.keep]
-                if best[0] is None:
-                    raise UndefinedTestError(
-                        "timed out before any state could be evaluated"
-                    )
-                return _result(
-                    engine, "exhaustive", {"max_removed": bound}, False,
-                    best, started, timed_out=True,
-                )
-            chunk = next(sets, None)
-            if chunk is None:
+    keeper = _Keeper(engine, "exhaustive", {"max_removed": bound})
+    try:
+        for depth in range(bound + 1):
+            sets = feasible.removal_sets(rows, depth, none_removed)
+            for chunk, rs in _scored(engine, full, sets):
+                # the keep-mask of set i: every row but the rows it removes
+                keeper.offer_chunk(rs, itertools.repeat(n - depth),
+                                   lambda i: np.bincount(chunk[i], minlength=n) == 0)
+            if keeper.matches:
                 break
-            for i, r in enumerate(engine.score(full, chunk).tolist()):
-                if math.isnan(r):
-                    continue
-                target = pool if r >= 1.0 else failing
-                if target.wants(n - depth, r):
-                    mask = full.copy()
-                    mask[chunk[i]] = False
-                    target.offer(mask, engine.rank(mask, r))
-        if pool:
-            return _result(
-                engine, "exhaustive", {"max_removed": bound}, True, pool.states,
-                started,
-            )
-    if failing.keep is None:
-        raise UndefinedTestError(
-            "criteria were undefined on every enumerated state"
-        )
-    return _result(
-        engine, "exhaustive", {"max_removed": bound}, False, [failing.keep],
-        started,
-    )
+    except _OutOfTime:
+        # partial depth: optimality within the depth cannot be claimed, so
+        # the best state seen is reported as a failure
+        return keeper.report(timed_out=True, partial=True)
+    return keeper.report()
 
 
 # ---------------------------------------------------------------------------

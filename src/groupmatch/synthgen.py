@@ -25,7 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ColumnSchema, Dataset, write_dataset
-from .errors import GenerationError, UndefinedTestError, ValidationError
+from .errors import (
+    GenerationError,
+    UndefinedTestError,
+    ValidationError,
+    check_scalar_fields,
+)
 from .stats import welch_t_p
 
 __all__ = [
@@ -60,6 +65,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_scalar_fields(self)
         object.__setattr__(self, "group_split", tuple(self.group_split))
         if self.n_items < 4:
             raise ValidationError("n_items must be >= 4")

@@ -2,8 +2,10 @@ import csv
 import json
 
 import numpy as np
+import pytest
 from groupmatch.cli import main
 from groupmatch.dataset import write_dataset
+from groupmatch.stats import TestFunction, TestRegistry
 
 from conftest import build_clinical_dataset, build_two_group_dataset
 
@@ -184,6 +186,17 @@ class TestSimulate:
         assert "n_intruders" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_items", 40.0), ("seed", 1.5), ("n_intruders", True),
+    ])
+    def test_spec_value_of_wrong_type_exits_one(self, tmp_path, capsys, key, value):
+        spec = write_json(tmp_path / "spec.json", self.spec_payload(**{key: value}))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(spec), "--output-dir", str(out)]) == 1
+        assert f"'{key}' must be int" in capsys.readouterr().err
+        assert not (out / "dataset.csv").exists()
+
+
 class TestEstimate:
     def test_projection_arithmetic(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -280,3 +293,42 @@ class TestEvaluate:
         assert len(rows) == 1 + 4  # header + 2 algorithms x 2 replicates
         stdout = capsys.readouterr().out
         assert "h2" in stdout and "r10" in stdout
+
+    def grid_payload(self, tmp_path, spec=None, **extra):
+        payload = {
+            "specs": [spec or {"n_items": 40, "n_intruders": 4, "n_covariates": 1,
+                               "n_shifted_covariates": 1}],
+            "algorithms": [{"name": "greedy"}],
+            "output_dir": str(tmp_path / "grid-out"),
+        }
+        payload.update(extra)
+        return write_json(tmp_path / "grid.json", payload)
+
+    def test_unknown_test_name_exits_one_before_any_cell(self, tmp_path, capsys):
+        grid = self.grid_payload(tmp_path, tests=["welch_t", "welch"])
+        assert main(["evaluate", "--grid", str(grid)]) == 1
+        err = capsys.readouterr().err
+        assert "'welch'" in err and "welch_t" in err
+        assert not (tmp_path / "grid-out").exists()
+
+    def test_cells_score_with_the_registry_the_names_are_checked_against(
+        self, tmp_path, monkeypatch
+    ):
+        registry = TestRegistry()
+        registry.register(TestFunction("always_half", "k_sample", lambda s: 0.5))
+        monkeypatch.setattr("groupmatch.cli._registry", lambda: registry)
+        grid = self.grid_payload(tmp_path, tests=["always_half"])
+        assert main(["evaluate", "--grid", str(grid)]) == 0
+        with (tmp_path / "grid-out" / "rows.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["error"] for row in rows] == [""]
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_items", 40.0), ("seed", 1.5), ("n_intruders", True),
+    ])
+    def test_spec_value_of_wrong_type_exits_one(self, tmp_path, capsys, key, value):
+        spec = {"n_items": 40, "n_intruders": 4, "n_covariates": 1,
+                "n_shifted_covariates": 1, key: value}
+        grid = self.grid_payload(tmp_path, spec)
+        assert main(["evaluate", "--grid", str(grid)]) == 1
+        assert f"specs[0]: '{key}' must be int" in capsys.readouterr().err

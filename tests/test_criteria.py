@@ -246,6 +246,27 @@ class TestValidation:
         with pytest.raises(ValidationError, match="two-sample"):
             CriteriaEvaluator(d, crit)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_removed_total", 2.0),
+        ("seed", 1.5),
+        ("min_group_size", True),
+        ("time_limit", "5"),
+        ("schedule_jitter", 1),
+    ])
+    def test_scalar_of_wrong_type_names_its_field(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            MatchConfig(criteria=welch_only_criteria(), **{field: value})
+
+    def test_numpy_scalars_are_numbers(self):
+        cfg = MatchConfig(
+            criteria=welch_only_criteria(),
+            max_removed_total=np.int64(2),
+            seed=np.int32(3),
+            time_limit=np.float64(1.5),
+            reversion_threshold=np.float32(0.5),
+        )
+        assert cfg.max_removed_total == 2 and cfg.seed == 3
+
     def test_locked_group_with_removal_bound_rejected(self):
         d = tiny_dataset()
         cfg = MatchConfig(

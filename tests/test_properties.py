@@ -10,11 +10,14 @@
   the constraints accepts.
 * A step's best-candidate pool and its lazy-batch ranking equal a
   sequential scan and a Python sort over every candidate.
+* The keeper stores the states that offering every state, one at a time,
+  to the pool rules stores.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from types import SimpleNamespace
 from unittest import mock
 
@@ -28,7 +31,9 @@ from groupmatch.criteria import (
     CriteriaSet,
     CriterionSpec,
     MatchConfig,
+    SolutionRank,
     balance_close,
+    compare_solutions,
     r_close,
 )
 from groupmatch.dataset import Dataset
@@ -139,6 +144,7 @@ OPTIONS = st.fixed_dictionaries({
     "schedule_jitter": st.booleans(),
     "random_schedule": st.sampled_from(["geometric", "linear"]),
     "ensure_feasible_draws": st.booleans(),
+    "max_solutions": st.integers(1, 3),
 })
 
 
@@ -337,3 +343,87 @@ def test_batch_order_matches_python_sort(step):
     rs = step.rs.tolist()
     expected = sorted(range(len(rs)), key=lambda j: (-rs[j], balances[j], combos[j]))
     assert search._batch_order(step).tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# the keeper against the sequential pool rules
+# ---------------------------------------------------------------------------
+
+
+def reference_keeper(offers, cap, rank_of):
+    """The stored matches and best failing state when every defined state is
+    offered on its own: matches of the best rank, once each, in encounter
+    order, up to ``cap``; the failing state of highest r, an ``r_close`` tie
+    going to the better rank."""
+    best, matches = None, []
+    failing = failing_rank = None
+    for keep, r in offers:
+        if math.isnan(r):
+            continue
+        rank = rank_of(keep, r)
+        if r >= 1.0:
+            if best is None or compare_solutions(rank, best) > 0:
+                best, matches = rank, [keep]
+            elif (compare_solutions(rank, best) == 0 and len(matches) < cap
+                    and all(keep.tobytes() != m.tobytes() for m in matches)):
+                matches.append(keep)
+        elif failing_rank is None or (
+            compare_solutions(rank, failing_rank) > 0
+            if r_close(r, failing_rank.r) else r > failing_rank.r
+        ):
+            failing, failing_rank = keep, rank
+    return best, matches, failing_rank, failing
+
+
+@st.composite
+def offer_sequences(draw):
+    """Offers of masks over 6 rows (so differing ``preserved``, and repeated
+    masks) with match scores on both sides of 1, ``r_close`` chains and
+    near misses, and NaN; a balance fixed per mask, with near ties."""
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=6, max_size=6),
+                          min_size=1, max_size=6))
+    bases = [0.4, 0.8, 1.0, 1.3]
+    offers = []
+    for _ in range(draw(st.integers(1, 30))):
+        mask = np.array(draw(st.sampled_from(masks)))
+        if draw(st.integers(0, 7)) == 0:
+            r = math.nan
+        else:
+            step = draw(st.sampled_from([0.0, 0.9, 1.5, 1.8, 2.7]))
+            r = draw(st.sampled_from(bases)) * (1.0 - step * RANK_REL_TOL)
+        offers.append((mask, r))
+    if draw(st.booleans()):
+        table = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              min_size=1, max_size=4))
+    else:
+        table = [0.01 + draw(st.sampled_from([0.0, 4e-13, 9e-13, 3e-12, 1e-3]))
+                 for _ in range(draw(st.integers(1, 4)))]
+    cuts = sorted(draw(st.lists(st.integers(1, len(offers)), max_size=4)))
+    return offers, table, cuts
+
+
+@RANKING
+@given(offer_sequences(), st.integers(1, 3))
+def test_keeper_stores_what_sequential_offers_store(sequence, cap):
+    offers, table, cuts = sequence
+
+    def rank_of(keep, r):
+        code = int(keep @ (1 << np.arange(keep.size)))
+        return SolutionRank(int(keep.sum()), table[code % len(table)], r)
+
+    engine = SimpleNamespace(config=SimpleNamespace(max_solutions=cap),
+                             rank=rank_of, start_clock=lambda started: None)
+    keeper = search._Keeper(engine, "test", {})
+    # offered in chunks, as the searches offer scored chunks
+    for lo, hi in itertools.pairwise([0, *cuts, len(offers)]):
+        if lo < hi:
+            masks = np.array([keep for keep, _ in offers[lo:hi]])
+            rs = np.array([r for _, r in offers[lo:hi]])
+            keeper.offer_chunk(rs, masks.sum(axis=1).tolist(), masks.__getitem__)
+    best, matches, failing_rank, failing = reference_keeper(offers, cap, rank_of)
+    assert keeper.rank == best
+    assert [m.tobytes() for m in keeper.matches] == [m.tobytes() for m in matches]
+    assert keeper.failing_rank == failing_rank
+    assert [f.tobytes() for f in keeper.failing] == (
+        [] if failing is None else [failing.tobytes()]
+    )

@@ -165,6 +165,22 @@ class TestGenerateDataset:
         ks_distance = np.max(np.abs(ps - grid))
         assert ks_distance < 0.05
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_items", 40.0),
+        ("seed", 1.5),
+        ("n_intruders", True),
+        ("max_attempts", "9"),
+        ("full_p_max", True),
+    ])
+    def test_scalar_of_wrong_type_names_its_field(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            standard_spec(**{field: value})
+
+    def test_numpy_scalars_are_numbers(self):
+        spec = standard_spec(n_items=np.int64(100), seed=np.int64(5),
+                             full_p_max=np.float64(0.1))
+        assert generate_dataset(spec).dataset.n_subjects == 100
+
     def test_invalid_specs(self):
         with pytest.raises(ValidationError):
             standard_spec(n_intruders=100)
