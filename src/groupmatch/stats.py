@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,36 +93,77 @@ def _incbeta_cf(a: float, b: float, x: float) -> float:
     )
 
 
-def _clamp_tiny(v: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(v) < _INCBETA_FPMIN, _INCBETA_FPMIN, v)
+def _clamp_tiny(v: np.ndarray, scratch: np.ndarray) -> None:
+    """``_incbeta_cf``'s clamp of |v| < _INCBETA_FPMIN up to _INCBETA_FPMIN,
+    in place."""
+    np.abs(v, out=scratch)
+    if np.fmin.reduce(scratch) < _INCBETA_FPMIN:
+        np.copyto(v, _INCBETA_FPMIN, where=scratch < _INCBETA_FPMIN)
 
 
 def _incbeta_cf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``_incbeta_cf`` over arrays, in the same operation order, so every
     element that converges is bit-identical to the scalar result.  Elements
-    still open after ``_INCBETA_MAX_ITER`` iterations are NaN."""
+    still open after ``_INCBETA_MAX_ITER`` iterations are NaN.
+
+    The arrays are updated in place.  The second half-step's coefficient is
+    kept positive and subtracted, which gives the same bits as adding its
+    negation."""
     out = np.full(x.shape, np.nan)
+    if x.size == 0:
+        return out
     active = np.arange(x.size)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = np.ones(x.shape)
-    d = 1.0 / _clamp_tiny(1.0 - qab * x / qap)
-    h = d
+    aa, am2, tmp = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
+    d = 1.0 - qab * x / qap
+    _clamp_tiny(d, tmp)
+    np.divide(1.0, d, out=d)
+    h = d.copy()
     for m in range(1, _INCBETA_MAX_ITER + 1):
         if active.size == 0:
             break
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 / _clamp_tiny(1.0 + aa * d)
-        c = _clamp_tiny(1.0 + aa / c)
-        h = h * (d * c)
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 / _clamp_tiny(1.0 + aa * d)
-        c = _clamp_tiny(1.0 + aa / c)
-        delta = d * c
-        h = h * delta
-        done = np.abs(delta - 1.0) < _INCBETA_EPS
+        # aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        np.subtract(b, m, out=aa)
+        aa *= m
+        aa *= x
+        np.add(a, m2, out=am2)
+        np.add(qam, m2, out=tmp)
+        tmp *= am2
+        aa /= tmp
+        # d = 1 / clamp(1 + aa * d); c = clamp(1 + aa / c); h *= d * c
+        d *= aa
+        d += 1.0
+        _clamp_tiny(d, tmp)
+        np.divide(1.0, d, out=d)
+        np.divide(aa, c, out=c)
+        c += 1.0
+        _clamp_tiny(c, tmp)
+        np.multiply(d, c, out=tmp)
+        h *= tmp
+        # aa = -((a + m) * (qab + m) * x / ((a + m2) * (qap + m2)))
+        np.add(a, m, out=aa)
+        np.add(qab, m, out=tmp)
+        aa *= tmp
+        aa *= x
+        np.add(qap, m2, out=tmp)
+        am2 *= tmp
+        aa /= am2
+        # d = 1 / clamp(1 - aa * d); c = clamp(1 - aa / c); h *= d * c
+        d *= aa
+        np.subtract(1.0, d, out=d)
+        _clamp_tiny(d, tmp)
+        np.divide(1.0, d, out=d)
+        np.divide(aa, c, out=c)
+        np.subtract(1.0, c, out=c)
+        _clamp_tiny(c, tmp)
+        delta = np.multiply(d, c, out=tmp)
+        h *= delta
+        delta -= 1.0
+        done = np.abs(delta, out=delta) < _INCBETA_EPS
         if done.any():
             out[active[done]] = h[done]
             open_ = ~done
@@ -130,6 +171,7 @@ def _incbeta_cf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray
             a, b, x, qab, qap, qam, c, d, h = (
                 v[open_] for v in (a, b, x, qab, qap, qam, c, d, h)
             )
+            aa, am2, tmp = (np.empty(active.size) for _ in range(3))
     return out
 
 
@@ -161,50 +203,184 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _incbeta_cf(b, a, 1.0 - x) / b
 
 
-def student_t_sf(t: float, df: float) -> float:
-    """Two-sided survival probability P(|T_df| >= |t|).
+# The Student t tail's prefactor is built from +, -, *, /, frexp, ldexp and
+# rounding to an integer only.  IEEE 754 fixes the bits of each of these, so
+# the tail is the same on every CPU, and the same on Python floats as on
+# numpy arrays.  numpy's exp and log ufuncs would not do: they pick SIMD code
+# by CPU, and their last bits differ with it.  The exp and log below are
+# fdlibm's (e_exp.c, e_log.c, s_log1p.c), with its minimax coefficients.
+_LN2_HI = 6.93147180369123816490e-01   # ln 2, low 21 bits zero: k * _LN2_HI is exact
+_LN2_LO = 1.90821492927058770002e-10
+_INV_LN2 = 1.44269504088896338700e+00
+_EXP_P = (1.66666666666666019037e-01, -2.77777777770155933842e-03,
+          6.61375632143793436117e-05, -1.65339022054652515390e-06,
+          4.13813679705723846039e-08)
+_LOG_LG = (6.666666666666735130e-01, 3.999999999940941908e-01,
+           2.857142874366239149e-01, 2.222219843214978396e-01,
+           1.818357216161805012e-01, 1.531383769920937332e-01,
+           1.479819860511658591e-01)
+_SQRT_HALF = 0.7071067811865476
+_LGAMMA_HALF = 0.5723649429247001      # lgamma(1/2) = log(sqrt(pi)), rounded
+_EXP_FLOOR = -2000.0                   # exp of anything lower is 0.0
+# lgamma(z + 1/2) - lgamma(z) - log(z)/2 ~ sum of _STIRLING[j] / z**(2j+1):
+# (-1)^n (2^(1-n) - 2) B_n / (n (n-1)) for even n.  At z >= 8.25 the first
+# term left out is below 1e-16.
+_STIRLING = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432,
+             691 / 180224, -5461 / 425984, 929569 / 15728640)
 
-    Evaluated through the incomplete beta so the result depends on t only
-    through t*t (exact sign symmetry).
+
+class _Exact(NamedTuple):
+    """The steps that are exact in IEEE 754, for Python floats or arrays."""
+
+    frexp: Callable
+    ldexp: Callable
+    rint: Callable
+    maximum: Callable
+
+
+_SCALAR = _Exact(math.frexp, math.ldexp, round, max)
+_ARRAY = _Exact(np.frexp, np.ldexp, lambda v: np.rint(v).astype(np.int64), np.maximum)
+
+
+def _log(v, ops: _Exact, c=0.0):
+    """log(v) + c / v for v > 0 and a correction c small against v.
+
+    v = m * 2**k with m in [sqrt(1/2), sqrt(2)); log m = 2 atanh(s) with
+    s = (m - 1) / (m + 1), as an odd series in s."""
+    m, k = ops.frexp(v)
+    low = m < _SQRT_HALF
+    m = m + m * low
+    k = k - low
+    f = m - 1.0
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    lg1, lg2, lg3, lg4, lg5, lg6, lg7 = _LOG_LG
+    r = w * (lg2 + w * (lg4 + w * lg6)) + z * (lg1 + w * (lg3 + w * (lg5 + w * lg7)))
+    hfsq = 0.5 * f * f
+    return k * _LN2_HI - ((hfsq - (s * (hfsq + r) + (k * _LN2_LO + c / v))) - f)
+
+
+def _log1p(u, ops: _Exact):
+    """log(1 + u) for u >= 0: the log of v = 1 + u, corrected by the
+    rounding error of that sum (Knuth's TwoSum)."""
+    v = 1.0 + u
+    vu = v - 1.0
+    return _log(v, ops, (1.0 - (v - vu)) + (u - vu))
+
+
+def _exp(v, ops: _Exact):
+    """exp(v) for v up to 709: v = k ln 2 + r with |r| <= ln(2) / 2 in two
+    parts (Cody and Waite), then a rational approximation of exp(r)."""
+    v = ops.maximum(v, _EXP_FLOOR)
+    k = ops.rint(v * _INV_LN2)
+    hi = v - k * _LN2_HI
+    lo = k * _LN2_LO
+    r = hi - lo
+    z = r * r
+    p1, p2, p3, p4, p5 = _EXP_P
+    c = r - z * (p1 + z * (p2 + z * (p3 + z * (p4 + z * p5))))
+    return ops.ldexp(1.0 - ((lo - (r * c) / (2.0 - c)) - hi), k)
+
+
+def _t_front(a, y, log_x, ops: _Exact):
+    """The prefactor x**a * sqrt(y) / (a * B(a, 1/2)) of I_x(a, 1/2) times a,
+    that is exp(lgamma(a + 1/2) - lgamma(a) - lgamma(1/2) + a log x
+    + log(y) / 2), for a > 0 and y = 1 - x > 0.
+
+    The lgamma difference at a is the one at z = a + 8, less the log of
+    prod_{k<8} (a + k + 1/2) / (a + k); at z it is log(z) / 2 plus a
+    Stirling series.  The product pairs k with 7 - k, as
+    (a + k)(a + 7 - k) = a(a + 7) + k(7 - k), and the three logs are one."""
+    q = a * (a + 7.0)
+    ah = a + 0.5
+    qh = ah * (ah + 7.0)
+    ratio = (q * (q + 6.0) * (q + 10.0) * (q + 12.0)) / (
+        qh * (qh + 6.0) * (qh + 10.0) * (qh + 12.0))
+    z = a + 8.0
+    iz = 1.0 / z
+    w = iz * iz
+    s1, s3, s5, s7, s9, s11, s13, s15 = _STIRLING
+    series = iz * (s1 + w * (s3 + w * (s5 + w * (s7 + w * (s9 + w * (
+        s11 + w * (s13 + w * s15)))))))
+    return _exp(
+        0.5 * _log(y * z * ratio * ratio, ops) + series - _LGAMMA_HALF + a * log_x,
+        ops,
+    )
+
+
+def student_t_sf(t: float, df: float) -> float:
+    """Two-sided survival probability P(|T_df| >= |t|), for finite t and
+    positive df.
+
+    This is I_x(df/2, 1/2) with x = df / (df + t*t), so the result depends
+    on t only through t*t (exact sign symmetry).  x and 1 - x are both
+    found by division and log x as -log1p(t*t / df), so neither loses
+    digits to cancellation as df grows.  The prefactor uses only
+    IEEE-exact steps (see ``_t_front``), and the continued fraction is the
+    modified Lentz one of ``_incbeta_cf``, so the result is the same on
+    every CPU and bit for bit that of ``student_t_sf_array``.  Raises
+    UndefinedTestError when the continued fraction does not converge.
     """
     if df <= 0.0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
+    t, df = float(t), float(df)
     tt = t * t
-    return regularized_incomplete_beta(df / (df + tt), df / 2.0, 0.5)
+    s = df + tt
+    x = df / s
+    y = tt / s
+    if y == 0.0:
+        return 1.0
+    if x == 0.0:
+        return 0.0
+    if not (x > 0.0 and y > 0.0):
+        raise ValueError(f"t must be finite, got {t}")
+    u = tt / df
+    # t*t / df overflows only for df < 1; log x is then found from x itself
+    log_x = _log(x, _SCALAR) if u == math.inf else -_log1p(u, _SCALAR)
+    a = 0.5 * df
+    front = _t_front(a, y, log_x, _SCALAR)
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _incbeta_cf(a, 0.5, x) / a
+    return 1.0 - front * _incbeta_cf(0.5, a, y) / 0.5
 
 
 def student_t_sf_array(t: np.ndarray, df: np.ndarray) -> np.ndarray:
     """``student_t_sf`` elementwise over finite t and positive df.
 
-    Each element is bit-identical to the scalar function: the prefactor is
-    computed per element with the same ``math`` calls and the continued
+    Each element is bit-identical to the scalar function: the prefactor
+    runs the same IEEE-exact helpers on whole arrays (numpy's frexp, ldexp
+    and rint where the scalar uses ``math.frexp``, ``math.ldexp`` and
+    ``round``), with no per-element Python call, and the continued
     fraction runs in the same operation order.  Elements whose continued
     fraction does not converge (where the scalar function raises
-    UndefinedTestError) are NaN.
+    UndefinedTestError) are NaN, as are elements with a NaN t.
     """
     t = np.asarray(t, dtype=float)
     df = np.asarray(df, dtype=float)
-    x = df / (df + t * t)
-    a = df / 2.0
-    b = 0.5
-    out = np.empty(x.shape)
+    tt = t * t
+    s = df + tt
+    x = df / s
+    y = tt / s
+    out = np.full(x.shape, np.nan)
+    out[y == 0.0] = 1.0
     out[x == 0.0] = 0.0
-    out[x == 1.0] = 1.0
-    inner = (x != 0.0) & (x != 1.0)
-    xs, as_ = x[inner], a[inner]
-    lgamma_b = math.lgamma(b)
-    front = np.array([
-        math.exp(
-            math.lgamma(ai + b) - math.lgamma(ai) - lgamma_b
-            + ai * math.log(xi) + b * math.log1p(-xi)
-        )
-        for xi, ai in zip(xs.tolist(), as_.tolist())
-    ])
-    low = xs < (as_ + 1.0) / (as_ + b + 2.0)
+    inner = (x > 0.0) & (y > 0.0)
+    xs, ys, dfs = x[inner], y[inner], df[inner]
+    u = tt[inner] / dfs
+    over = np.isinf(u)   # t*t / df overflows only for df < 1
+    u[over] = 0.0
+    log_x = -_log1p(u, _ARRAY)
+    if over.any():
+        log_x[over] = _log(xs[over], _ARRAY)
+    a = 0.5 * dfs
+    front = _t_front(a, ys, log_x, _ARRAY)
+    low = xs < (a + 1.0) / (a + 2.5)
     cf = _incbeta_cf_array(
-        np.where(low, as_, b), np.where(low, b, as_), np.where(low, xs, 1.0 - xs)
+        np.where(low, a, 0.5), np.where(low, 0.5, a), np.where(low, xs, ys)
     )
-    out[inner] = np.where(low, front * cf / as_, 1.0 - front * cf / b)
+    front *= cf
+    out[inner] = np.where(low, front / a, 1.0 - front / 0.5)
     return out
 
 
