@@ -66,7 +66,7 @@ from .criteria import (
     solution_rank,
 )
 from .dataset import Dataset, SubsetState
-from .errors import BudgetExceededError, UndefinedTestError, ValidationError
+from .errors import BudgetExceededError, UndefinedTestError, ValidationError, scalar_fits
 from .stats import TestRegistry
 
 __all__ = [
@@ -442,6 +442,14 @@ def _keep_rate(engine: _Engine, i: int, total: int) -> float:
     return floor**u
 
 
+def _int_or_none(name: str, value):
+    """The keyword argument ``name`` when it is an int or None; raises
+    ValidationError naming it if not (a bool or a float is not an int)."""
+    if not scalar_fits(value, "int | None"):
+        raise ValidationError(f"{name!r} must be int, got {value!r}")
+    return value
+
+
 def random_search(
     dataset: Dataset,
     config: MatchConfig,
@@ -454,6 +462,7 @@ def random_search(
     Always returns: when no draw reaches r >= 1 the closest failing draw is
     reported with success=False.
     """
+    iterations = _int_or_none("iterations", iterations)
     total = config.iterations if iterations is None else int(iterations)
     if total < 1:
         raise ValidationError(f"iterations must be >= 1, got {total}")
@@ -835,6 +844,8 @@ def lookahead_search(
     """
     if variant not in ("h3", "h4"):
         raise ValidationError(f"unknown lookahead variant {variant!r}")
+    lookahead = _int_or_none("lookahead", lookahead)
+    batch_size = _int_or_none("batch_size", batch_size)
     overrides = {}
     if lookahead is not None:
         overrides["lookahead"] = int(lookahead)
@@ -864,6 +875,7 @@ def exhaustive_search(
     reaches r >= 1 (ranked by balance, then r).  Raises BudgetExceededError
     when the criterion-evaluation ceiling is hit first.
     """
+    max_removed = _int_or_none("max_removed", max_removed)
     engine = _Engine(dataset, config, registry)
     n = dataset.n_subjects
     if max_removed is not None and max_removed < 0:

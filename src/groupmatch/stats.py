@@ -284,14 +284,15 @@ def _exp(v, ops: _Exact):
 
 
 def _t_front(a, y, log_x, ops: _Exact):
-    """The prefactor x**a * sqrt(y) / (a * B(a, 1/2)) of I_x(a, 1/2) times a,
-    that is exp(lgamma(a + 1/2) - lgamma(a) - lgamma(1/2) + a log x
-    + log(y) / 2), for a > 0 and y = 1 - x > 0.
+    """x**a sqrt(y) / B(a, 1/2), the factor before the continued fraction
+    in I_x(a, 1/2), for a > 0 and y = 1 - x > 0: the exp of
+    lgamma(a + 1/2) - lgamma(a) - lgamma(1/2) + a log x + log(y) / 2.
 
     The lgamma difference at a is the one at z = a + 8, less the log of
     prod_{k<8} (a + k + 1/2) / (a + k); at z it is log(z) / 2 plus a
     Stirling series.  The product pairs k with 7 - k, as
-    (a + k)(a + 7 - k) = a(a + 7) + k(7 - k), and the three logs are one."""
+    (a + k)(a + 7 - k) = a(a + 7) + k(7 - k).  log(y) / 2, log(z) / 2 and
+    the log of the product are taken as one log, of y z / product**2."""
     q = a * (a + 7.0)
     ah = a + 0.5
     qh = ah * (ah + 7.0)
@@ -334,7 +335,7 @@ def student_t_sf(t: float, df: float) -> float:
     if x == 0.0:
         return 0.0
     if not (x > 0.0 and y > 0.0):
-        raise ValueError(f"t must be finite, got {t}")
+        raise ValueError(f"t and df must be finite, got t={t}, df={df}")
     u = tt / df
     # t*t / df overflows only for df < 1; log x is then found from x itself
     log_x = _log(x, _SCALAR) if u == math.inf else -_log1p(u, _SCALAR)
@@ -367,8 +368,9 @@ def student_t_sf_array(t: np.ndarray, df: np.ndarray) -> np.ndarray:
     out[x == 0.0] = 0.0
     inner = (x > 0.0) & (y > 0.0)
     xs, ys, dfs = x[inner], y[inner], df[inner]
-    u = tt[inner] / dfs
-    over = np.isinf(u)   # t*t / df overflows only for df < 1
+    with np.errstate(over="ignore"):   # t*t / df overflows only for df < 1
+        u = tt[inner] / dfs
+    over = np.isinf(u)
     u[over] = 0.0
     log_x = -_log1p(u, _ARRAY)
     if over.any():

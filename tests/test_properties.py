@@ -12,6 +12,8 @@
   sequential scan and a Python sort over every candidate.
 * The keeper stores the states that offering every state, one at a time,
   to the pool rules stores.
+* The scalar and the array Student t tails give the same bits, for int,
+  float and numpy float inputs alike.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from groupmatch.criteria import (
 )
 from groupmatch.dataset import Dataset
 from groupmatch.errors import UndefinedTestError
+from groupmatch.stats import student_t_sf, student_t_sf_array
 
 # fixed examples, and no example database written next to the tests
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -427,3 +430,34 @@ def test_keeper_stores_what_sequential_offers_store(sequence, cap):
     assert [f.tobytes() for f in keeper.failing] == (
         [] if failing is None else [failing.tobytes()]
     )
+
+
+# |t| <= 50 and df in [0.5, 1e8], as Python ints and floats and numpy floats;
+# df is also drawn log-uniformly, so every order of magnitude is reached
+TAIL_T = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.integers(-50, 50),
+    st.floats(-50.0, 50.0).map(np.float64),
+)
+TAIL_DF = st.one_of(
+    st.floats(0.5, 1e8),
+    st.floats(math.log(0.5), math.log(1e8)).map(math.exp).filter(lambda v: 0.5 <= v <= 1e8),
+    st.integers(1, 10**8),
+    st.floats(0.5, 1e8).map(np.float64),
+)
+
+
+def scalar_tail(t, df) -> float:
+    try:
+        return student_t_sf(t, df)
+    except UndefinedTestError:
+        return math.nan
+
+
+@RANKING
+@given(st.lists(st.tuples(TAIL_T, TAIL_DF), min_size=1, max_size=30))
+def test_student_tail_scalar_and_array_bits_agree(pairs):
+    t = np.array([float(v) for v, _ in pairs])
+    df = np.array([float(v) for _, v in pairs])
+    want = np.array([scalar_tail(a, b) for a, b in pairs])
+    assert student_t_sf_array(t, df).tobytes() == want.tobytes()

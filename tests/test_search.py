@@ -44,6 +44,36 @@ def assert_solution_recomputes(dataset, result, config):
         assert compute_r(dataset, state, config.criteria) >= 1.0
 
 
+class TestKeywordTypes:
+    """Search keyword arguments keep the type rule of the config fields."""
+
+    SEARCHES = {
+        "exhaustive": exhaustive_search,
+        "random": random_search,
+        "lookahead": lambda d, cfg, **kw: lookahead_search(d, cfg, "h3", **kw),
+    }
+
+    @pytest.mark.parametrize("search, name, value", [
+        ("exhaustive", "max_removed", 2.0),
+        ("random", "iterations", 5.5),
+        ("lookahead", "lookahead", 1.5),
+        ("lookahead", "batch_size", 2.5),
+        ("random", "iterations", True),
+    ])
+    def test_non_int_is_refused_by_name(self, search, name, value):
+        d = build_two_group_dataset(6, 1.0, seed=1)
+        with pytest.raises(ValidationError, match=repr(name)):
+            self.SEARCHES[search](d, base_config(), **{name: value})
+
+    def test_numpy_ints_are_ints(self):
+        d = build_two_group_dataset(6, 1.0, seed=1)
+        cfg = base_config()
+        assert (exhaustive_search(d, cfg, max_removed=np.int64(2)).best
+                == exhaustive_search(d, cfg, max_removed=2).best)
+        assert (lookahead_search(d, cfg, "h3", lookahead=np.int32(2)).best
+                == lookahead_search(d, cfg, "h3", lookahead=2).best)
+
+
 class TestAlreadyMatched:
     @pytest.mark.parametrize(
         "runner",

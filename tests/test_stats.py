@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -16,6 +21,8 @@ from groupmatch.stats import (
     anderson_darling_p,
     regularized_incomplete_beta,
     register_test,
+    student_t_sf,
+    student_t_sf_array,
     welch_t,
     welch_t_p,
 )
@@ -59,6 +66,87 @@ class TestIncompleteBeta:
             regularized_incomplete_beta(0.5, -1.0, 2.0)
         with pytest.raises(ValueError):
             regularized_incomplete_beta(1.5, 1.0, 2.0)
+
+
+def cpu_features() -> dict:
+    """The CPU features numpy reports, each True when found and enabled."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:   # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+# a fixed grid of (t, df) pairs, computed in this process and in children
+# that run with some of numpy's SIMD code paths disabled; it is built with
+# arithmetic only, as np.geomspace's own bits change with those paths
+TAIL_GRID = """
+import numpy as np
+from groupmatch.stats import student_t_sf_array
+k = np.arange(1.0, 65.0)
+df = [0.7]
+while len(df) < 48:
+    df.append(df[-1] * 1.45)
+t, df = (g.ravel() for g in np.meshgrid(np.concatenate([k * k / 102.4, k / 6400.0]), df))
+p = student_t_sf_array(t, df)
+"""
+
+
+class TestStudentTail:
+    DFS = (1.0, 3.7, 13.3, 50.0, 98.0, 1600.0, 1e4, 1e5, 1e6, 1e7)
+    TS = (0.001, 0.05, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0)
+
+    @staticmethod
+    def reference(t: float, df: float):
+        """The two-sided tail I_x(df/2, 1/2), x = df/(df + t*t), at 40 digits."""
+        with mpmath.workdps(40):
+            t, df = mpmath.mpf(t), mpmath.mpf(df)
+            return mpmath.betainc(df / 2, mpmath.mpf(1) / 2, 0, df / (df + t * t),
+                                  regularized=True)
+
+    @pytest.mark.parametrize("df", DFS)
+    def test_relative_error_against_mpmath(self, df):
+        # what is left at large df sits at t ~ 2, in the continued fraction
+        # as x nears 1
+        bound = 1e-14 if df <= 100 else 1e-12 if df <= 1e4 else 1e-9
+        got = student_t_sf_array(np.array(self.TS), np.full(len(self.TS), df))
+        for t, p in zip(self.TS, got.tolist()):
+            want = self.reference(t, df)
+            assert float(abs((p - want) / want)) <= bound, (t, df)
+
+    def test_bits_do_not_depend_on_simd_code_paths(self):
+        found = cpu_features()
+        if not (found.get("X86_V3") and found.get("X86_V4")):
+            pytest.skip("numpy does not report X86_V3 and X86_V4 as found")
+        scope = {}
+        exec(TAIL_GRID, scope)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for disabled in ("X86_V4", "X86_V3,X86_V4"):
+            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            child = TAIL_GRID + (
+                "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+                f"assert not any(f[k] for k in {disabled.split(',')!r})\n"
+                "import sys; sys.stdout.write(p.tobytes().hex())\n"
+            )
+            done = subprocess.run([sys.executable, "-c", child], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert bytes.fromhex(done.stdout) == scope["p"].tobytes(), disabled
+
+    def test_scalar_domain(self):
+        assert student_t_sf(0.0, 3.0) == 1.0
+        assert student_t_sf(-2.0, 7.5) == student_t_sf(2.0, 7.5)
+        with pytest.raises(ValueError):
+            student_t_sf(1.0, 0.0)
+        with pytest.raises(ValueError):
+            student_t_sf(math.nan, 3.0)
+        assert np.isnan(student_t_sf_array(np.array([math.nan]), np.array([3.0]))).all()
+        # t*t / df overflows while x = df / (df + t*t) does not
+        want = self.reference(1e154, 0.5)
+        for p in (student_t_sf(1e154, 0.5),
+                  student_t_sf_array(np.array([1e154]), np.array([0.5]))[0]):
+            assert float(abs((p - want) / want)) <= 1e-13
 
 
 class TestWelch:
