@@ -464,11 +464,14 @@ class CriteriaEvaluator:
         p = np.full((m, len(self._bound)), np.nan)
         defined = np.ones(m, dtype=bool)
         tails: list = []
+        downdates: dict = {}   # shared by the Welch criteria of this call
         for j, (test, _, column, rows) in enumerate(self._bound):
             todo = np.flatnonzero(defined)
             moments = test is BUILTIN_WELCH
             if moments and combos is not None:
-                t, df, slow = self._welch_downdated(keep, combos[todo], column, rows)
+                t, df, slow = (
+                    v[todo] for v in self._welch_downdated(keep, combos, j, downdates)
+                )
                 _queue_tails(tails, j, todo, t, df, slow, defined)
                 todo, moments = todo[slow], False   # slow sets go per mask
             pooled, codes, _ = self._pooled[j]
@@ -491,46 +494,54 @@ class CriteriaEvaluator:
         return p, defined
 
     def _welch_downdated(
-        self,
-        keep: np.ndarray,
-        combos: np.ndarray,
-        column: np.ndarray,
-        rows: list[np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Welch t and df of removal sets from per-group sufficient
-        statistics: (t, df, slow), where the ``slow`` sets are too close to
-        degenerate to downdate and are left to the caller to score per
-        subset.
+        self, keep: np.ndarray, combos: np.ndarray, j: int, downdates: dict
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Welch t and df of every removal set for criterion j, from
+        per-group sufficient statistics: (t, df, slow), where the ``slow``
+        sets are too close to degenerate to downdate and are left to the
+        caller to score per subset.
 
-        Each group's n, mean and C = sum((x - mean)^2) are taken once over
-        its kept rows, with the arithmetic of ``welch_t``.  Removing k rows
-        with deviations d = x - mean gives n' = n - k, a mean shift
+        The downdated moments of each (covariate, group) are taken once per
+        call and kept in ``downdates``, for every criterion that reads them.
+        Each group's n, mean and C = sum((x - mean)^2) are taken over its
+        kept rows, with the arithmetic of ``welch_t``.  Removing k rows with
+        deviations d = x - mean gives n' = n - k, a mean shift
         delta = -sum(d) / n' and C' = C - sum(d^2) - n' delta^2 (Welford
         1962; Chan, Golub & LeVeque 1983).
         """
-        codes = self.dataset.group_codes[combos]
-        removed_values = column[combos]
+        spec = self.criteria.criteria[j]
+        _, _, column, rows = self._bound[j]
         slow = np.zeros(combos.shape[0], dtype=bool)
         moments = []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for idx in rows:
-                values = column[idx[keep[idx]]]
-                n = values.size
-                mean = values.mean() if n else 0.0
-                dev = values - mean
-                ss = float(np.sum(dev * dev))
-                in_group = codes == self.dataset.group_codes[idx[0]]
-                d = np.where(in_group, removed_values - mean, 0.0)
-                n_left = n - in_group.sum(axis=1)
-                delta = -d.sum(axis=1) / n_left
-                ss_left = ss - (d * d).sum(axis=1) - n_left * (delta * delta)
-                slow |= (n_left < 2) | (ss == 0.0) | (
-                    ss_left <= _DOWNDATE_REL_FLOOR * ss
-                )
-                var = ss_left / (n_left - 1)
-                moments.append((n_left, mean + delta, var / n_left))
+        for group, idx in zip(spec.group_subset, rows):
+            key = (spec.covariate, group)
+            if key not in downdates:
+                downdates[key] = self._group_downdate(keep, combos, column, idx)
+            n_left, mean, var_n, degenerate = downdates[key]
+            moments.append((n_left, mean, var_n))
+            slow |= degenerate
         t, df = _welch_t_df(moments)
         return t, df, slow | ~(np.isfinite(t) & np.isfinite(df) & (df > 0.0))
+
+    def _group_downdate(
+        self, keep: np.ndarray, combos: np.ndarray, column: np.ndarray, idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(n', mean', var' / n', degenerate) of the group of rows ``idx``
+        on ``keep`` less each removal set (see ``_welch_downdated``)."""
+        values = column[idx[keep[idx]]]
+        n = values.size
+        mean = values.mean() if n else 0.0
+        dev = values - mean
+        ss = float(np.sum(dev * dev))
+        in_group = self.dataset.group_codes[combos] == self.dataset.group_codes[idx[0]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(in_group, column[combos] - mean, 0.0)
+            n_left = n - in_group.sum(axis=1)
+            delta = -d.sum(axis=1) / n_left
+            ss_left = ss - (d * d).sum(axis=1) - n_left * (delta * delta)
+            degenerate = (n_left < 2) | (ss == 0.0) | (ss_left <= _DOWNDATE_REL_FLOOR * ss)
+            var = ss_left / (n_left - 1)
+            return n_left, mean + delta, var / n_left, degenerate
 
 
 def _welch_masked(

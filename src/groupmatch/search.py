@@ -11,34 +11,45 @@ solution(s) found together with a removal trace.
                        chosen either by recursive narrowing on r ("h3") or by
                        set-membership counts ("h4"); supports lazy
                        recomputation (batches of removals per r update).
-* exhaustive_search  - breadth-first enumeration by removal count; optimal
-                       within its depth bound.
+* exhaustive_search  - breadth-first enumeration by removal count, one
+                       balance class at a time; optimal within its depth
+                       bound.
 
 All randomness flows from one generator seeded by the config, so identical
 (dataset, config, seed) triples replay identically.  Searches run on one
 thread; the ``threads`` setting is accepted and does not change a result.
 
-The constructive and exhaustive searches generate each step's removal sets
-as (m, L) row arrays, in the order of ``itertools.combinations``, keep the
-feasible ones (``_Feasibility``: locks, per-group and total caps and the
-minimum group size, one rule set for every search) and score them through
-one loop, ``_scored``: ``_SCORE_CHUNK`` sets per
+The constructive and exhaustive searches generate removal sets as (m, L)
+row arrays that keep every limit (``_Feasibility``: locks, per-group and
+total caps and the minimum group size, one rule set for every search) and
+score them through one loop, ``_scored``: ``_SCORE_CHUNK`` sets per
 ``CriteriaEvaluator.score_removals`` call, with the clock (``time_limit``)
-read before each call and once after the last.  A step holds its candidates
-as arrays: the sets, their r, and an index into the balances of the
-distinct per-group removal counts.  Random search makes and charges its
+read before each call and once after the last.  A constructive step takes
+its sets in the order of ``itertools.combinations`` and holds its
+candidates as arrays: the sets, their r, and an index into the balances of
+the distinct per-group removal counts.  Random search makes and charges its
 draws one at a time, in chunks of ``MASK_BLOCK_CELLS`` cells that are
 scored with one ``CriteriaEvaluator.score_masks`` call each; it reads the
 clock between chunks.
 
+Exhaustive search builds each depth from its feasible per-group count
+patterns (``_patterns``), so no set of an infeasible pattern is
+generated.  A set's balance depends on its pattern alone, so the patterns
+go in balance classes, best first (``_balance_classes``); within a class
+the sets keep the order of ``itertools.combinations``.  Chunks may span
+classes.  Once a match is stored, the classes after its own are skipped,
+since none of their states could be stored; ``evaluations`` counts only the
+states scored.
+
 One keeper (``_Keeper``) serves every search: it stores the matches and
-the best failing state, walks each scored chunk in one loop that builds a
-keep-mask only for a state that can change what is stored, and builds the
-result.  Scores from a batch only rank and select states.  Every r a result
-reports comes from evaluating that subset on its own: a constructive search
-evaluates its current state once per pass, and that r goes into the trace
-and the keeper; the reported p-values and rank come from evaluating the
-reported state again (``_Keeper.report``, uncharged).
+the best failing state, and builds the result.  An array prefilter picks
+the states of a scored chunk that can change what is stored, and only
+those get a keep-mask and a rank.  Scores from a batch only rank and select
+states.  Every r a result reports comes from evaluating that subset on its
+own: a constructive search evaluates its current state once per pass, and
+that r goes into the trace and the keeper; the reported p-values and rank
+come from evaluating the reported state again (``_Keeper.report``,
+uncharged).
 """
 
 from __future__ import annotations
@@ -355,9 +366,12 @@ class _Keeper:
         self.started = time.perf_counter()
         engine.start_clock(self.started)
 
-    def offer(self, keep: np.ndarray, r: float) -> None:
-        """Store ``keep``, of match score r, if it ranks among the kept."""
-        rank = self.engine.rank(keep, r)
+    def offer(self, keep: np.ndarray, r: float,
+              rank: SolutionRank | None = None) -> None:
+        """Store ``keep``, of match score r, if it ranks among the kept;
+        ``rank`` is its rank when the caller knows it."""
+        if rank is None:
+            rank = self.engine.rank(keep, r)
         if r >= 1.0:
             cmp = 1 if self.rank is None else compare_solutions(rank, self.rank)
             key = keep.tobytes()
@@ -373,23 +387,41 @@ class _Keeper:
         ):
             self.failing_rank, self.failing = rank, [keep.copy()]
 
-    def offer_chunk(self, rs: np.ndarray, preserved, state) -> None:
+    def offer_chunk(self, rs: np.ndarray, preserved, state, balance=None) -> None:
         """Offer the states of one scored chunk, in order.  State i has
         match score ``rs[i]`` (NaN: undefined, skipped) and keeps
-        ``preserved[i]`` rows; its keep-mask ``state(i)`` is built only
-        when it can change what is stored: a match that keeps no fewer rows
-        than the stored matches, or a failing state whose r is not below
-        the stored one's unless ``r_close`` to it."""
-        for i, (r, kept) in enumerate(zip(rs.tolist(), preserved)):
-            if math.isnan(r):
-                continue
-            if r >= 1.0:
-                if self.rank is not None and kept < self.rank.preserved:
-                    continue
-            elif (self.failing_rank is not None and r < self.failing_rank.r
-                    and not r_close(r, self.failing_rank.r)):
-                continue
-            self.offer(state(i), r)
+        ``preserved[i]`` rows (or ``preserved`` rows, when it is an int).
+        Its keep-mask ``state(i)`` is built, and its balance ``balance(i)``
+        read (its rank is computed from the mask when ``balance`` is None),
+        only when an array prefilter finds it can change what is stored:
+
+        * a match that keeps no fewer rows than every stored match and
+          every match of the chunk;
+        * a failing state in the ``r_close`` chain at the top of the
+          chunk's failing r and the stored failing r (``_chain_floor``).
+
+        Offering every state in order stores the same: a match that keeps
+        fewer rows is turned away or displaced, and so is a failing state
+        below that chain, since r values of the chain and below it are
+        never ``r_close``."""
+        rs = np.asarray(rs, dtype=float)
+        kept = np.broadcast_to(preserved, rs.shape)
+        chosen = rs >= 1.0
+        if chosen.any():
+            most = kept[chosen].max()
+            if self.rank is not None:
+                most = max(most, self.rank.preserved)
+            chosen &= kept >= most
+        failing = rs < 1.0
+        if failing.any():
+            values = rs[failing]
+            if self.failing_rank is not None:
+                values = np.append(values, self.failing_rank.r)
+            chosen |= failing & (rs >= _chain_floor(values))
+        for i in np.flatnonzero(chosen).tolist():
+            r = float(rs[i])
+            rank = None if balance is None else SolutionRank(int(kept[i]), balance(i), r)
+            self.offer(state(i), r, rank)
 
     def report(self, trace: Sequence[TraceStep] = (), timed_out: bool = False,
                partial: bool = False) -> MatchResult:
@@ -525,7 +557,7 @@ def random_search(
         if drawn:
             masks = np.array(drawn)
             rs = engine.r_values(*engine.evaluator.score_masks(masks))
-            keeper.offer_chunk(rs, masks.sum(axis=1).tolist(), masks.__getitem__)
+            keeper.offer_chunk(rs, masks.sum(axis=1), masks.__getitem__)
     return keeper.report(timed_out=timed_out)
 
 
@@ -628,6 +660,19 @@ def _best_by_r(items: Sequence, rs: list[float]) -> list:
     return best
 
 
+def _chain_floor(rs: np.ndarray) -> float:
+    """The lowest r of the ``r_close`` chain at the top of ``rs`` (no NaN):
+    the r above the first gap, in descending order, between two values
+    that are not ``r_close``.  No r below the gap is ``r_close`` to one
+    above it, since r >= 0."""
+    ordered = np.sort(rs)[::-1]
+    upper, lower = ordered[:-1], ordered[1:]
+    gaps = np.flatnonzero(
+        np.abs(upper - lower) > RANK_REL_TOL * np.maximum(np.abs(upper), np.abs(lower))
+    )
+    return ordered[gaps[0]] if gaps.size else ordered[-1]
+
+
 def _argmax_pool(engine: _Engine, step: _StepCandidates) -> list[int]:
     """Indices of step candidates tied with the best (r desc, balance asc)
     key, capped at the configured pool size by seeded subsampling.
@@ -638,12 +683,7 @@ def _argmax_pool(engine: _Engine, step: _StepCandidates) -> list[int]:
     tie with or displace one above it, so the result is that of a scan over
     every candidate.
     """
-    ordered = np.sort(step.rs)[::-1]
-    upper, lower = ordered[:-1], ordered[1:]
-    gaps = np.flatnonzero(
-        np.abs(upper - lower) > RANK_REL_TOL * np.maximum(np.abs(upper), np.abs(lower))
-    )
-    floor = ordered[gaps[0]] if gaps.size else ordered[-1]
+    floor = _chain_floor(step.rs)
     scanned = np.flatnonzero(step.rs >= floor)
     rs = step.rs[scanned].tolist()
     balances = [step.balances[b] for b in step.balance_index[scanned].tolist()]
@@ -874,6 +914,13 @@ def exhaustive_search(
     Returns every best state at the first count where some feasible state
     reaches r >= 1 (ranked by balance, then r).  Raises BudgetExceededError
     when the criterion-evaluation ceiling is hit first.
+
+    Each depth is enumerated one balance class of per-group count patterns
+    at a time, best first (``_balance_classes``); within a class, sets come
+    in the order of ``itertools.combinations``.  Once a match is stored,
+    the classes after its own are skipped: their states rank below it, so
+    none could be stored.  ``evaluations`` counts the states scored, which
+    may be fewer than the depths hold.
     """
     max_removed = _int_or_none("max_removed", max_removed)
     engine = _Engine(dataset, config, registry)
@@ -885,18 +932,31 @@ def exhaustive_search(
     if config.max_removed_total is not None:
         bound = min(bound, config.max_removed_total)
     feasible = engine.feasible
-    none_removed = np.zeros(dataset.n_groups, dtype=np.intp)
     full = np.ones(n, dtype=bool)
-    rows = feasible.open_rows(full, none_removed)
+    rows = feasible.open_rows(full, np.zeros(dataset.n_groups, dtype=np.intp))
     bound = min(bound, int(feasible.room.sum()), rows.size)
     keeper = _Keeper(engine, "exhaustive", {"max_removed": bound})
+    codes = dataset.group_codes
+
     try:
         for depth in range(bound + 1):
-            sets = feasible.removal_sets(rows, depth, none_removed)
-            for chunk, rs in _scored(engine, full, sets):
+            balances = {
+                pattern: balance_from_counts(dataset, config, engine.sizes - pattern)
+                for pattern in _patterns(feasible.room, depth)
+            }
+            classes = _balance_classes(balances)
+            best = [balances[patterns[0]] for patterns in classes]
+            # pruned(k): a stored match ranks above every state of class k
+            chunks = _class_chunks(rows, codes[rows], classes, lambda k: bool(
+                keeper.matches) and _compare_balance(keeper.rank.balance, best[k]) < 0)
+            for chunk, rs in _scored(engine, full, chunks):
                 # the keep-mask of set i: every row but the rows it removes
-                keeper.offer_chunk(rs, itertools.repeat(n - depth),
-                                   lambda i: np.bincount(chunk[i], minlength=n) == 0)
+                keeper.offer_chunk(
+                    rs, n - depth,
+                    lambda i: np.bincount(chunk[i], minlength=n) == 0,
+                    lambda i: balances[tuple(np.bincount(
+                        codes[chunk[i]], minlength=dataset.n_groups).tolist())],
+                )
             if keeper.matches:
                 break
     except _OutOfTime:
@@ -904,6 +964,94 @@ def exhaustive_search(
         # the best state seen is reported as a failure
         return keeper.report(timed_out=True, partial=True)
     return keeper.report()
+
+
+def _balance_classes(balances: dict) -> list[list[tuple[int, ...]]]:
+    """The count patterns of ``balances`` (pattern -> balance) in classes,
+    best first: sorted by balance, and cut where two neighbours are not
+    ``balance_close``.  A balance of a later class is then worse than, and
+    not ``balance_close`` to, every balance of an earlier one."""
+    classes: list[list[tuple[int, ...]]] = []
+    for pattern in sorted(balances, key=balances.__getitem__):
+        if classes and _compare_balance(balances[classes[-1][-1]], balances[pattern]) == 0:
+            classes[-1].append(pattern)
+        else:
+            classes.append([pattern])
+    return classes
+
+
+def _class_chunks(rows: np.ndarray, codes: np.ndarray, classes: list, pruned):
+    """The removal sets of each class of count patterns in turn
+    (``_lex_sets``), in chunks of ``_SCORE_CHUNK`` sets that may span
+    classes, since each scoring call has a fixed cost.  ``pruned(k)`` is
+    asked before class k is begun and before each chunk, with k the class
+    of its first set; once it is true, no further set is yielded."""
+    held: list[np.ndarray] = []
+    count = first = 0
+    for k, patterns in enumerate(classes):
+        if pruned(k):
+            break
+        for block in _lex_sets(rows, codes, np.array(patterns)):
+            if not count:
+                first = k
+            held.append(block)
+            count += len(block)
+            while count >= _SCORE_CHUNK:
+                if pruned(first):
+                    return
+                merged = np.concatenate(held)
+                yield merged[:_SCORE_CHUNK]
+                # what is left is of class k: fewer than _SCORE_CHUNK sets
+                # were held before this block
+                held, count, first = [merged[_SCORE_CHUNK:]], count - _SCORE_CHUNK, k
+    if count and not pruned(first):
+        yield np.concatenate(held)
+
+
+# Removal sets of one balance class built and sorted at once, at most; a
+# larger class is split by its first row.
+_CLASS_BLOCK = 1 << 16
+
+
+def _lex_sets(rows: np.ndarray, codes: np.ndarray, patterns: np.ndarray):
+    """Every removal set of ``rows`` (ascending; group ``codes``) whose
+    per-group counts are a row of ``patterns``, in the order of
+    ``itertools.combinations``, as (m, depth) arrays of at most
+    ``_CLASS_BLOCK`` sets (or of every set of one row)."""
+    depth = int(patterns[0].sum())
+    available = np.bincount(codes, minlength=patterns.shape[1]).tolist()
+    counts = np.array([math.prod(map(math.comb, available, p)) for p in patterns.tolist()])
+    patterns = patterns[counts > 0]
+    if counts.sum() <= _CLASS_BLOCK or depth < 2:
+        if patterns.size:
+            yield _sorted_sets(rows, codes, patterns)
+        return
+    for i in range(rows.size - depth + 1):
+        heads = patterns[:, codes[i]] > 0
+        if heads.any():
+            rest = patterns[heads]
+            rest[:, codes[i]] -= 1
+            for sets in _lex_sets(rows[i + 1:], codes[i + 1:], rest):
+                yield np.column_stack((np.full(len(sets), rows[i]), sets))
+
+
+def _sorted_sets(rows: np.ndarray, codes: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """Every set of ``_lex_sets`` in one array: per pattern, the product of
+    per-group combinations, then all of them in lexicographic order."""
+    blocks = []
+    for pattern in patterns.tolist():
+        parts = [
+            np.concatenate(list(_removal_sets(rows[codes == g], count)))
+            for g, count in enumerate(pattern) if count
+        ]
+        if not parts:
+            return np.empty((1, 0), dtype=np.intp)   # depth 0: the empty set
+        picks = np.meshgrid(*(np.arange(len(part)) for part in parts), indexing="ij")
+        blocks.append(np.sort(np.concatenate(
+            [part[pick.ravel()] for part, pick in zip(parts, picks)], axis=1
+        ), axis=1))
+    sets = np.concatenate(blocks)
+    return sets[np.lexsort(sets.T[::-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -927,7 +1075,9 @@ def _count_removal_sets(sizes, rooms, bound: int) -> int:
     """Number of removal sets of at most ``bound`` rows that take at most
     ``rooms[g]`` of the ``sizes[g]`` rows of each group g: the sum of the
     coefficients up to x^bound of the product over groups of
-    sum_{k <= rooms[g]} C(sizes[g], k) x^k.  Arbitrary precision."""
+    sum_{k <= rooms[g]} C(sizes[g], k) x^k.  Arbitrary precision.  It sums
+    the set counts of the ``_patterns`` of depths 0..bound, in time
+    quadratic in ``bound``, where the patterns grow as bound**(groups - 1)."""
     poly = [1]
     for size, room in zip(sizes, rooms):
         term = [math.comb(size, k) for k in range(min(room, bound) + 1)]
@@ -937,6 +1087,26 @@ def _count_removal_sets(sizes, rooms, bound: int) -> int:
                 product[i + k] += a * b
         poly = product
     return sum(poly)
+
+
+def _patterns(room, depth: int) -> list[tuple[int, ...]]:
+    """Every per-group count pattern c of ``depth`` removals with
+    c[g] <= ``room[g]``, in lexicographic order: the patterns of one depth
+    of exhaustive search, which holds the product of C(size[g], c[g]) sets
+    of each."""
+    room = [int(v) for v in room]
+    reach = list(itertools.accumulate(room[::-1]))[::-1] + [0]   # room of g and later
+    table = []
+
+    def walk(g: int, left: int, head: tuple[int, ...]) -> None:
+        if g == len(room):
+            table.append(head)
+            return
+        for c in range(max(0, left - reach[g + 1]), min(room[g], left) + 1):
+            walk(g + 1, left - c, head + (c,))
+
+    walk(0, depth, ())
+    return table
 
 
 def format_duration(seconds: float) -> str:
@@ -989,11 +1159,14 @@ def estimate_exhaustive(
     """Project the cost of exhaustive search up to a removal bound discovered
     by a heuristic run.
 
-    The configurations counted are the states ``exhaustive_search`` would
-    enumerate to that bound: locks, per-group caps, ``min_group_size`` and
-    the total cap all apply.  When no rate is supplied, one is measured on the actual dataset the way
-    exhaustive search scores states: ``score_removals`` over chunks of
-    single removals from the full set, in removal sets per second.  The
+    The configurations counted are the removal sets ``exhaustive_search``
+    walks to that bound, the sum of the set counts of its count patterns
+    (``_count_removal_sets``, ``_patterns``): locks, per-group caps,
+    ``min_group_size`` and the total cap all apply.  Its balance pruning may
+    score fewer sets than this counts, once a depth holds a match.  When no rate is supplied, one
+    is measured on the actual dataset the way exhaustive search scores
+    states: ``score_removals`` over chunks of single removals of the rows
+    it may remove, from the full set, in removal sets per second.  The
     verdict compares the projected number of criterion evaluations against
     the configured budget.
     """
@@ -1014,7 +1187,8 @@ def estimate_exhaustive(
     if calibrated_rate is None:
         evaluator = CriteriaEvaluator(dataset, config.criteria, registry)
         keep = np.ones(dataset.n_subjects, dtype=bool)
-        chunks = list(_removal_sets(np.arange(dataset.n_subjects), 1))
+        rows = feasible.open_rows(keep, np.zeros(dataset.n_groups, dtype=np.intp))
+        chunks = list(_removal_sets(rows, min(rows.size, 1)))
         begin = time.perf_counter()
         calls = done = 0
         while time.perf_counter() - begin < calibration_seconds or done == 0:

@@ -108,11 +108,15 @@ def _incbeta_cf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray
 
     The arrays are updated in place.  The second half-step's coefficient is
     kept positive and subtracted, which gives the same bits as adding its
-    negation."""
+    negation.  An element is recorded when it first converges and then
+    iterates on unread; the arrays are cut down to the open elements only
+    once half of them have converged, since each cut copies every array."""
     out = np.full(x.shape, np.nan)
     if x.size == 0:
         return out
-    active = np.arange(x.size)
+    active = np.arange(x.size)        # position in ``out`` of each element
+    open_ = np.ones(x.size, dtype=bool)
+    n_open = x.size
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -123,8 +127,6 @@ def _incbeta_cf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray
     np.divide(1.0, d, out=d)
     h = d.copy()
     for m in range(1, _INCBETA_MAX_ITER + 1):
-        if active.size == 0:
-            break
         m2 = 2 * m
         # aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         np.subtract(b, m, out=aa)
@@ -164,14 +166,19 @@ def _incbeta_cf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray
         h *= delta
         delta -= 1.0
         done = np.abs(delta, out=delta) < _INCBETA_EPS
+        done &= open_
         if done.any():
             out[active[done]] = h[done]
-            open_ = ~done
-            active = active[open_]
-            a, b, x, qab, qap, qam, c, d, h = (
-                v[open_] for v in (a, b, x, qab, qap, qam, c, d, h)
-            )
-            aa, am2, tmp = (np.empty(active.size) for _ in range(3))
+            open_ &= ~done
+            n_open -= int(np.count_nonzero(done))
+            if n_open == 0:
+                break
+            if 2 * n_open <= active.size:
+                active, a, b, x, qab, qap, qam, c, d, h = (
+                    v[open_] for v in (active, a, b, x, qab, qap, qam, c, d, h)
+                )
+                open_ = np.ones(n_open, dtype=bool)
+                aa, am2, tmp = (np.empty(n_open) for _ in range(3))
     return out
 
 
@@ -346,6 +353,22 @@ def student_t_sf(t: float, df: float) -> float:
     return 1.0 - front * _incbeta_cf(0.5, a, y) / 0.5
 
 
+# Below this many elements, ``student_t_sf_array`` calls ``student_t_sf``
+# once per element: the array kernel's continued fraction pays a fixed cost
+# per iteration, until its slowest element converges, that outweighs ~14 us
+# per scalar call below ~128 elements (x86-64, numpy 2.4).
+_TAIL_ARRAY_MIN = 128
+
+
+def _tail_or_nan(t: float, df: float) -> float:
+    """``student_t_sf``, NaN where it raises (a NaN t, or a continued
+    fraction that does not converge)."""
+    try:
+        return student_t_sf(t, df)
+    except (UndefinedTestError, ValueError):
+        return math.nan
+
+
 def student_t_sf_array(t: np.ndarray, df: np.ndarray) -> np.ndarray:
     """``student_t_sf`` elementwise over finite t and positive df.
 
@@ -355,10 +378,16 @@ def student_t_sf_array(t: np.ndarray, df: np.ndarray) -> np.ndarray:
     ``round``), with no per-element Python call, and the continued
     fraction runs in the same operation order.  Elements whose continued
     fraction does not converge (where the scalar function raises
-    UndefinedTestError) are NaN, as are elements with a NaN t.
+    UndefinedTestError) are NaN, as are elements with a NaN t.  Fewer than
+    ``_TAIL_ARRAY_MIN`` elements of positive df go through the scalar
+    function instead, which is faster there and gives the same bits.
     """
-    t = np.asarray(t, dtype=float)
-    df = np.asarray(df, dtype=float)
+    t, df = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(df, dtype=float))
+    if t.size < _TAIL_ARRAY_MIN and (df > 0.0).all():
+        return np.array(
+            [_tail_or_nan(a, b) for a, b in zip(t.ravel().tolist(), df.ravel().tolist())],
+            dtype=float,
+        ).reshape(t.shape)
     tt = t * t
     s = df + tt
     x = df / s
@@ -626,7 +655,9 @@ def anderson_darling_p_masks(values, codes, k: int, masks) -> np.ndarray:
         for n in sizes[1:]:
             H = H + 1.0 / n
         N_int = total.astype(np.int64)
-        sums = np.array([_ad_harmonic_sums(int(t)) for t in N_int])
+        # the sums depend on N only: one lookup per distinct pooled size
+        distinct, which = np.unique(N_int, return_inverse=True)
+        sums = np.array([_ad_harmonic_sums(int(t)) for t in distinct])[which]
         sigma_sq = _ad_variance_from(k, N_int, H, sums[:, 0], sums[:, 1])
         standardized = (a2 - (k - 1)) / np.sqrt(sigma_sq)
     got = _ad_tail_p(k, standardized)

@@ -8,6 +8,9 @@
 * The array removal sets of a search step are exactly the sets
   ``itertools.combinations`` gives, in its order, that a per-set check of
   the constraints accepts.
+* Exhaustive search's class enumerator gives the sets of each depth that
+  ``itertools.combinations`` gives and ``_Feasibility.allows`` accepts:
+  balance classes best first, each in canonical order.
 * A step's best-candidate pool and its lazy-batch ranking equal a
   sequential scan and a Python sort over every candidate.
 * The keeper stores the states that offering every state, one at a time,
@@ -34,7 +37,9 @@ from groupmatch.criteria import (
     CriterionSpec,
     MatchConfig,
     SolutionRank,
+    _compare_balance,
     balance_close,
+    balance_from_counts,
     compare_solutions,
     r_close,
 )
@@ -248,6 +253,79 @@ def test_removal_sets_match_per_set_rule(problem, seed, chunk):
             )
             assert all(len(block) == chunk for block in chunks[:-1])
             assert all(0 < len(block) <= chunk for block in chunks)
+
+
+@st.composite
+def enumerations(draw):
+    """Groups of 1-7 rows, interleaved in row order, with random locks,
+    per-group and total caps, ``min_group_size`` and balance mode."""
+    k = draw(st.integers(2, 4))
+    labels = [f"g{i}" for i in range(k)]
+    locked = frozenset(g for g in labels if draw(st.integers(0, 3)) == 0)
+    min_size = draw(st.integers(1, 2))
+    sizes = [draw(st.integers(1 if g in locked else min_size, 7)) for g in labels]
+    groups = draw(st.permutations([g for g, n in zip(labels, sizes) for _ in range(n)]))
+    dataset = Dataset([f"s{i}" for i in range(len(groups))], groups,
+                      np.zeros((len(groups), 1)), ["x"])
+    precedence = draw(st.none() | st.permutations(labels))
+    config = MatchConfig(
+        criteria=CriteriaSet((CriterionSpec("welch_t", "x", tuple(labels[:2]), 0.2),)),
+        balance_mode="proportions" if precedence is None else "precedence",
+        precedence=precedence,
+        locked_groups=locked,
+        max_removed_per_group={g: draw(st.integers(0, 4)) for g in labels
+                               if g not in locked and draw(st.booleans())},
+        max_removed_total=draw(st.none() | st.integers(0, 5)),
+        min_group_size=min_size,
+    )
+    return dataset, config
+
+
+@SETTINGS
+@given(enumerations(), st.integers(1, 9), st.integers(1, 12))
+def test_class_enumerator_matches_filtered_combinations(problem, chunk, block):
+    dataset, config = problem
+    codes = dataset.group_codes
+    sizes = dataset.group_sizes()
+    feasible = search._Feasibility(dataset, config)
+    rows = feasible.open_rows(np.ones(dataset.n_subjects, dtype=bool),
+                              np.zeros(dataset.n_groups, dtype=np.intp))
+    cap = rows.size if config.max_removed_total is None else config.max_removed_total
+
+    def pattern(combo) -> tuple[int, ...]:
+        return tuple(np.bincount(codes[list(combo)], minlength=dataset.n_groups).tolist())
+
+    for depth in range(min(4, rows.size, cap) + 1):
+        balances = {
+            p: balance_from_counts(dataset, config, sizes - p)
+            for p in search._patterns(feasible.room, depth)
+        }
+        classes = search._balance_classes(balances)
+        with mock.patch.object(search, "_SCORE_CHUNK", chunk), \
+                mock.patch.object(search, "_CLASS_BLOCK", block):
+            chunks = list(search._class_chunks(rows, codes[rows], classes, lambda k: False))
+        assert all(len(c) == chunk for c in chunks[:-1])
+        got = [tuple(c) for block_ in chunks for c in block_.tolist()]
+        want = [c for c in itertools.combinations(rows.tolist(), depth)
+                if feasible.allows(np.array(pattern(c)))]
+        assert sorted(got) == want and len(set(got)) == len(got)
+        # classes in turn, each in the order of itertools.combinations
+        class_of = {p: k for k, patterns in enumerate(classes) for p in patterns}
+        assert [class_of[pattern(c)] for c in got] == sorted(
+            class_of[pattern(c)] for c in got)
+        for patterns in classes:
+            assert ([c for c in got if pattern(c) in patterns]
+                    == [c for c in want if pattern(c) in patterns])
+        # best first: a class's balances chain by balance_close, and each is
+        # better than, and not close to, every balance of a later class
+        for patterns in classes:
+            for a, b in itertools.pairwise(patterns):
+                assert _compare_balance(balances[a], balances[b]) == 0
+                assert not balances[b] < balances[a]
+        for k, patterns in enumerate(classes):
+            for later in classes[k + 1:]:
+                assert all(_compare_balance(balances[a], balances[b]) < 0
+                           for a in patterns for b in later)
 
 
 # ---------------------------------------------------------------------------

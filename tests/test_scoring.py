@@ -560,3 +560,25 @@ class TestStudentTailArray:
         combos = removable_combos(d, keep, set(), 1)
         _, defined, _ = assert_agrees(ev, keep, combos)
         assert not defined.any()
+
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+    def test_scalar_bits_on_both_sides_of_the_crossover(self, offset, monkeypatch):
+        # below _TAIL_ARRAY_MIN elements the scalar function runs, from it
+        # on the array kernel; both must give the scalar bits, with a NaN t,
+        # t = 0, and fractions that converge and fail to converge (NaN)
+        size = stats._TAIL_ARRAY_MIN + offset
+        rng = np.random.default_rng(size)
+        t = rng.normal(0.0, 3.0, size)
+        df = rng.uniform(0.5, 200.0, size)
+        t[:2] = np.nan, 0.0
+        monkeypatch.setattr(stats, "_INCBETA_MAX_ITER", 12)
+        want = []
+        for a, b in zip(t.tolist(), df.tolist()):
+            try:
+                want.append(student_t_sf(a, b))
+            except (UndefinedTestError, ValueError):   # NaN t; no convergence
+                want.append(np.nan)
+        got = student_t_sf_array(t, df)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert np.isnan(got[0]) and got[1] == 1.0
+        assert np.isnan(got[2:]).any() and np.isfinite(got[2:]).any()

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from groupmatch import search
 from groupmatch.criteria import (
     CriteriaEvaluator,
     CriteriaSet,
@@ -28,6 +29,7 @@ from conftest import (
     build_clinical_dataset,
     build_two_group_dataset,
     clinical_config,
+    clinical_criteria,
     welch_only_criteria,
 )
 
@@ -442,7 +444,92 @@ class TestExhaustive:
         assert exhaustive_search(d, base_config(), max_removed=4).excluded_count(d) == 3
 
 
+def unpruned_exhaustive(dataset, config, max_removed=None):
+    """Exhaustive search without balance classes or pruning: each depth's
+    removal sets in the order of ``itertools.combinations``, kept where
+    ``_Feasibility.allows`` accepts them, scored in chunks and offered with
+    the rank computed from each keep-mask."""
+    engine = search._Engine(dataset, config, None)
+    n = dataset.n_subjects
+    bound = n if max_removed is None else max_removed
+    if config.max_removed_total is not None:
+        bound = min(bound, config.max_removed_total)
+    feasible = engine.feasible
+    full = np.ones(n, dtype=bool)
+    rows = feasible.open_rows(full, np.zeros(dataset.n_groups, dtype=np.intp))
+    bound = min(bound, int(feasible.room.sum()), rows.size)
+    keeper = search._Keeper(engine, "exhaustive", {"max_removed": bound})
+    for depth in range(bound + 1):
+        sets = np.array(list(itertools.combinations(rows.tolist(), depth)),
+                        dtype=np.intp).reshape(math.comb(rows.size, depth), depth)
+        sets = sets[feasible.allows(feasible.group_counts(sets))]
+        for start in range(0, len(sets), 1024):
+            chunk = sets[start:start + 1024]
+            masks = np.ones((len(chunk), n), dtype=bool)
+            masks[np.arange(len(chunk))[:, None], chunk] = False
+            keeper.offer_chunk(engine.score(full, chunk), masks.sum(axis=1),
+                               masks.__getitem__)
+        if keeper.matches:
+            break
+    return keeper.report()
+
+
+def assert_same_report(pruned, reference):
+    assert ([s.keep.tobytes() for s in pruned.solutions]
+            == [s.keep.tobytes() for s in reference.solutions])
+    assert repr(pruned.rank) == repr(reference.rank)
+    assert repr(pruned.p_values) == repr(reference.p_values)
+    assert pruned.success == reference.success
+    assert pruned.evaluations <= reference.evaluations
+
+
+class TestBalancePruning:
+    """Pruned exhaustive search stores and reports what an unpruned scan of
+    every depth in canonical order does; only ``evaluations`` may fall."""
+
+    @pytest.mark.parametrize("chunk", [search._SCORE_CHUNK, 16])
+    def test_oracle_instances(self, chunk, monkeypatch):
+        # each depth of these instances fits in one chunk of 1,024 sets, so
+        # pruning skips classes only with smaller chunks
+        from golden_corpus import oracle_instances
+
+        monkeypatch.setattr(search, "_SCORE_CHUNK", chunk)
+        fewer = 0
+        for _, d, cfg in oracle_instances():
+            pruned = exhaustive_search(d, cfg)
+            reference = unpruned_exhaustive(d, cfg)
+            assert_same_report(pruned, reference)
+            fewer += pruned.evaluations < reference.evaluations
+        assert (fewer > 0) == (chunk < 1024)
+
+    def test_clinical_fixture_in_precedence_mode(self):
+        # 3 removals over the three unlocked groups: 10 count patterns, each
+        # its own class in precedence mode; the match lies in the 8th class
+        d = build_clinical_dataset()
+        cfg = clinical_config(criteria=clinical_criteria(alpha=0.05))
+        pruned = exhaustive_search(d, cfg, max_removed=3)
+        reference = unpruned_exhaustive(d, cfg, max_removed=3)
+        assert_same_report(pruned, reference)
+        assert pruned.success and pruned.rank.preserved == d.n_subjects - 3
+        assert pruned.evaluations < reference.evaluations
+
+
 class TestFeasibilityArithmetic:
+    def test_pattern_counts_sum_to_the_generating_function(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            sizes = rng.integers(1, 40, size=int(rng.integers(2, 6))).tolist()
+            rooms = [int(rng.integers(0, s + 1)) for s in sizes]
+            bound = int(rng.integers(0, 12))
+            counted = 0
+            for depth in range(bound + 1):
+                patterns = search._patterns(rooms, depth)
+                assert patterns == sorted(set(patterns))
+                assert all(sum(p) == depth and all(0 <= c <= r for c, r in zip(p, rooms))
+                           for p in patterns)
+                counted += sum(math.prod(map(math.comb, sizes, p)) for p in patterns)
+            assert counted == search._count_removal_sets(sizes, rooms, bound)
+
     def test_known_counts(self):
         assert count_configurations(40, 3) == 10_701
         assert count_configurations(40, 5) == 760_099
@@ -581,3 +668,23 @@ class TestFeasibilityArithmetic:
             assert combos[:, 0].tolist() == list(range(d.n_subjects))
         assert est.rate == pytest.approx(3 * d.n_subjects / 5.0)
         assert est.seconds == pytest.approx(est.configurations / est.rate)
+
+    def test_estimate_calibrates_on_the_rows_search_may_remove(self, monkeypatch):
+        # a locked group's rows are never removed, so they are not timed
+        d = build_two_group_dataset(15, 0.5, seed=14)
+        seen = []
+        score = CriteriaEvaluator.score_removals
+
+        def recording(self, keep, combos):
+            seen.extend(np.asarray(combos).ravel().tolist())
+            return score(self, keep, combos)
+
+        monkeypatch.setattr(CriteriaEvaluator, "score_removals", recording)
+        cfg = base_config(locked_groups=frozenset({"A"}))
+        estimate_exhaustive(d, cfg, 2, calibration_seconds=0.01)
+        assert set(seen) == set(d.group_index["B"].tolist())
+        # nothing to remove: the full set alone is timed
+        seen.clear()
+        estimate_exhaustive(d, base_config(max_removed_total=0), 2,
+                            calibration_seconds=0.01)
+        assert seen == []
