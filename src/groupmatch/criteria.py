@@ -25,6 +25,7 @@ from .stats import (
     BUILTIN_WELCH,
     TestFunction,
     TestRegistry,
+    _mean_ss,
     _per_mask_p,
     anderson_darling_p_masks,
     default_registry,
@@ -530,9 +531,9 @@ class CriteriaEvaluator:
         on ``keep`` less each removal set (see ``_welch_downdated``)."""
         values = column[idx[keep[idx]]]
         n = values.size
-        mean = values.mean() if n else 0.0
-        dev = values - mean
-        ss = float(np.sum(dev * dev))
+        # welch_t's own moments, so a set that takes no row of the group
+        # leaves the bits of its p as they are
+        mean, ss = _mean_ss(values) if n else (0.0, 0.0)
         in_group = self.dataset.group_codes[combos] == self.dataset.group_codes[idx[0]]
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.where(in_group, column[combos] - mean, 0.0)

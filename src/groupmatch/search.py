@@ -19,27 +19,30 @@ All randomness flows from one generator seeded by the config, so identical
 (dataset, config, seed) triples replay identically.  Searches run on one
 thread; the ``threads`` setting is accepted and does not change a result.
 
-The constructive and exhaustive searches generate removal sets as (m, L)
-row arrays that keep every limit (``_Feasibility``: locks, per-group and
-total caps and the minimum group size, one rule set for every search) and
-score them through one loop, ``_scored``: ``_SCORE_CHUNK`` sets per
+The constructive and exhaustive searches build their removal sets, as
+(m, L) row arrays, from the per-group count patterns that keep every limit
+(``_Feasibility``: locks, per-group and total caps and the minimum group
+size, one rule set for every search; ``_patterns``, ``_lex_sets``), so no
+set of an infeasible pattern is generated.  They score them through one
+loop, ``_scored``: ``_SCORE_CHUNK`` sets per
 ``CriteriaEvaluator.score_removals`` call, with the clock (``time_limit``)
-read before each call and once after the last.  A constructive step takes
-its sets in the order of ``itertools.combinations`` and holds its
-candidates as arrays: the sets, their r, and an index into the balances of
-the distinct per-group removal counts.  Random search makes and charges its
-draws one at a time, in chunks of ``MASK_BLOCK_CELLS`` cells that are
-scored with one ``CriteriaEvaluator.score_masks`` call each; it reads the
-clock between chunks.
+read before each call and once after the last.  A set's balance depends on
+its pattern alone.  Random search makes and charges its draws one at a
+time, in chunks of ``MASK_BLOCK_CELLS`` cells that are scored with one
+``CriteriaEvaluator.score_masks`` call each; it reads the clock between
+chunks.
 
-Exhaustive search builds each depth from its feasible per-group count
-patterns (``_patterns``), so no set of an infeasible pattern is
-generated.  A set's balance depends on its pattern alone, so the patterns
-go in balance classes, best first (``_balance_classes``); within a class
-the sets keep the order of ``itertools.combinations``.  Chunks may span
-classes.  Once a match is stored, the classes after its own are skipped,
-since none of their states could be stored; ``evaluations`` counts only the
-states scored.
+A constructive step skips the patterns that a criterion-locality bound
+shows cannot change it (``_evaluate_step``).  It holds the sets it scores
+in the order of ``itertools.combinations``, as arrays: the sets, their r,
+and an index into the balances of their patterns.
+
+Exhaustive search puts each depth's patterns in balance classes, best
+first (``_balance_classes``); within a class the sets keep the order of
+``itertools.combinations``.  Chunks may span classes.  Once a match is
+stored, the classes after its own are skipped, since none of their states
+could be stored.  In every search ``evaluations`` counts only the states
+scored.
 
 One keeper (``_Keeper``) serves every search: it stores the matches and
 the best failing state, and builds the result.  An array prefilter picks
@@ -78,7 +81,7 @@ from .criteria import (
 )
 from .dataset import Dataset, SubsetState
 from .errors import BudgetExceededError, UndefinedTestError, ValidationError, scalar_fits
-from .stats import TestRegistry
+from .stats import BUILTIN_AD, TestRegistry
 
 __all__ = [
     "TraceStep",
@@ -157,7 +160,10 @@ class _Budget:
     Every candidate state is charged the full criteria count before it is
     evaluated, whether or not a test turns out to be undefined partway
     through, so the counter does not depend on evaluation order or on how
-    a removal set was scored.
+    a removal set was scored.  Only the states scored are charged: the
+    count depends on which count patterns a constructive step's bound
+    rules out, and which classes exhaustive search prunes, and both are
+    pure functions of (dataset, config, seed), so the count is one too.
     """
 
     def __init__(self, ceiling: int, per_state: int):
@@ -185,7 +191,6 @@ class _Feasibility:
 
     def __init__(self, dataset: Dataset, config: MatchConfig):
         self.codes = dataset.group_codes
-        self.groups = np.arange(dataset.n_groups)
         room = []
         for size, g in zip(dataset.group_sizes().tolist(), dataset.group_labels):
             if g in config.locked_groups:
@@ -205,27 +210,12 @@ class _Feasibility:
             ok &= removed.sum(axis=-1) <= self.cap
         return ok
 
-    def group_counts(self, sets: np.ndarray) -> np.ndarray:
-        """(m, n_groups) rows that each of m removal sets takes per group."""
-        return (self.codes[sets][:, :, None] == self.groups).sum(axis=1)
-
     def open_rows(self, keep: np.ndarray, removed: np.ndarray, size: int = 1):
         """Kept rows of the groups with room left, ascending; none when
         ``size`` more removals would pass the total cap."""
         if self.cap is not None and int(removed.sum()) + size > self.cap:
             return np.empty(0, dtype=np.intp)
         return np.flatnonzero(keep & (removed < self.room)[self.codes])
-
-    def removal_sets(self, rows: np.ndarray, size: int, removed: np.ndarray):
-        """Every ``size``-subset of ``rows`` (open rows) that keeps the
-        limits on top of ``removed``, as (m, size) arrays of
-        ``_SCORE_CHUNK`` sets, in the order of ``itertools.combinations``."""
-        sets = _removal_sets(rows, size)
-        if size < 2:
-            return sets   # open rows are feasible one at a time
-        return _rechunk(
-            chunk[self.allows(removed + self.group_counts(chunk))] for chunk in sets
-        )
 
 
 def _removal_sets(rows: np.ndarray, size: int):
@@ -260,21 +250,6 @@ def _removal_sets(rows: np.ndarray, size: int):
             yield flat.reshape(-1, size)
 
 
-def _rechunk(chunks):
-    """The sets of ``chunks`` regrouped into chunks of ``_SCORE_CHUNK``."""
-    held: list[np.ndarray] = []
-    count = 0
-    for chunk in chunks:
-        held.append(chunk)
-        count += len(chunk)
-        while count >= _SCORE_CHUNK:
-            merged = np.concatenate(held)
-            yield merged[:_SCORE_CHUNK]
-            held, count = [merged[_SCORE_CHUNK:]], count - _SCORE_CHUNK
-    if count:
-        yield np.concatenate(held)
-
-
 class _Engine:
     """Shared machinery: bound evaluator, budget, rng, feasibility rules."""
 
@@ -284,7 +259,8 @@ class _Engine:
         config: MatchConfig,
         registry: TestRegistry | None,
     ):
-        config.validate_for(dataset, registry or _default_registry())
+        registry = registry or _default_registry()
+        config.validate_for(dataset, registry)
         self.dataset = dataset
         self.config = config
         self.evaluator = CriteriaEvaluator(dataset, config.criteria, registry)
@@ -296,6 +272,16 @@ class _Engine:
             self.locked_mask[dataset.group_index[g]] = True
         self.feasible = _Feasibility(dataset, config)
         self.alphas = np.array([c.alpha for c in config.criteria])
+        # touches[g, j]: taking a row of group g may change criterion j's p
+        # as score_removals gives it.  A criterion reads only its own
+        # groups, but the Anderson-Darling batch kernel sums in another
+        # order than anderson_darling_p, so its last bits may differ on any
+        # set: every group touches it
+        self.touches = np.array([
+            [g in c.group_subset or registry.get(c.test_name) is BUILTIN_AD
+             for c in config.criteria]
+            for g in dataset.group_labels
+        ], dtype=np.intp)
         self.deadline: float | None = None
 
     def start_clock(self, started: float) -> None:
@@ -319,14 +305,16 @@ class _Engine:
         rs[defined] = np.min(ps[defined] / self.alphas, axis=1)
         return rs
 
-    def evaluate_one(self, keep: np.ndarray) -> float | None:
-        """r of ``keep``, charged as one evaluation; None when a test is
-        undefined for this subset."""
+    def evaluate_one(self, keep: np.ndarray) -> tuple[float | None, np.ndarray | None]:
+        """(r, r_j) of ``keep``, charged as one evaluation: r_j is each
+        criterion's p_j / alpha_j; both None when a test is undefined for
+        this subset."""
         self.budget.charge_states(1)
         try:
-            return self.evaluator.evaluate(keep)[0]
+            r, ps = self.evaluator.evaluate(keep)
         except UndefinedTestError:
-            return None
+            return None, None
+        return r, np.array(ps) / self.alphas
 
     def rank(self, keep: np.ndarray, r: float) -> SolutionRank:
         return solution_rank(self.dataset, keep, self.config, r)
@@ -518,7 +506,7 @@ def random_search(
     # the full set is always evaluated first: an already-matched dataset
     # needs no removals at all
     full = np.ones(n, dtype=bool)
-    r = engine.evaluate_one(full)
+    r, _ = engine.evaluate_one(full)
     if r is not None:
         keeper.offer(full, r)
 
@@ -587,7 +575,7 @@ class _StepCandidates:
     combos: np.ndarray         # (m, L) rows of each set
     rs: np.ndarray             # (m,) match score of each set
     balance_index: np.ndarray  # (m,) position of each set's balance in balances
-    balances: list             # balance of each distinct per-group count pattern
+    balances: list             # balance of each count pattern scored
 
 
 class _OutOfTime(Exception):
@@ -607,31 +595,71 @@ def _scored(engine: _Engine, keep: np.ndarray, chunks):
     raise _OutOfTime
 
 
-def _evaluate_step(engine: _Engine, walk: _Walk, size: int) -> _StepCandidates | None:
-    """Score every feasible removal set of ``size`` rows; None when no set
-    is feasible and defined.  Raises _OutOfTime (see ``_scored``)."""
+def _evaluate_step(
+    engine: _Engine, walk: _Walk, size: int, ceiling: np.ndarray | None
+) -> _StepCandidates | None:
+    """Score the feasible removal sets of ``size`` rows that can win the
+    step, whole count patterns at a time; None when no set is feasible and
+    defined.  Raises _OutOfTime (see ``_scored``).
+
+    The sets are those of the feasible per-group count patterns over the
+    room left (``_patterns``, ``_lex_sets``).  With a ``ceiling``, the r_j
+    of the walk's state (``_Engine.evaluate_one``), each pattern's sets
+    have r at most its bound B (``_pattern_bounds``).  The patterns of
+    highest B go first; then, while some pattern left has a B not below
+    the ``r_close`` chain floor of the sets scored so far, or ``r_close``
+    to it, those patterns go.  Every set left has r below that floor and not ``r_close`` to it,
+    so it could neither join nor break the chain at the top of the step,
+    which is all ``_argmax_pool`` scans.  The sets scored come back in the
+    order of ``itertools.combinations``.
+    """
     rows = engine.feasible.open_rows(walk.keep, walk.removed_counts, size)
-    sets = engine.feasible.removal_sets(rows, size, walk.removed_counts)
-    kept: list[np.ndarray] = []
-    rs: list[np.ndarray] = []
-    for chunk, scored in _scored(engine, walk.keep, sets):
-        defined = ~np.isnan(scored)
-        kept.append(chunk[defined])
-        rs.append(scored[defined])
-    if not sum(len(c) for c in kept):
+    patterns = _patterns(engine.feasible.room - walk.removed_counts, size)
+    if not rows.size or not patterns:
         return None
-    combos = np.concatenate(kept)
-    # a set's balance depends only on how many rows it takes from each
-    # group: key the sets by their sorted group codes
-    d = engine.dataset
-    codes = np.sort(d.group_codes[combos], axis=1)
-    keys = np.ravel_multi_index(tuple(codes.T), (d.n_groups,) * size)
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    counts = (
-        engine.sizes - walk.removed_counts - engine.feasible.group_counts(combos[first])
-    )
-    balances = [balance_from_counts(d, engine.config, c) for c in counts]
-    return _StepCandidates(combos, np.concatenate(rs), index, balances)
+    patterns = np.array(patterns)
+    bounds = (np.full(len(patterns), np.inf) if ceiling is None
+              else _pattern_bounds(engine.touches, patterns, ceiling))
+    codes = engine.dataset.group_codes[rows]
+    done = np.zeros(len(patterns), dtype=bool)
+    todo = bounds == bounds.max()
+    sets: list[np.ndarray] = []
+    tags: list[np.ndarray] = []   # the pattern of each set
+    rs: list[np.ndarray] = []
+    while todo.any():
+        done |= todo
+        blocks = [(block, i) for i in np.flatnonzero(todo).tolist()
+                  for block in _lex_sets(rows, codes, patterns[i:i + 1])]
+        fresh = np.concatenate([block for block, _ in blocks])
+        sets.append(fresh)
+        tags.extend(np.full(len(block), i) for block, i in blocks)
+        chunks = (fresh[s:s + _SCORE_CHUNK] for s in range(0, len(fresh), _SCORE_CHUNK))
+        rs.extend(scored for _, scored in _scored(engine, walk.keep, chunks))
+        got = np.concatenate(rs)
+        got = got[~np.isnan(got)]
+        floor = _chain_floor(got) if got.size else -np.inf
+        todo = ~done & ~((bounds < floor) & _apart(bounds, floor))
+    rs_all = np.concatenate(rs)
+    defined = ~np.isnan(rs_all)
+    if not defined.any():
+        return None
+    combos = np.concatenate(sets)[defined]
+    order = np.lexsort(combos.T[::-1])
+    index = (np.cumsum(done) - 1)[np.concatenate(tags)[defined]]
+    left = engine.sizes - walk.removed_counts   # rows kept per group
+    balances = [
+        balance_from_counts(engine.dataset, engine.config, left - p) for p in patterns[done]
+    ]
+    return _StepCandidates(combos[order], rs_all[defined][order], index[order], balances)
+
+
+def _pattern_bounds(touches: np.ndarray, patterns: np.ndarray, ceiling: np.ndarray):
+    """The bound B of each count pattern (a row of ``patterns``): the
+    lowest ``ceiling[j]`` over the criteria j it leaves untouched (it takes
+    no row of a group g with ``touches[g, j]``); +inf when it touches every
+    criterion.  No removal set of the pattern has a higher r."""
+    untouched = patterns @ touches == 0
+    return np.where(untouched, ceiling, np.inf).min(axis=1)
 
 
 def _cap_pool(engine: _Engine, pool: list) -> list:
@@ -660,16 +688,18 @@ def _best_by_r(items: Sequence, rs: list[float]) -> list:
     return best
 
 
+def _apart(a, b) -> np.ndarray:
+    """Elementwise: a and b are not ``r_close``."""
+    return np.abs(a - b) > RANK_REL_TOL * np.maximum(np.abs(a), np.abs(b))
+
+
 def _chain_floor(rs: np.ndarray) -> float:
     """The lowest r of the ``r_close`` chain at the top of ``rs`` (no NaN):
     the r above the first gap, in descending order, between two values
     that are not ``r_close``.  No r below the gap is ``r_close`` to one
     above it, since r >= 0."""
     ordered = np.sort(rs)[::-1]
-    upper, lower = ordered[:-1], ordered[1:]
-    gaps = np.flatnonzero(
-        np.abs(upper - lower) > RANK_REL_TOL * np.maximum(np.abs(upper), np.abs(lower))
-    )
+    gaps = np.flatnonzero(_apart(ordered[:-1], ordered[1:]))
     return ordered[gaps[0]] if gaps.size else ordered[-1]
 
 
@@ -787,7 +817,7 @@ def _constructive(
 
     while True:
         stale_r = r
-        r = engine.evaluate_one(walk.keep)
+        r, ceiling = engine.evaluate_one(walk.keep)
         done = int(walk.removed_counts.sum()) - len(removed_now)
         for idx, row in enumerate(removed_now):
             last = idx == len(removed_now) - 1
@@ -808,15 +838,6 @@ def _constructive(
                 return keeper.report(trace)
             careful = careful or r >= config.reversion_threshold
 
-        try:
-            step = _evaluate_step(engine, walk, set_size)
-        except _OutOfTime:
-            return keeper.report(trace, timed_out=True)
-        if step is None:
-            break
-        pool = _argmax_pool(engine, step)
-        first = select(engine, walk, step, pool)
-
         batch_limit = 1
         if not careful:
             batch_limit = config.batch_size
@@ -825,6 +846,19 @@ def _constructive(
                     walk.keep, walk.removed_counts
                 ).size
                 batch_limit = max(1, int(config.batch_fraction * remaining))
+        # a batch is planned from the ranking of every candidate, so a step
+        # that may remove more than one row skips none
+        try:
+            step = _evaluate_step(
+                engine, walk, set_size, ceiling if batch_limit == 1 else None
+            )
+        except _OutOfTime:
+            return keeper.report(trace, timed_out=True)
+        if step is None:
+            break
+        pool = _argmax_pool(engine, step)
+        first = select(engine, walk, step, pool)
+
         plan = [first]
         if batch_limit > 1:
             for row in step.combos[_batch_order(step), 0].tolist():

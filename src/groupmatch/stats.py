@@ -29,7 +29,6 @@ __all__ = [
     "WelchResult",
     "ADResult",
     "default_registry",
-    "regularized_incomplete_beta",
     "student_t_sf",
     "student_t_sf_array",
     "welch_t",
@@ -180,34 +179,6 @@ def _incbeta_cf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray
                 open_ = np.ones(n_open, dtype=bool)
                 aa, am2, tmp = (np.empty(n_open) for _ in range(3))
     return out
-
-
-def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1], to near machine precision.
-
-    Uses the continued-fraction expansion on whichever side of the
-    crossover point converges fast, with the symmetry
-    I_x(a, b) = 1 - I_{1-x}(b, a).
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _incbeta_cf(a, b, x) / a
-    return 1.0 - front * _incbeta_cf(b, a, 1.0 - x) / b
 
 
 # The Student t tail's prefactor is built from +, -, *, /, frexp, ldexp and
@@ -431,6 +402,16 @@ def _as_sample(values, minimum: int) -> np.ndarray:
     return arr
 
 
+def _mean_ss(xs: np.ndarray) -> tuple[float, float]:
+    """The mean and the sum of squared deviations of a non-empty 1-D float
+    sample, in numpy's own operation order: the mean has the bits of
+    ``xs.mean()``, and ss / (n - 1) those of ``xs.var(ddof=1)``, without
+    the per-call overhead of those methods."""
+    m = np.add.reduce(xs) / xs.size
+    d = xs - m
+    return float(m), float(np.add.reduce(d * d))
+
+
 def welch_t(x, y) -> WelchResult:
     """Welch's two-sample t-test with Satterthwaite degrees of freedom.
 
@@ -441,9 +422,9 @@ def welch_t(x, y) -> WelchResult:
     xs = _as_sample(x, 2)
     ys = _as_sample(y, 2)
     nx, ny = xs.size, ys.size
-    mx, my = float(xs.mean()), float(ys.mean())
-    vx = float(xs.var(ddof=1))
-    vy = float(ys.var(ddof=1))
+    mx, ssx = _mean_ss(xs)
+    my, ssy = _mean_ss(ys)
+    vx, vy = ssx / (nx - 1), ssy / (ny - 1)
     if vx == 0.0 and vy == 0.0:
         if mx == my:
             return WelchResult(0.0, float(nx + ny - 2), 1.0)

@@ -5,9 +5,12 @@
   minimum group size, under every setting of the batching and random-draw
   options.
 * A run replays identically under the same seed.
-* The array removal sets of a search step are exactly the sets
-  ``itertools.combinations`` gives, in its order, that a per-set check of
-  the constraints accepts.
+* The removal sets of a search step, built from its count patterns, are
+  exactly the sets ``itertools.combinations`` gives, in its order, that a
+  per-set check of the constraints accepts.
+* A step that skips the count patterns its criterion-locality bound rules
+  out gives the run of a step that scores every set, and no scored set
+  has an r above its bound.
 * Exhaustive search's class enumerator gives the sets of each depth that
   ``itertools.combinations`` gives and ``_Feasibility.allows`` accepts:
   balance classes best first, each in canonical order.
@@ -17,6 +20,8 @@
   to the pool rules stores.
 * The scalar and the array Student t tails give the same bits, for int,
   float and numpy float inputs alike.
+* ``welch_t`` gives the bits of the same test written with ``.mean()`` and
+  ``.var(ddof=1)``.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from groupmatch.criteria import (
 )
 from groupmatch.dataset import Dataset
 from groupmatch.errors import UndefinedTestError
-from groupmatch.stats import student_t_sf, student_t_sf_array
+from groupmatch.stats import WelchResult, student_t_sf, student_t_sf_array, welch_t
 
 # fixed examples, and no example database written next to the tests
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -226,33 +231,34 @@ def reference_sets(dataset, room, cap, keep, removed, size):
 @given(problems(), st.integers(0, 2**32 - 1), st.integers(1, 7))
 def test_removal_sets_match_per_set_rule(problem, seed, chunk):
     dataset, config = problem
-    feasible = search._Feasibility(dataset, config)
+    engine = search._Engine(dataset, config, None)
     room = room_of(dataset, config)
-    assert feasible.room.tolist() == room.tolist()
+    assert engine.feasible.room.tolist() == room.tolist()
     # walk a few random feasible removals, then enumerate every step size
     rng = np.random.default_rng(seed)
-    keep = np.ones(dataset.n_subjects, dtype=bool)
-    removed = np.zeros(dataset.n_groups, dtype=np.intp)
+    walk = search._Walk(engine)
     for _ in range(int(rng.integers(0, 4))):
-        rows = feasible.open_rows(keep, removed)
+        rows = engine.feasible.open_rows(walk.keep, walk.removed_counts)
         if not rows.size:
             break
-        row = int(rng.choice(rows))
-        keep[row] = False
-        removed[dataset.group_codes[row]] += 1
-    with mock.patch.object(search, "_SCORE_CHUNK", chunk):
-        for size in range(0, 4):
-            rows = feasible.open_rows(keep, removed, max(size, 1))
-            chunks = list(feasible.removal_sets(rows, size, removed))
-            got = [tuple(c) for block in chunks for c in block.tolist()]
-            if size == 0:
-                assert got == [()]
-                continue
-            assert got == reference_sets(
-                dataset, room, config.max_removed_total, keep, removed, size
-            )
-            assert all(len(block) == chunk for block in chunks[:-1])
-            assert all(0 < len(block) <= chunk for block in chunks)
+        walk.remove(int(rng.choice(rows)))
+    sizes: list[int] = []   # of the chunks scored
+
+    def score(keep, combos):
+        sizes.append(len(combos))
+        return np.zeros(len(combos))
+
+    with mock.patch.object(search, "_SCORE_CHUNK", chunk), \
+            mock.patch.object(engine, "score", score):
+        for size in range(1, 4):
+            sizes.clear()
+            # no bound: the step scores every set, in one pass
+            step = search._evaluate_step(engine, walk, size, None)
+            got = [] if step is None else [tuple(c) for c in step.combos.tolist()]
+            assert got == reference_sets(dataset, room, config.max_removed_total,
+                                         walk.keep, walk.removed_counts, size)
+            assert all(n == chunk for n in sizes[:-1])
+            assert all(0 < n <= chunk for n in sizes)
 
 
 @st.composite
@@ -326,6 +332,101 @@ def test_class_enumerator_matches_filtered_combinations(problem, chunk, block):
             for later in classes[k + 1:]:
                 assert all(_compare_balance(balances[a], balances[b]) < 0
                            for a in patterns for b in later)
+
+
+@st.composite
+def local_problems(draw):
+    """3-4 groups of 3-6 rows, interleaved, with two covariates shifted by
+    group, random locks, caps, ``min_group_size`` and balance mode, under
+    2-6 criteria, each on x or y: Welch or Anderson-Darling on a pair of
+    groups, or Anderson-Darling on all of them, so that many removal sets
+    leave some criterion untouched."""
+    k = draw(st.integers(3, 4))
+    labels = [f"g{i}" for i in range(k)]
+    sizes = [draw(st.integers(3, 6)) for _ in labels]
+    groups = draw(st.permutations([g for g, n in zip(labels, sizes) for _ in range(n)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = {g: rng.normal(0.0, 1.5, 2) for g in labels}
+    values = np.array([rng.normal(shift[g], 1.0) for g in groups])
+    if draw(st.booleans()):
+        values = np.round(values)   # ties and constant groups
+    dataset = Dataset([f"s{i}" for i in range(len(groups))], groups, values, ["x", "y"])
+    options = [(test, c, pair) for test in ("welch_t", "anderson_darling")
+               for c in ("x", "y") for pair in itertools.combinations(labels, 2)]
+    options += [("anderson_darling", c, tuple(labels)) for c in ("x", "y")]
+    chosen = draw(st.lists(st.sampled_from(options), min_size=2, max_size=6, unique=True))
+    alpha = draw(st.sampled_from([0.2, 0.5]))
+    locked = frozenset(g for g in labels if draw(st.integers(0, 4)) == 0)
+    precedence = draw(st.none() | st.permutations(labels))
+    config = MatchConfig(
+        criteria=CriteriaSet(tuple(CriterionSpec(*c, alpha) for c in chosen)),
+        balance_mode="proportions" if precedence is None else "precedence",
+        precedence=precedence,
+        locked_groups=locked,
+        max_removed_per_group={g: draw(st.integers(1, 4)) for g in labels
+                               if g not in locked and draw(st.integers(0, 3)) == 0},
+        max_removed_total=draw(st.none() | st.integers(2, 8)),
+        min_group_size=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 1000)),
+        pool_cap=draw(st.integers(1, 4)),
+    )
+    return dataset, config
+
+
+def no_bound(touches, patterns, ceiling):
+    return np.full(len(patterns), np.inf)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(local_problems(), st.sampled_from(["greedy", "h3", "h4"]), st.integers(1, 3),
+       st.sampled_from([1, 3]))
+def test_skipped_patterns_change_nothing(problem, variant, size, batch):
+    dataset, config = problem
+    size = 1 if variant == "greedy" else size
+    config = unbatched(config).with_(lookahead=size, batch_size=batch if size == 1 else 1)
+
+    def run():
+        try:
+            if variant == "greedy":
+                return outcome(search.greedy_search(dataset, config))
+            return outcome(search.lookahead_search(dataset, config, variant))
+        except UndefinedTestError:
+            return None
+
+    # on a criterion that a scored set leaves untouched (``_Engine.touches``:
+    # it takes no row of the criterion's groups, and the test is not the
+    # built-in Anderson-Darling), the batch p has the bits of the p that
+    # evaluate gives the state the set is scored from; so the set's r is no
+    # higher than its bound, the lowest of those p_j / alpha_j
+    alphas = [spec.alpha for spec in config.criteria]
+    score = search._Engine.score
+
+    def checked(engine, keep, combos):
+        combos = np.asarray(combos, dtype=np.intp)
+        rs = score(engine, keep, combos)
+        evaluator = engine.evaluator
+        try:
+            _, ps = evaluator.evaluate(keep)
+        except UndefinedTestError:
+            return rs
+        p, _ = evaluator.score_removals(keep, combos)
+        for combo, r, row in zip(combos.tolist(), rs.tolist(), p.tolist()):
+            untouched = np.flatnonzero(
+                engine.touches[dataset.group_codes[combo]].sum(axis=0) == 0).tolist()
+            assert all(math.isnan(row[j]) or row[j] == ps[j] for j in untouched)
+            assert not r > min((ps[j] / alphas[j] for j in untouched), default=math.inf)
+        return rs
+
+    with mock.patch.object(search._Engine, "score", checked):
+        skipping = run()
+    with mock.patch.object(search, "_pattern_bounds", no_bound):
+        scoring_all = run()
+    if skipping is None:
+        assert scoring_all is None
+        return
+    # the same solutions, trace, rank, p-values and success; fewer evaluations at most
+    assert skipping[:4] + skipping[5:] == scoring_all[:4] + scoring_all[5:]
+    assert skipping[4] <= scoring_all[4]
 
 
 # ---------------------------------------------------------------------------
@@ -539,3 +640,52 @@ def test_student_tail_scalar_and_array_bits_agree(pairs):
     df = np.array([float(v) for _, v in pairs])
     want = np.array([scalar_tail(a, b) for a, b in pairs])
     assert student_t_sf_array(t, df).tobytes() == want.tobytes()
+
+
+def reference_welch(x, y) -> WelchResult:
+    """``welch_t`` with its moments from ``.mean()`` and ``.var(ddof=1)``."""
+    nx, ny = x.size, y.size
+    mx, my = float(x.mean()), float(y.mean())
+    vx, vy = float(x.var(ddof=1)), float(y.var(ddof=1))
+    if vx == 0.0 and vy == 0.0:
+        if mx == my:
+            return WelchResult(0.0, float(nx + ny - 2), 1.0)
+        raise UndefinedTestError("constant samples with different means")
+    sx, sy = vx / nx, vy / ny
+    se2 = sx + sy
+    t = (mx - my) / math.sqrt(se2)
+    df = se2 * se2 / (sx * sx / (nx - 1) + sy * sy / (ny - 1))
+    return WelchResult(t, df, student_t_sf(t, df))
+
+
+@st.composite
+def welch_samples(draw):
+    """A sample of 2-3,000 values: normal with a mean up to +-1e3 and a
+    standard deviation from 1e-3 to 1e3, or constant, or drawn as floats."""
+    n = draw(st.sampled_from([2, 2, 3]) | st.integers(2, 3000))
+    kind = draw(st.sampled_from(["normal", "normal", "constant", "floats"]))
+    if kind == "constant":
+        return np.full(n, draw(st.floats(-1e3, 1e3)))
+    if kind == "floats":
+        return np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return rng.normal(draw(st.floats(-1e3, 1e3)), scale, n)
+
+
+def welch_outcome(test, x, y):
+    """The bits of (t, df, p), or the type of the exception raised.  Where
+    var / n squared underflows to 0 (values near 1e-115, say), both
+    versions divide by zero for df: ``welch_t`` raises ZeroDivisionError
+    there, a known defect, and the reference must raise it too."""
+    try:
+        res = test(x, y)
+    except (UndefinedTestError, ZeroDivisionError) as exc:
+        return type(exc)
+    return np.array([res.statistic, res.df, res.p_value]).tobytes()
+
+
+@RANKING
+@given(welch_samples(), welch_samples())
+def test_welch_moments_match_numpy_methods(x, y):
+    assert welch_outcome(welch_t, x, y) == welch_outcome(reference_welch, x, y)

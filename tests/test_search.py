@@ -231,18 +231,20 @@ class TestLookahead:
         )
 
     def test_time_limit_checked_between_chunks(self):
-        # the first L=2 step on the clinical fixture scores every pair of its
-        # 94 unlocked subjects, far longer than the limit: the search stops
-        # after a chunk of that step instead of finishing it
+        # the first L=3 step on the clinical fixture scores 65,403 of the
+        # triples of its 94 unlocked subjects (the patterns its bound rules
+        # out skipped), 27,950 of them in its first pass: far longer than
+        # the limit, so the search stops after a chunk of that pass instead
+        # of finishing the pass or the step
         d = build_clinical_dataset()
-        cfg = clinical_config(lookahead=2, time_limit=0.01)
+        cfg = clinical_config(lookahead=3, time_limit=0.01)
         started = time.perf_counter()
         result = lookahead_search(d, cfg, "h3")
         elapsed = time.perf_counter() - started
-        first_step = math.comb(d.n_subjects - len(d.group_index["SLI"]), 2)
+        first_pass = 27_950
         assert result.timed_out and not result.success
         assert result.trace == ()
-        assert result.evaluations < len(cfg.criteria) * (1 + first_step)
+        assert result.evaluations < len(cfg.criteria) * (1 + first_pass)
         assert elapsed < 1.0
 
     def test_low_reversion_threshold_disables_batching(self):
@@ -462,7 +464,9 @@ def unpruned_exhaustive(dataset, config, max_removed=None):
     for depth in range(bound + 1):
         sets = np.array(list(itertools.combinations(rows.tolist(), depth)),
                         dtype=np.intp).reshape(math.comb(rows.size, depth), depth)
-        sets = sets[feasible.allows(feasible.group_counts(sets))]
+        per_group = (dataset.group_codes[sets][:, :, None]
+                     == np.arange(dataset.n_groups)).sum(axis=1)
+        sets = sets[feasible.allows(per_group)]
         for start in range(0, len(sets), 1024):
             chunk = sets[start:start + 1024]
             masks = np.ones((len(chunk), n), dtype=bool)
@@ -512,6 +516,67 @@ class TestBalancePruning:
         assert_same_report(pruned, reference)
         assert pruned.success and pruned.rank.preserved == d.n_subjects - 3
         assert pruned.evaluations < reference.evaluations
+
+
+def unbounded(touches, patterns, ceiling):
+    """``search._pattern_bounds`` that rules out no pattern."""
+    return np.full(len(patterns), np.inf)
+
+
+def run_outcome(result):
+    return ([s.keep.tobytes() for s in result.solutions],
+            [t.to_json() for t in result.trace],
+            repr(result.rank), repr(result.p_values), result.success)
+
+
+class TestCriterionLocality:
+    """Constructive steps skip the count patterns whose bound B, the lowest
+    r_j over the criteria a pattern leaves untouched, rules them out of
+    the step's top chain; only ``evaluations`` falls."""
+
+    def test_clinical_h3_at_two(self, monkeypatch):
+        d = build_clinical_dataset()
+        cfg = clinical_config(seed=0)
+        result = lookahead_search(d, cfg, "h3", lookahead=2)
+        assert result.success and result.excluded_count(d) == 11
+        assert result.evaluations == 115_280
+        monkeypatch.setattr(search, "_pattern_bounds", unbounded)
+        every = lookahead_search(d, cfg, "h3", lookahead=2)
+        assert every.evaluations == 476_025
+        assert run_outcome(result) == run_outcome(every)
+
+    def test_bound_r_close_below_the_floor_is_scored(self, monkeypatch):
+        # one row removed per step from groups A, B, C, each set's r and
+        # its pattern's bound alike by group: A's pattern goes first (bound
+        # +inf), B's bound is r_close below A's r, so B's sets may join the
+        # top chain and are scored; C's is further below, and is skipped
+        rng = np.random.default_rng(3)
+        d = Dataset([f"s{i}" for i in range(9)], list("ABCABCABC"),
+                    rng.normal(size=(9, 1)), ["x"])
+        engine = search._Engine(d, MatchConfig(
+            criteria=CriteriaSet((CriterionSpec("welch_t", "x", ("A", "B"), 0.2),)),
+            min_group_size=1), None)
+        by_group = np.array([1.0, 1.0 - 0.5e-12, 1.0 - 2e-12])
+        monkeypatch.setattr(engine, "score", lambda keep, combos: by_group[
+            d.group_codes[np.asarray(combos)[:, 0]]])
+        monkeypatch.setattr(search, "_pattern_bounds", lambda touches, patterns, ceiling:
+                            np.where(patterns[:, 0] > 0, np.inf, patterns @ by_group))
+        walk = search._Walk(engine)
+        step = search._evaluate_step(engine, walk, 1, np.zeros(1))
+        every = search._evaluate_step(engine, walk, 1, None)
+        assert sorted(set(d.group_codes[step.combos[:, 0]].tolist())) == [0, 1]
+        assert len(every.combos) == 9
+        assert (step.combos[search._argmax_pool(engine, step)].tolist()
+                == every.combos[search._argmax_pool(engine, every)].tolist())
+
+    def test_batched_steps_skip_nothing(self):
+        # a reversion threshold above 1 keeps the walk batching to the end,
+        # and a batch is planned from the ranking of every candidate
+        d = build_clinical_dataset()
+        cfg = clinical_config(seed=0, batch_size=3, reversion_threshold=2.0)
+        result = lookahead_search(d, cfg, "h3", lookahead=1)
+        assert result.success and result.excluded_count(d) == 15
+        assert result.evaluations == 4_906
 
 
 class TestFeasibilityArithmetic:

@@ -9,7 +9,6 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
-from scipy.special import betainc
 
 from groupmatch.criteria import CriteriaSet, CriterionSpec, compute_r
 from groupmatch.dataset import Dataset
@@ -19,7 +18,6 @@ from groupmatch.stats import (
     TestRegistry,
     anderson_darling,
     anderson_darling_p,
-    regularized_incomplete_beta,
     register_test,
     student_t_sf,
     student_t_sf_array,
@@ -43,29 +41,6 @@ def make_battery(with_ad_separation=False):
         # tied variant: quantize to one decimal so duplicates appear
         pairs.append((np.round(x, 1), np.round(y, 1)))
     return pairs
-
-
-class TestIncompleteBeta:
-    def test_matches_scipy_across_shapes(self):
-        rng = np.random.default_rng(3)
-        for _ in range(2000):
-            a = 10 ** rng.uniform(-1, 2.5)
-            b = 10 ** rng.uniform(-1, 2.5)
-            x = float(rng.uniform(0, 1))
-            mine = regularized_incomplete_beta(x, a, b)
-            ref = float(betainc(a, b, x))
-            if ref > 1e-250:
-                assert abs(mine - ref) <= 1e-11 * max(ref, 1e-12)
-
-    def test_endpoints(self):
-        assert regularized_incomplete_beta(0.0, 2.0, 3.0) == 0.0
-        assert regularized_incomplete_beta(1.0, 2.0, 3.0) == 1.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(0.5, -1.0, 2.0)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.5, 1.0, 2.0)
 
 
 def cpu_features() -> dict:
