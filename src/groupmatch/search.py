@@ -19,30 +19,37 @@ All randomness flows from one generator seeded by the config, so identical
 (dataset, config, seed) triples replay identically.  Searches run on one
 thread; the ``threads`` setting is accepted and does not change a result.
 
-The constructive and exhaustive searches build their removal sets, as
-(m, L) row arrays, from the per-group count patterns that keep every limit
-(``_Feasibility``: locks, per-group and total caps and the minimum group
-size, one rule set for every search; ``_patterns``, ``_lex_sets``), so no
-set of an infeasible pattern is generated.  They score them through one
-loop, ``_scored``: ``_SCORE_CHUNK`` sets per
-``CriteriaEvaluator.score_removals`` call, with the clock (``time_limit``)
-read before each call and once after the last.  A set's balance depends on
-its pattern alone.  Random search makes and charges its draws one at a
-time, in chunks of ``MASK_BLOCK_CELLS`` cells that are scored with one
+The constructive and exhaustive searches build their removal sets from
+the per-group count patterns that keep every limit (``_Feasibility``:
+locks, per-group and total caps and the minimum group size, one rule set
+for every search; ``_patterns``), so no set of an infeasible pattern is
+generated.  One enumerator, ``_lex_sets``, gives the sets of any list of
+patterns in the order of ``itertools.combinations``, as ``(sets, tags)``
+blocks: (m, L) row arrays, and for each set the row of the list that is
+its pattern.  A set's balance depends on its pattern alone, so it is read
+from the tag.  One chunker, ``_chunked``, cuts any stream of such blocks
+into chunks of ``_SCORE_CHUNK`` sets, which may span blocks, and one loop,
+``_scored``, scores each chunk with one ``CriteriaEvaluator.score_removals``
+call, reading the clock (``time_limit``) before each call and once after
+the last.  Random search makes and charges its draws one at a time, in
+chunks of ``MASK_BLOCK_CELLS`` cells that are scored with one
 ``CriteriaEvaluator.score_masks`` call each; it reads the clock between
 chunks.
 
-A constructive step skips the patterns that a criterion-locality bound
+A constructive step enumerates its patterns in passes, one ``_lex_sets``
+call per pass, and skips the patterns that a criterion-locality bound
 shows cannot change it (``_evaluate_step``).  It holds the sets it scores
 in the order of ``itertools.combinations``, as arrays: the sets, their r,
-and an index into the balances of their patterns.
+and an index into the balances of their patterns.  One tie scan,
+``_tied_best``, finds the sets tied at the top: by r and balance for the
+step's pool, by r alone when h3 narrows its sets or h4 breaks a tie.
 
 Exhaustive search puts each depth's patterns in balance classes, best
-first (``_balance_classes``); within a class the sets keep the order of
-``itertools.combinations``.  Chunks may span classes.  Once a match is
-stored, the classes after its own are skipped, since none of their states
-could be stored.  In every search ``evaluations`` counts only the states
-scored.
+first (``_balance_classes``), and streams the classes in turn through the
+chunker (``_class_chunks``); within a class the sets keep the order of
+``itertools.combinations``.  Once a match is stored, the classes after its
+own are skipped, since none of their states could be stored.  In every
+search ``evaluations`` counts only the states scored.
 
 One keeper (``_Keeper``) serves every search: it stores the matches and
 the best failing state, and builds the result.  An array prefilter picks
@@ -218,36 +225,16 @@ class _Feasibility:
         return np.flatnonzero(keep & (removed < self.room)[self.codes])
 
 
-def _removal_sets(rows: np.ndarray, size: int):
-    """Every ``size``-subset of ``rows`` as (m, size) arrays of at most
-    ``_SCORE_CHUNK`` sets, in the order of ``itertools.combinations``."""
-    n = rows.size
-    if size == 0:
-        yield np.empty((1, 0), dtype=np.intp)
-    elif size == 1:
-        for start in range(0, n, _SCORE_CHUNK):
-            yield rows[start:start + _SCORE_CHUNK, None]
-    elif size == 2:
-        # pair k is (i, j) with before[i] <= k < before[i + 1], where
-        # before[i] counts the pairs whose first row precedes position i
-        i = np.arange(n)
-        before = i * (2 * n - i - 1) // 2
-        total = n * (n - 1) // 2
-        for start in range(0, total, _SCORE_CHUNK):
-            k = np.arange(start, min(start + _SCORE_CHUNK, total))
-            first = np.searchsorted(before, k, side="right") - 1
-            second = k - before[first] + first + 1
-            yield np.stack([rows[first], rows[second]], axis=1)
-    else:
-        combos = itertools.combinations(rows.tolist(), size)
-        while True:
-            flat = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(combos, _SCORE_CHUNK)),
-                dtype=np.intp,
-            )
-            if not flat.size:
-                return
-            yield flat.reshape(-1, size)
+def _combinations(rows: np.ndarray, size: int) -> np.ndarray:
+    """Every ``size``-subset of ``rows`` (size >= 1) as an (m, size) array,
+    in the order of ``itertools.combinations``."""
+    if size == 1:
+        return rows[:, None]
+    if size == 2:
+        # the upper triangle, row by row: pairs in combinations order
+        return rows[np.stack(np.triu_indices(rows.size, 1), axis=1)]
+    flat = itertools.chain.from_iterable(itertools.combinations(rows.tolist(), size))
+    return np.fromiter(flat, dtype=np.intp).reshape(-1, size)
 
 
 class _Engine:
@@ -324,13 +311,6 @@ def _default_registry() -> TestRegistry:
     from .stats import default_registry
 
     return default_registry
-
-
-def _step_key_better(r_a: float, bal_a, r_b: float, bal_b) -> int:
-    """Compare step candidates: r desc, then balance asc.  +1 a better."""
-    if not r_close(r_a, r_b):
-        return 1 if r_a > r_b else -1
-    return -_compare_balance(bal_a, bal_b)
 
 
 class _Keeper:
@@ -462,10 +442,11 @@ def _keep_rate(engine: _Engine, i: int, total: int) -> float:
     return floor**u
 
 
-def _int_or_none(name: str, value):
-    """The keyword argument ``name`` when it is an int or None; raises
-    ValidationError naming it if not (a bool or a float is not an int)."""
-    if not scalar_fits(value, "int | None"):
+def _int_arg(name: str, value, optional: bool = True):
+    """The argument ``name`` when it is an int (or None, when ``optional``);
+    raises ValidationError naming it if not (a bool or a float is not an
+    int)."""
+    if not scalar_fits(value, "int | None" if optional else "int"):
         raise ValidationError(f"{name!r} must be int, got {value!r}")
     return value
 
@@ -482,7 +463,7 @@ def random_search(
     Always returns: when no draw reaches r >= 1 the closest failing draw is
     reported with success=False.
     """
-    iterations = _int_or_none("iterations", iterations)
+    iterations = _int_arg("iterations", iterations)
     total = config.iterations if iterations is None else int(iterations)
     if total < 1:
         raise ValidationError(f"iterations must be >= 1, got {total}")
@@ -583,16 +564,38 @@ class _OutOfTime(Exception):
 
 
 def _scored(engine: _Engine, keep: np.ndarray, chunks):
-    """``(sets, r)`` for each (m, L) chunk of removal sets that the iterator
-    ``chunks`` yields, applied to ``keep``; r is NaN where a test is
-    undefined.  The clock is read before each chunk and once after the
-    last; raises _OutOfTime when the deadline has passed."""
+    """``(sets, tags, r)`` for each chunk ``(sets, tags)`` of removal sets
+    that the iterator ``chunks`` yields (``_chunked``), applied to
+    ``keep``; r is NaN where a test is undefined.  The clock is read before
+    each chunk and once after the last; raises _OutOfTime when the deadline
+    has passed."""
     while not engine.out_of_time():
         chunk = next(chunks, None)
         if chunk is None:
             return
-        yield chunk, engine.score(keep, chunk)
+        yield *chunk, engine.score(keep, chunk[0])
     raise _OutOfTime
+
+
+def _chunked(blocks):
+    """The ``(sets, tags)`` blocks of the iterable ``blocks`` re-cut into
+    chunks of ``_SCORE_CHUNK`` sets (the last may hold fewer), since each
+    scoring call has a fixed cost: a chunk may span blocks.  A block is
+    drawn only when the chunks before it are taken."""
+    held: list[tuple[np.ndarray, np.ndarray]] = []
+    count = 0
+    for block in blocks:
+        held.append(block)
+        count += len(block[0])
+        if count < _SCORE_CHUNK:
+            continue
+        sets, tags = (np.concatenate(part) for part in zip(*held))
+        while len(sets) >= _SCORE_CHUNK:
+            yield sets[:_SCORE_CHUNK], tags[:_SCORE_CHUNK]
+            sets, tags = sets[_SCORE_CHUNK:], tags[_SCORE_CHUNK:]
+        held, count = [(sets, tags)], len(sets)
+    if count:
+        yield tuple(np.concatenate(part) for part in zip(*held))
 
 
 def _evaluate_step(
@@ -608,10 +611,11 @@ def _evaluate_step(
     have r at most its bound B (``_pattern_bounds``).  The patterns of
     highest B go first; then, while some pattern left has a B not below
     the ``r_close`` chain floor of the sets scored so far, or ``r_close``
-    to it, those patterns go.  Every set left has r below that floor and not ``r_close`` to it,
-    so it could neither join nor break the chain at the top of the step,
-    which is all ``_argmax_pool`` scans.  The sets scored come back in the
-    order of ``itertools.combinations``.
+    to it, those patterns go: one ``_lex_sets`` call per pass, chunked by
+    ``_chunked``.  Every set left has r below that floor and not
+    ``r_close`` to it, so it could neither join nor break the chain at the
+    top of the step, which is all ``_tied_best`` scans.  The sets scored
+    come back in the order of ``itertools.combinations``.
     """
     rows = engine.feasible.open_rows(walk.keep, walk.removed_counts, size)
     patterns = _patterns(engine.feasible.room - walk.removed_counts, size)
@@ -623,29 +627,23 @@ def _evaluate_step(
     codes = engine.dataset.group_codes[rows]
     done = np.zeros(len(patterns), dtype=bool)
     todo = bounds == bounds.max()
-    sets: list[np.ndarray] = []
-    tags: list[np.ndarray] = []   # the pattern of each set
-    rs: list[np.ndarray] = []
+    scored = []   # (sets, tags, r) of each chunk; a tag is a row of patterns
     while todo.any():
         done |= todo
-        blocks = [(block, i) for i in np.flatnonzero(todo).tolist()
-                  for block in _lex_sets(rows, codes, patterns[i:i + 1])]
-        fresh = np.concatenate([block for block, _ in blocks])
-        sets.append(fresh)
-        tags.extend(np.full(len(block), i) for block, i in blocks)
-        chunks = (fresh[s:s + _SCORE_CHUNK] for s in range(0, len(fresh), _SCORE_CHUNK))
-        rs.extend(scored for _, scored in _scored(engine, walk.keep, chunks))
-        got = np.concatenate(rs)
+        picked = np.flatnonzero(todo)
+        blocks = ((sets, picked[t]) for sets, t in _lex_sets(rows, codes, patterns[todo]))
+        scored.extend(_scored(engine, walk.keep, _chunked(blocks)))
+        got = np.concatenate([rs for _, _, rs in scored])
         got = got[~np.isnan(got)]
         floor = _chain_floor(got) if got.size else -np.inf
         todo = ~done & ~((bounds < floor) & _apart(bounds, floor))
-    rs_all = np.concatenate(rs)
+    combos, tags, rs_all = (np.concatenate(part) for part in zip(*scored))
     defined = ~np.isnan(rs_all)
     if not defined.any():
         return None
-    combos = np.concatenate(sets)[defined]
+    combos = combos[defined]
     order = np.lexsort(combos.T[::-1])
-    index = (np.cumsum(done) - 1)[np.concatenate(tags)[defined]]
+    index = (np.cumsum(done) - 1)[tags[defined]]
     left = engine.sizes - walk.removed_counts   # rows kept per group
     balances = [
         balance_from_counts(engine.dataset, engine.config, left - p) for p in patterns[done]
@@ -672,22 +670,6 @@ def _cap_pool(engine: _Engine, pool: list) -> list:
     return [pool[int(i)] for i in sorted(picked)]
 
 
-def _best_by_r(items: Sequence, rs: list[float]) -> list:
-    """The items whose r ties (``r_close``) with the highest r, in order,
-    skipping NaN (undefined); empty when every r is NaN."""
-    best_r: float | None = None
-    best: list = []
-    for item, r in zip(items, rs):
-        if math.isnan(r):
-            continue
-        if best_r is None or (r > best_r and not r_close(r, best_r)):
-            best_r = r
-            best = [item]
-        elif r_close(r, best_r):
-            best.append(item)
-    return best
-
-
 def _apart(a, b) -> np.ndarray:
     """Elementwise: a and b are not ``r_close``."""
     return np.abs(a - b) > RANK_REL_TOL * np.maximum(np.abs(a), np.abs(b))
@@ -703,30 +685,41 @@ def _chain_floor(rs: np.ndarray) -> float:
     return ordered[gaps[0]] if gaps.size else ordered[-1]
 
 
-def _argmax_pool(engine: _Engine, step: _StepCandidates) -> list[int]:
-    """Indices of step candidates tied with the best (r desc, balance asc)
-    key, capped at the configured pool size by seeded subsampling.
+def _tied_best(rs: np.ndarray, balance=None) -> list[int]:
+    """Indices of the r values ``rs`` tied with the best key, in order: r
+    desc, then ``balance(i)`` asc when ``balance`` is given.  NaN
+    (undefined) is skipped; empty when every r is NaN.
 
-    Candidates are scanned in canonical order, as pairwise ``r_close`` ties
-    chain.  Only those above the first gap in descending r between two
-    values that are not ``r_close`` are scanned: one below it cannot beat,
-    tie with or displace one above it, so the result is that of a scan over
-    every candidate.
+    The r values are scanned in order, as pairwise ``r_close`` ties chain.
+    Only those above the first gap in descending r between two values that
+    are not ``r_close`` (``_chain_floor``) are scanned: one below it cannot
+    beat, tie with or displace one above it, so the result is that of a
+    scan over every r.
     """
-    floor = _chain_floor(step.rs)
-    scanned = np.flatnonzero(step.rs >= floor)
-    rs = step.rs[scanned].tolist()
-    balances = [step.balances[b] for b in step.balance_index[scanned].tolist()]
-    best = 0
-    pool = [0]
-    for j in range(1, len(rs)):
-        cmp = _step_key_better(rs[j], balances[j], rs[best], balances[best])
+    defined = ~np.isnan(rs)
+    if not defined.any():
+        return []
+    scanned = np.flatnonzero(defined & (rs >= _chain_floor(rs[defined]))).tolist()
+    values = dict(zip(scanned, rs[scanned].tolist()))
+    best, pool = scanned[0], scanned[:1]
+    for j in scanned[1:]:
+        if not r_close(values[j], values[best]):
+            cmp = 1 if values[j] > values[best] else -1
+        else:
+            cmp = 0 if balance is None else -_compare_balance(balance(j), balance(best))
         if cmp > 0:
-            best = j
-            pool = [j]
+            best, pool = j, [j]
         elif cmp == 0:
             pool.append(j)
-    return _cap_pool(engine, scanned[pool].tolist())
+    return pool
+
+
+def _argmax_pool(engine: _Engine, step: _StepCandidates) -> list[int]:
+    """Indices of step candidates tied with the best (r desc, balance asc)
+    key (``_tied_best``), capped at the configured pool size by seeded
+    subsampling."""
+    return _cap_pool(engine, _tied_best(
+        step.rs, lambda i: step.balances[step.balance_index[i]]))
 
 
 def _batch_order(step: _StepCandidates) -> np.ndarray:
@@ -754,7 +747,7 @@ def _narrow_by_r(
         universe = sorted(
             {sub for c in candidates for sub in itertools.combinations(c, size)}
         )
-        narrowed = _best_by_r(universe, engine.score(walk.keep, universe).tolist())
+        narrowed = [universe[i] for i in _tied_best(engine.score(walk.keep, universe))]
         if not narrowed:
             # every subset hit an undefined test; fall back to the subjects
             # of the current candidate sets
@@ -784,7 +777,7 @@ def _choose_by_membership(
         # pool members are singletons whose r values are already tied
         return candidates[_choose_index(engine, len(candidates))]
     singles = [(c,) for c in candidates]
-    finalists = _best_by_r(candidates, engine.score(walk.keep, singles).tolist())
+    finalists = [candidates[i] for i in _tied_best(engine.score(walk.keep, singles))]
     if not finalists:
         finalists = candidates
     return finalists[_choose_index(engine, len(finalists))]
@@ -918,8 +911,8 @@ def lookahead_search(
     """
     if variant not in ("h3", "h4"):
         raise ValidationError(f"unknown lookahead variant {variant!r}")
-    lookahead = _int_or_none("lookahead", lookahead)
-    batch_size = _int_or_none("batch_size", batch_size)
+    lookahead = _int_arg("lookahead", lookahead)
+    batch_size = _int_arg("batch_size", batch_size)
     overrides = {}
     if lookahead is not None:
         overrides["lookahead"] = int(lookahead)
@@ -956,7 +949,7 @@ def exhaustive_search(
     none could be stored.  ``evaluations`` counts the states scored, which
     may be fewer than the depths hold.
     """
-    max_removed = _int_or_none("max_removed", max_removed)
+    max_removed = _int_arg("max_removed", max_removed)
     engine = _Engine(dataset, config, registry)
     n = dataset.n_subjects
     if max_removed is not None and max_removed < 0:
@@ -980,16 +973,16 @@ def exhaustive_search(
             }
             classes = _balance_classes(balances)
             best = [balances[patterns[0]] for patterns in classes]
+            tagged = [balances[p] for patterns in classes for p in patterns]
             # pruned(k): a stored match ranks above every state of class k
             chunks = _class_chunks(rows, codes[rows], classes, lambda k: bool(
                 keeper.matches) and _compare_balance(keeper.rank.balance, best[k]) < 0)
-            for chunk, rs in _scored(engine, full, chunks):
+            for sets, tags, rs in _scored(engine, full, chunks):
                 # the keep-mask of set i: every row but the rows it removes
                 keeper.offer_chunk(
                     rs, n - depth,
-                    lambda i: np.bincount(chunk[i], minlength=n) == 0,
-                    lambda i: balances[tuple(np.bincount(
-                        codes[chunk[i]], minlength=dataset.n_groups).tolist())],
+                    lambda i: np.bincount(sets[i], minlength=n) == 0,
+                    lambda i: tagged[tags[i]],
                 )
             if keeper.matches:
                 break
@@ -1016,30 +1009,24 @@ def _balance_classes(balances: dict) -> list[list[tuple[int, ...]]]:
 
 def _class_chunks(rows: np.ndarray, codes: np.ndarray, classes: list, pruned):
     """The removal sets of each class of count patterns in turn
-    (``_lex_sets``), in chunks of ``_SCORE_CHUNK`` sets that may span
-    classes, since each scoring call has a fixed cost.  ``pruned(k)`` is
-    asked before class k is begun and before each chunk, with k the class
-    of its first set; once it is true, no further set is yielded."""
-    held: list[np.ndarray] = []
-    count = first = 0
-    for k, patterns in enumerate(classes):
-        if pruned(k):
-            break
-        for block in _lex_sets(rows, codes, np.array(patterns)):
-            if not count:
-                first = k
-            held.append(block)
-            count += len(block)
-            while count >= _SCORE_CHUNK:
-                if pruned(first):
-                    return
-                merged = np.concatenate(held)
-                yield merged[:_SCORE_CHUNK]
-                # what is left is of class k: fewer than _SCORE_CHUNK sets
-                # were held before this block
-                held, count, first = [merged[_SCORE_CHUNK:]], count - _SCORE_CHUNK, k
-    if count and not pruned(first):
-        yield np.concatenate(held)
+    (``_lex_sets``), as the ``(sets, tags)`` chunks of ``_chunked``, which
+    may span classes; a tag indexes the patterns of every class in turn.
+    ``pruned(k)`` is asked before class k is begun and before each chunk,
+    with k the class of its first set; once it is true, no further set is
+    yielded."""
+    class_of = [k for k, patterns in enumerate(classes) for _ in patterns]
+
+    def stream():
+        start = 0
+        for k, patterns in enumerate(classes):
+            if pruned(k):
+                return
+            for sets, tags in _lex_sets(rows, codes, np.array(patterns)):
+                yield sets, tags + start
+            start += len(patterns)
+
+    return itertools.takewhile(
+        lambda chunk: not pruned(class_of[chunk[1][0]]), _chunked(stream()))
 
 
 # Removal sets of one balance class built and sorted at once, at most; a
@@ -1050,42 +1037,42 @@ _CLASS_BLOCK = 1 << 16
 def _lex_sets(rows: np.ndarray, codes: np.ndarray, patterns: np.ndarray):
     """Every removal set of ``rows`` (ascending; group ``codes``) whose
     per-group counts are a row of ``patterns``, in the order of
-    ``itertools.combinations``, as (m, depth) arrays of at most
-    ``_CLASS_BLOCK`` sets (or of every set of one row)."""
+    ``itertools.combinations``, as ``(sets, tags)`` blocks: (m, depth)
+    arrays of at most ``_CLASS_BLOCK`` sets (or of every set of one row),
+    and the row of ``patterns`` that each set has."""
     depth = int(patterns[0].sum())
     available = np.bincount(codes, minlength=patterns.shape[1]).tolist()
-    counts = np.array([math.prod(map(math.comb, available, p)) for p in patterns.tolist()])
-    patterns = patterns[counts > 0]
-    if counts.sum() <= _CLASS_BLOCK or depth < 2:
-        if patterns.size:
+    counts = [math.prod(map(math.comb, available, p)) for p in patterns.tolist()]
+    if sum(counts) <= _CLASS_BLOCK or depth < 2:
+        if any(counts):
             yield _sorted_sets(rows, codes, patterns)
         return
     for i in range(rows.size - depth + 1):
-        heads = patterns[:, codes[i]] > 0
-        if heads.any():
+        heads = np.flatnonzero(patterns[:, codes[i]] > 0)
+        if heads.size:
             rest = patterns[heads]
             rest[:, codes[i]] -= 1
-            for sets in _lex_sets(rows[i + 1:], codes[i + 1:], rest):
-                yield np.column_stack((np.full(len(sets), rows[i]), sets))
+            for sets, tags in _lex_sets(rows[i + 1:], codes[i + 1:], rest):
+                yield np.column_stack((np.full(len(sets), rows[i]), sets)), heads[tags]
 
 
-def _sorted_sets(rows: np.ndarray, codes: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    """Every set of ``_lex_sets`` in one array: per pattern, the product of
-    per-group combinations, then all of them in lexicographic order."""
+def _sorted_sets(rows: np.ndarray, codes: np.ndarray, patterns: np.ndarray):
+    """Every ``(sets, tags)`` of ``_lex_sets`` in one block: per pattern,
+    the product of per-group combinations, then all of them in
+    lexicographic order."""
+    if not patterns.any():
+        return np.empty((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp)   # depth 0
     blocks = []
     for pattern in patterns.tolist():
-        parts = [
-            np.concatenate(list(_removal_sets(rows[codes == g], count)))
-            for g, count in enumerate(pattern) if count
-        ]
-        if not parts:
-            return np.empty((1, 0), dtype=np.intp)   # depth 0: the empty set
+        parts = [_combinations(rows[codes == g], c) for g, c in enumerate(pattern) if c]
         picks = np.meshgrid(*(np.arange(len(part)) for part in parts), indexing="ij")
         blocks.append(np.sort(np.concatenate(
             [part[pick.ravel()] for part, pick in zip(parts, picks)], axis=1
         ), axis=1))
     sets = np.concatenate(blocks)
-    return sets[np.lexsort(sets.T[::-1])]
+    tags = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
+    order = np.lexsort(sets.T[::-1])
+    return sets[order], tags[order]
 
 
 # ---------------------------------------------------------------------------
@@ -1096,6 +1083,8 @@ def _sorted_sets(rows: np.ndarray, codes: np.ndarray, patterns: np.ndarray) -> n
 def count_configurations(n_subjects: int, max_removed: int) -> int:
     """Exact number of keep-vectors removing at most ``max_removed`` subjects:
     sum of C(N, i) for i = 0..max_removed.  Arbitrary precision."""
+    _int_arg("n_subjects", n_subjects, optional=False)
+    _int_arg("max_removed", max_removed, optional=False)
     if max_removed < 0:
         raise ValidationError(f"max_removed must be >= 0, got {max_removed}")
     if max_removed > n_subjects:
@@ -1204,6 +1193,7 @@ def estimate_exhaustive(
     verdict compares the projected number of criterion evaluations against
     the configured budget.
     """
+    _int_arg("heuristic_removals", heuristic_removals, optional=False)
     if calibrated_rate is not None and calibrated_rate <= 0:
         raise ValidationError("calibrated_rate must be positive")
     if not 0 <= heuristic_removals <= dataset.n_subjects:
@@ -1222,7 +1212,9 @@ def estimate_exhaustive(
         evaluator = CriteriaEvaluator(dataset, config.criteria, registry)
         keep = np.ones(dataset.n_subjects, dtype=bool)
         rows = feasible.open_rows(keep, np.zeros(dataset.n_groups, dtype=np.intp))
-        chunks = list(_removal_sets(rows, min(rows.size, 1)))
+        chunks = [rows[start:start + _SCORE_CHUNK, None]
+                  for start in range(0, rows.size, _SCORE_CHUNK)]
+        chunks = chunks or [np.empty((1, 0), dtype=np.intp)]   # the full set
         begin = time.perf_counter()
         calls = done = 0
         while time.perf_counter() - begin < calibration_seconds or done == 0:

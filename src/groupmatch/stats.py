@@ -416,7 +416,8 @@ def welch_t(x, y) -> WelchResult:
     """Welch's two-sample t-test with Satterthwaite degrees of freedom.
 
     Requires >=2 observations per sample and a positive variance in at
-    least one sample.  Two samples that are all constant at the same value
+    least one sample, with (var / n)^2 not underflowing to 0 in both (else
+    df is undefined).  Two samples that are all constant at the same value
     get p = 1 by convention (no evidence of a difference is obtainable).
     """
     xs = _as_sample(x, 2)
@@ -433,9 +434,12 @@ def welch_t(x, y) -> WelchResult:
         )
     sx = vx / nx
     sy = vy / ny
+    spread = sx * sx / (nx - 1) + sy * sy / (ny - 1)
+    if spread == 0.0:
+        raise UndefinedTestError("(var / n)^2 underflows in both samples; df is undefined")
     se2 = sx + sy
     t = (mx - my) / math.sqrt(se2)
-    df = se2 * se2 / (sx * sx / (nx - 1) + sy * sy / (ny - 1))
+    df = se2 * se2 / spread
     return WelchResult(t, df, student_t_sf(t, df))
 
 

@@ -15,7 +15,8 @@
   ``itertools.combinations`` gives and ``_Feasibility.allows`` accepts:
   balance classes best first, each in canonical order.
 * A step's best-candidate pool and its lazy-batch ranking equal a
-  sequential scan and a Python sort over every candidate.
+  sequential scan and a Python sort over every candidate; the r-only tie
+  scan equals a sequential scan that skips undefined (NaN) r.
 * The keeper stores the states that offering every state, one at a time,
   to the pool rules stores.
 * The scalar and the array Student t tails give the same bits, for int,
@@ -310,8 +311,12 @@ def test_class_enumerator_matches_filtered_combinations(problem, chunk, block):
         with mock.patch.object(search, "_SCORE_CHUNK", chunk), \
                 mock.patch.object(search, "_CLASS_BLOCK", block):
             chunks = list(search._class_chunks(rows, codes[rows], classes, lambda k: False))
-        assert all(len(c) == chunk for c in chunks[:-1])
-        got = [tuple(c) for block_ in chunks for c in block_.tolist()]
+        assert all(len(sets) == chunk for sets, _ in chunks[:-1])
+        got = [tuple(c) for sets, _ in chunks for c in sets.tolist()]
+        # a tag indexes the patterns of every class in turn
+        tagged = [p for patterns in classes for p in patterns]
+        assert [tagged[t] for _, tags in chunks for t in tags.tolist()] == [
+            pattern(c) for c in got]
         want = [c for c in itertools.combinations(rows.tolist(), depth)
                 if feasible.allows(np.array(pattern(c)))]
         assert sorted(got) == want and len(set(got)) == len(got)
@@ -527,6 +532,52 @@ def test_batch_order_matches_python_sort(step):
     assert search._batch_order(step).tolist() == expected
 
 
+def reference_best_by_r(items, rs: list[float]) -> list:
+    """The items whose r ties (``r_close``) with the highest r, in order,
+    skipping NaN (undefined); empty when every r is NaN.  A sequential scan
+    over every r."""
+    best_r: float | None = None
+    best: list = []
+    for item, r in zip(items, rs):
+        if math.isnan(r):
+            continue
+        if best_r is None or (r > best_r and not r_close(r, best_r)):
+            best_r = r
+            best = [item]
+        elif r_close(r, best_r):
+            best.append(item)
+    return best
+
+
+@st.composite
+def r_values_with_nan(draw):
+    """``r_values`` with NaN (undefined) entries mixed in, or all NaN."""
+    rs = draw(r_values())
+    mode = draw(st.sampled_from(["none", "some", "some", "all"]))
+    if mode == "some":
+        rs[np.array(draw(st.lists(st.booleans(), min_size=rs.size, max_size=rs.size)))] = np.nan
+    elif mode == "all":
+        rs[:] = np.nan
+    return rs
+
+
+@RANKING
+@given(r_values_with_nan())
+def test_tied_best_matches_sequential_scan(rs):
+    assert search._tied_best(rs) == reference_best_by_r(range(rs.size), rs.tolist())
+    assert search._tied_best(np.full(rs.size, np.nan)) == []
+
+
+def test_narrowing_falls_back_to_subjects_when_every_subset_is_undefined():
+    engine = SimpleNamespace(config=SimpleNamespace(pool_cap=4),
+                             rng=np.random.default_rng(0),
+                             score=lambda keep, sets: np.full(len(sets), np.nan))
+    walk = SimpleNamespace(keep=np.ones(6, dtype=bool))
+    step = search._StepCandidates(np.array([[1, 4], [2, 4]]), np.array([0.5, 0.5]),
+                                  np.array([0, 0]), [0.0])
+    assert search._narrow_by_r(engine, walk, step, [0, 1]) in (1, 2, 4)
+
+
 # ---------------------------------------------------------------------------
 # the keeper against the sequential pool rules
 # ---------------------------------------------------------------------------
@@ -652,9 +703,12 @@ def reference_welch(x, y) -> WelchResult:
             return WelchResult(0.0, float(nx + ny - 2), 1.0)
         raise UndefinedTestError("constant samples with different means")
     sx, sy = vx / nx, vy / ny
+    spread = sx * sx / (nx - 1) + sy * sy / (ny - 1)
+    if spread == 0.0:
+        raise UndefinedTestError("var / n squared underflows; df is undefined")
     se2 = sx + sy
     t = (mx - my) / math.sqrt(se2)
-    df = se2 * se2 / (sx * sx / (nx - 1) + sy * sy / (ny - 1))
+    df = se2 * se2 / spread
     return WelchResult(t, df, student_t_sf(t, df))
 
 
@@ -675,12 +729,11 @@ def welch_samples(draw):
 
 def welch_outcome(test, x, y):
     """The bits of (t, df, p), or the type of the exception raised.  Where
-    var / n squared underflows to 0 (values near 1e-115, say), both
-    versions divide by zero for df: ``welch_t`` raises ZeroDivisionError
-    there, a known defect, and the reference must raise it too."""
+    var / n squared underflows to 0 (values near 1e-115, say), df is
+    undefined, and both versions raise UndefinedTestError."""
     try:
         res = test(x, y)
-    except (UndefinedTestError, ZeroDivisionError) as exc:
+    except UndefinedTestError as exc:
         return type(exc)
     return np.array([res.statistic, res.df, res.p_value]).tobytes()
 

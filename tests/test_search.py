@@ -67,6 +67,18 @@ class TestKeywordTypes:
         with pytest.raises(ValidationError, match=repr(name)):
             self.SEARCHES[search](d, base_config(), **{name: value})
 
+    @pytest.mark.parametrize("name, call", [
+        ("heuristic_removals", lambda d, v: estimate_exhaustive(
+            d, base_config(), heuristic_removals=v, calibrated_rate=1.0)),
+        ("n_subjects", lambda d, v: count_configurations(v, 2)),
+        ("max_removed", lambda d, v: count_configurations(6, v)),
+    ])
+    @pytest.mark.parametrize("value", [2.5, True, None])
+    def test_counting_arguments_refuse_non_ints_by_name(self, name, call, value):
+        d = build_two_group_dataset(6, 1.0, seed=1)
+        with pytest.raises(ValidationError, match=repr(name)):
+            call(d, value)
+
     def test_numpy_ints_are_ints(self):
         d = build_two_group_dataset(6, 1.0, seed=1)
         cfg = base_config()

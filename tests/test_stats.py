@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from groupmatch.criteria import CriteriaSet, CriterionSpec, compute_r
+from groupmatch.criteria import CriteriaSet, CriterionSpec, MatchConfig, compute_r
 from groupmatch.dataset import Dataset
 from groupmatch.errors import RegistrationError, UndefinedTestError
+from groupmatch.search import greedy_search
 from groupmatch.stats import (
     TestFunction,
     TestRegistry,
@@ -178,6 +179,25 @@ class TestWelch:
         assert welch_t_p(np.array([2.0, 2.0]), np.array([2.0, 2.0])) == 1.0
         with pytest.raises(UndefinedTestError):
             welch_t_p(np.array([2.0, 2.0]), np.array([3.0, 3.0]))
+
+    def test_underflowing_df_is_undefined(self):
+        # (var / n)^2 underflows to 0 in both samples, so df is 0 / 0
+        x = np.arange(1.0, 5.0) * 1e-140
+        y = np.arange(5.0, 9.0) * 1e-140
+        with pytest.raises(UndefinedTestError):
+            welch_t(x, y)
+        with pytest.raises(UndefinedTestError):
+            welch_t(np.full(4, 6.3e-115), np.array([6.3e-115, 6.3e-115 + 1e-129, 6.3e-115]))
+
+    def test_underflowing_df_leaves_search_undefined(self):
+        # the batch path defers such sets to welch_t, so a search sees every
+        # state undefined instead of failing on a division by zero
+        values = np.arange(1.0, 9.0)[:, None] * 1e-140
+        d = Dataset([f"s{i}" for i in range(8)], ["A"] * 4 + ["B"] * 4, values, ["x"])
+        config = MatchConfig(
+            criteria=CriteriaSet((CriterionSpec("welch_t", "x", ("A", "B"), 0.2),)))
+        with pytest.raises(UndefinedTestError, match="undefined on every state"):
+            greedy_search(d, config)
 
     def test_one_sided_zero_variance_matches_scipy(self):
         x = np.array([5.0, 5.0, 5.0])
