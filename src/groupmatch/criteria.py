@@ -55,7 +55,9 @@ RANK_REL_TOL = 1e-12
 _DOWNDATE_REL_FLOOR = 1e-9
 
 # Keep-masks scored in one block hold at most this many cells (masks times
-# rows), so the float temporaries of a block stay a few MB at any N.
+# rows), and so do the Welch downdates of one block of removal sets (keys
+# times sets times rows removed), so the float temporaries of a block stay a
+# few MB at any N.
 MASK_BLOCK_CELLS = 1 << 14
 
 
@@ -380,6 +382,24 @@ class CriteriaEvaluator:
             where = np.full(dataset.n_subjects, -1, dtype=np.intp)
             where[pooled] = np.arange(pooled.size)
             self._pooled.append((pooled, codes, where))
+        # the distinct (covariate, group) keys that Welch criteria read: each
+        # key's column and group code, and each Welch criterion's row in the
+        # (criteria, sets) arrays of ``_welch_removals`` and its pair of keys
+        keys: dict[tuple[str, str], int] = {}
+        self._welch_rows: dict[int, int] = {}
+        pairs = []
+        for j, spec in enumerate(criteria):
+            if self._bound[j][0] is BUILTIN_WELCH:
+                self._welch_rows[j] = len(pairs)
+                pairs.append([keys.setdefault((spec.covariate, g), len(keys))
+                              for g in spec.group_subset])
+        self._key_pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        self._key_columns = np.array(
+            [dataset.covariate_column(cov) for cov, _ in keys], dtype=float
+        ).reshape(len(keys), dataset.n_subjects)
+        self._key_groups = np.array(
+            [dataset.group_labels.index(g) for _, g in keys], dtype=np.intp)
+        self._key_rows = [dataset.group_index[g] for _, g in keys]
 
     def __len__(self) -> int:
         return len(self._bound)
@@ -465,14 +485,15 @@ class CriteriaEvaluator:
         p = np.full((m, len(self._bound)), np.nan)
         defined = np.ones(m, dtype=bool)
         tails: list = []
-        downdates: dict = {}   # shared by the Welch criteria of this call
+        downdated = (
+            self._welch_removals(keep, combos)
+            if combos is not None and self._welch_rows else None
+        )
         for j, (test, _, column, rows) in enumerate(self._bound):
             todo = np.flatnonzero(defined)
             moments = test is BUILTIN_WELCH
-            if moments and combos is not None:
-                t, df, slow = (
-                    v[todo] for v in self._welch_downdated(keep, combos, j, downdates)
-                )
+            if moments and downdated is not None:
+                t, df, slow = (v[self._welch_rows[j], todo] for v in downdated)
                 _queue_tails(tails, j, todo, t, df, slow, defined)
                 todo, moments = todo[slow], False   # slow sets go per mask
             pooled, codes, _ = self._pooled[j]
@@ -494,55 +515,61 @@ class CriteriaEvaluator:
         _fill_tails(tails, p, defined)
         return p, defined
 
-    def _welch_downdated(
-        self, keep: np.ndarray, combos: np.ndarray, j: int, downdates: dict
+    def _welch_removals(
+        self, keep: np.ndarray, combos: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Welch t and df of every removal set for criterion j, from
-        per-group sufficient statistics: (t, df, slow), where the ``slow``
-        sets are too close to degenerate to downdate and are left to the
-        caller to score per subset.
+        """Welch t and df of every Welch criterion on every removal set, from
+        per-group sufficient statistics: (t, df, slow) arrays of shape
+        (Welch criteria, sets), where the ``slow`` sets are too close to
+        degenerate to downdate and are left to the caller to score per
+        subset.
 
-        The downdated moments of each (covariate, group) are taken once per
-        call and kept in ``downdates``, for every criterion that reads them.
-        Each group's n, mean and C = sum((x - mean)^2) are taken over its
-        kept rows, with the arithmetic of ``welch_t``.  Removing k rows with
-        deviations d = x - mean gives n' = n - k, a mean shift
-        delta = -sum(d) / n' and C' = C - sum(d^2) - n' delta^2 (Welford
-        1962; Chan, Golub & LeVeque 1983).
+        Each key's n, mean and C = sum((x - mean)^2) are taken over its
+        group's kept rows with ``welch_t``'s own arithmetic, so a set that
+        takes no row of the group leaves the bits of its p as they are.
+        Removing k rows with deviations d = x - mean gives n' = n - k, a mean
+        shift delta = -sum(d) / n' and C' = C - sum(d^2) - n' delta^2
+        (Welford 1962; Chan, Golub & LeVeque 1983).  Every key is downdated
+        in one (keys, sets, L) pass per block of ``MASK_BLOCK_CELLS`` cells.
+        The removal axis stays last and contiguous, so each set's sums add
+        in the order of a lone (sets, L) array, whatever the number of keys.
         """
-        spec = self.criteria.criteria[j]
-        _, _, column, rows = self._bound[j]
-        slow = np.zeros(combos.shape[0], dtype=bool)
-        moments = []
-        for group, idx in zip(spec.group_subset, rows):
-            key = (spec.covariate, group)
-            if key not in downdates:
-                downdates[key] = self._group_downdate(keep, combos, column, idx)
-            n_left, mean, var_n, degenerate = downdates[key]
-            moments.append((n_left, mean, var_n))
-            slow |= degenerate
-        t, df = _welch_t_df(moments)
-        return t, df, slow | ~(np.isfinite(t) & np.isfinite(df) & (df > 0.0))
-
-    def _group_downdate(
-        self, keep: np.ndarray, combos: np.ndarray, column: np.ndarray, idx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(n', mean', var' / n', degenerate) of the group of rows ``idx``
-        on ``keep`` less each removal set (see ``_welch_downdated``)."""
-        values = column[idx[keep[idx]]]
-        n = values.size
-        # welch_t's own moments, so a set that takes no row of the group
-        # leaves the bits of its p as they are
-        mean, ss = _mean_ss(values) if n else (0.0, 0.0)
-        in_group = self.dataset.group_codes[combos] == self.dataset.group_codes[idx[0]]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(in_group, column[combos] - mean, 0.0)
-            n_left = n - in_group.sum(axis=1)
-            delta = -d.sum(axis=1) / n_left
-            ss_left = ss - (d * d).sum(axis=1) - n_left * (delta * delta)
-            degenerate = (n_left < 2) | (ss == 0.0) | (ss_left <= _DOWNDATE_REL_FLOOR * ss)
-            var = ss_left / (n_left - 1)
-            return n_left, mean + delta, var / n_left, degenerate
+        n_keys = len(self._key_rows)
+        n = np.empty(n_keys, dtype=np.intp)
+        mean, ss = np.zeros(n_keys), np.zeros(n_keys)
+        for k, idx in enumerate(self._key_rows):
+            values = self._key_columns[k, idx[keep[idx]]]
+            n[k] = values.size
+            if values.size:
+                mean[k], ss[k] = _mean_ss(values)
+        n, mean, ss = n[:, None], mean[:, None], ss[:, None]
+        kx, ky = self._key_pairs
+        m, width = combos.shape
+        t, df = np.empty((kx.size, m)), np.empty((kx.size, m))
+        slow = np.empty((kx.size, m), dtype=bool)
+        step = max(1, MASK_BLOCK_CELLS // (n_keys * max(width, 1)))
+        for start in range(0, m, step):
+            block = combos[start:start + step]
+            # (keys, sets, L), each key's rows of the set on its own column
+            in_group = self._key_groups[:, None, None] == self.dataset.group_codes[block]
+            x = np.take(self._key_columns, block, axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.where(in_group, x - mean[:, :, None], 0.0)
+                n_left = n - in_group.sum(axis=2)
+                delta = -d.sum(axis=2) / n_left
+                ss_left = ss - (d * d).sum(axis=2) - n_left * (delta * delta)
+                degenerate = (n_left < 2) | (ss == 0.0) | (ss_left <= _DOWNDATE_REL_FLOOR * ss)
+                var_n = ss_left / (n_left - 1) / n_left
+            mean_left = mean + delta
+            bt, bdf = _welch_t_df((
+                (n_left[kx], mean_left[kx], var_n[kx]),
+                (n_left[ky], mean_left[ky], var_n[ky]),
+            ))
+            cut = slice(start, start + step)
+            t[:, cut], df[:, cut] = bt, bdf
+            slow[:, cut] = degenerate[kx] | degenerate[ky] | ~(
+                np.isfinite(bt) & np.isfinite(bdf) & (bdf > 0.0))
+        return t, df, slow
 
 
 def _welch_masked(
@@ -550,9 +577,10 @@ def _welch_masked(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Welch t and df of keep-masks over a pooled sample (``values``, with
     sample ``codes``) from each sample's two-pass masked moments: (t, df,
-    slow) as from ``_welch_downdated``, with t NaN on the masks that keep
-    fewer than two rows of a sample (undefined).  A mask that leaves a
-    sample constant is slow, since ``welch_t`` decides that case itself."""
+    slow) as a row of ``CriteriaEvaluator._welch_removals``, with t NaN on
+    the masks that keep fewer than two rows of a sample (undefined).  A mask
+    that leaves a sample constant is slow, since ``welch_t`` decides that
+    case itself."""
     undefined = np.zeros(keeps.shape[0], dtype=bool)
     slow = np.zeros(keeps.shape[0], dtype=bool)
     moments = []

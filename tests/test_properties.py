@@ -23,6 +23,9 @@
   float and numpy float inputs alike.
 * ``welch_t`` gives the bits of the same test written with ``.mean()`` and
   ``.var(ddof=1)``.
+* ``score_removals``, which downdates every (covariate, group) of the Welch
+  criteria in one array pass, gives the bytes of (p, defined) that a
+  downdate of one (covariate, group) at a time gives.
 """
 
 from __future__ import annotations
@@ -36,14 +39,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupmatch import search
+from groupmatch import search, stats
 from groupmatch.criteria import (
+    _DOWNDATE_REL_FLOOR,
     RANK_REL_TOL,
+    CriteriaEvaluator,
     CriteriaSet,
     CriterionSpec,
     MatchConfig,
     SolutionRank,
     _compare_balance,
+    _welch_t_df,
     balance_close,
     balance_from_counts,
     compare_solutions,
@@ -51,7 +57,14 @@ from groupmatch.criteria import (
 )
 from groupmatch.dataset import Dataset
 from groupmatch.errors import UndefinedTestError
-from groupmatch.stats import WelchResult, student_t_sf, student_t_sf_array, welch_t
+from groupmatch.stats import (
+    BUILTIN_WELCH,
+    WelchResult,
+    _mean_ss,
+    student_t_sf,
+    student_t_sf_array,
+    welch_t,
+)
 
 # fixed examples, and no example database written next to the tests
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -687,10 +700,16 @@ def scalar_tail(t, df) -> float:
 @RANKING
 @given(st.lists(st.tuples(TAIL_T, TAIL_DF), min_size=1, max_size=30))
 def test_student_tail_scalar_and_array_bits_agree(pairs):
+    # at most _SCALAR_TAILS (32) tails go to the scalar function as a
+    # whole, so the array kernel runs here only with the threshold lowered:
+    # to 0 it runs every fraction to the end, to 4 it hands the last four
+    # open ones to the scalar loop
     t = np.array([float(v) for v, _ in pairs])
     df = np.array([float(v) for _, v in pairs])
     want = np.array([scalar_tail(a, b) for a, b in pairs])
-    assert student_t_sf_array(t, df).tobytes() == want.tobytes()
+    for scalar_tails in (0, 4, stats._SCALAR_TAILS):
+        with mock.patch.object(stats, "_SCALAR_TAILS", scalar_tails):
+            assert student_t_sf_array(t, df).tobytes() == want.tobytes()
 
 
 def reference_welch(x, y) -> WelchResult:
@@ -709,6 +728,8 @@ def reference_welch(x, y) -> WelchResult:
     se2 = sx + sy
     t = (mx - my) / math.sqrt(se2)
     df = se2 * se2 / spread
+    if not math.isfinite(df):
+        raise UndefinedTestError("var / n squared overflows; df is undefined")
     return WelchResult(t, df, student_t_sf(t, df))
 
 
@@ -742,3 +763,114 @@ def welch_outcome(test, x, y):
 @given(welch_samples(), welch_samples())
 def test_welch_moments_match_numpy_methods(x, y):
     assert welch_outcome(welch_t, x, y) == welch_outcome(reference_welch, x, y)
+
+
+def reference_group_downdate(evaluator, keep, combos, column, idx):
+    """(n', mean', var' / n', degenerate) of the group of rows ``idx`` on
+    ``keep`` less each removal set: one (covariate, group) downdated on its
+    own, in an (m, L) array."""
+    values = column[idx[keep[idx]]]
+    n = values.size
+    mean, ss = _mean_ss(values) if n else (0.0, 0.0)
+    codes = evaluator.dataset.group_codes
+    in_group = codes[combos] == codes[idx[0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(in_group, column[combos] - mean, 0.0)
+        n_left = n - in_group.sum(axis=1)
+        delta = -d.sum(axis=1) / n_left
+        ss_left = ss - (d * d).sum(axis=1) - n_left * (delta * delta)
+        degenerate = (n_left < 2) | (ss == 0.0) | (ss_left <= _DOWNDATE_REL_FLOOR * ss)
+        var = ss_left / (n_left - 1)
+        return n_left, mean + delta, var / n_left, degenerate
+
+
+def reference_welch_removals(evaluator, keep, combos):
+    """(t, df, slow) of the Welch criteria, one criterion at a time, with
+    each (covariate, group) downdated once by ``reference_group_downdate``."""
+    downdates = {}
+    rows = []
+    for spec, (test, _, column, groups) in zip(evaluator.criteria, evaluator._bound):
+        if test is not BUILTIN_WELCH:
+            continue
+        slow = np.zeros(combos.shape[0], dtype=bool)
+        moments = []
+        for group, idx in zip(spec.group_subset, groups):
+            key = (spec.covariate, group)
+            if key not in downdates:
+                downdates[key] = reference_group_downdate(evaluator, keep, combos, column, idx)
+            n_left, mean, var_n, degenerate = downdates[key]
+            moments.append((n_left, mean, var_n))
+            slow |= degenerate
+        t, df = _welch_t_df(moments)
+        rows.append((t, df, slow | ~(np.isfinite(t) & np.isfinite(df) & (df > 0.0))))
+    return tuple(np.array([row[i] for row in rows]) for i in range(3))
+
+
+@st.composite
+def downdate_problems(draw):
+    """2-5 groups of 2-9 rows on 1-3 covariates, each (group, covariate)
+    normal, tied, constant, or constant but for one row; Welch criteria on
+    pairs of groups that share (covariate, group) keys, in random order,
+    with Anderson-Darling criteria mixed in; a locked group, a few rows
+    already removed, and removal sets of 0-4 rows, or of 8-9 rows, where
+    numpy's sum over a contiguous axis starts to add in pairs."""
+    k = draw(st.integers(2, 5))
+    n_cov = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(2, 9), min_size=k, max_size=k))
+    kinds = draw(st.lists(st.sampled_from(["normal", "ties", "constant", "near"]),
+                          min_size=k * n_cov, max_size=k * n_cov))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = [f"g{i}" for i in range(k)]
+    covariates = [f"c{i}" for i in range(n_cov)]
+    values = []
+    for g, size in enumerate(sizes):
+        block = np.empty((size, n_cov))
+        for c in range(n_cov):
+            kind = kinds[g * n_cov + c]
+            centre = rng.normal(0.0, 3.0)
+            if kind == "normal":
+                block[:, c] = rng.normal(centre, rng.uniform(0.1, 3.0), size)
+            elif kind == "ties":
+                block[:, c] = np.round(rng.normal(centre, 1.0, size))
+            else:
+                block[:, c] = centre
+                if kind == "near":
+                    block[rng.integers(size), c] += abs(centre) * 1e-6 + 1e-9
+        values.append(block)
+    groups = [g for g, size in zip(labels, sizes) for _ in range(size)]
+    dataset = Dataset([f"s{i}" for i in range(len(groups))], groups,
+                      np.concatenate(values), covariates)
+
+    pairs = list(itertools.combinations(labels, 2))
+    keys = st.tuples(st.sampled_from(covariates), st.sampled_from(pairs))
+    welch = draw(st.lists(keys, min_size=1, max_size=8, unique=True))
+    specs = [CriterionSpec("welch_t", c, pair, 0.2) for c, pair in welch]
+    for c in draw(st.lists(st.sampled_from(covariates), max_size=2, unique=True)):
+        subset = draw(st.permutations(labels))[:draw(st.integers(2, k))]
+        specs.append(CriterionSpec("anderson_darling", c, tuple(subset), 0.3))
+    specs = draw(st.permutations(specs))
+    evaluator = CriteriaEvaluator(dataset, CriteriaSet(tuple(specs)))
+
+    locked = {g for g in labels[1:] if draw(st.integers(0, 3)) == 0}
+    open_rows = [i for i, g in enumerate(groups) if g not in locked]
+    keep = np.ones(dataset.n_subjects, dtype=bool)
+    keep[rng.choice(open_rows, draw(st.integers(0, 2)), replace=False)] = False
+    rows = [i for i in open_rows if keep[i]]
+    size = draw(st.sampled_from([3, 2, 4, 8, 1, 9, 0]))
+    if math.comb(len(rows), size) <= 300:
+        combos = list(itertools.combinations(rows, size))
+    else:
+        combos = sorted({tuple(sorted(rng.choice(rows, size, replace=False).tolist()))
+                         for _ in range(300)})
+    return evaluator, keep, np.array(combos, dtype=np.intp).reshape(len(combos), size)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(downdate_problems())
+def test_fused_downdate_matches_downdate_per_key(problem):
+    evaluator, keep, combos = problem
+    p, defined = evaluator.score_removals(keep, combos)
+    with mock.patch.object(CriteriaEvaluator, "_welch_removals", reference_welch_removals):
+        want_p, want_defined = evaluator.score_removals(keep, combos)
+    assert p.tobytes() == want_p.tobytes()
+    assert defined.tobytes() == want_defined.tobytes()

@@ -7,6 +7,7 @@ Student t tail bit for bit.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -561,24 +562,52 @@ class TestStudentTailArray:
         _, defined, _ = assert_agrees(ev, keep, combos)
         assert not defined.any()
 
-    @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("offset", [-24, -2, -1, 0, 1, 2, 16, 200])
     def test_scalar_bits_on_both_sides_of_the_crossover(self, offset, monkeypatch):
-        # below _TAIL_ARRAY_MIN elements the scalar function runs, from it
-        # on the array kernel; both must give the scalar bits, with a NaN t,
-        # t = 0, and fractions that converge and fail to converge (NaN)
-        size = stats._TAIL_ARRAY_MIN + offset
+        # at most _SCALAR_TAILS elements run in the scalar function; more run
+        # in the array kernel, which hands its last _SCALAR_TAILS open
+        # fractions to the scalar one.  t from 0.1 to 30 and df from 1 to 1e8
+        # spread the iteration counts (2 to 40), so fractions are still open
+        # at the handover.  Each must give the scalar bits, with a NaN t,
+        # t = 0, and under a low iteration limit fractions that fail to
+        # converge (NaN)
+        size = stats._SCALAR_TAILS + offset
         rng = np.random.default_rng(size)
-        t = rng.normal(0.0, 3.0, size)
-        df = rng.uniform(0.5, 200.0, size)
+        t = np.exp(rng.uniform(math.log(0.1), math.log(30.0), size))
+        t *= rng.choice([-1.0, 1.0], size)
+        df = np.exp(rng.uniform(0.0, math.log(1e8), size))
         t[:2] = np.nan, 0.0
-        monkeypatch.setattr(stats, "_INCBETA_MAX_ITER", 12)
-        want = []
-        for a, b in zip(t.tolist(), df.tolist()):
-            try:
-                want.append(student_t_sf(a, b))
-            except (UndefinedTestError, ValueError):   # NaN t; no convergence
-                want.append(np.nan)
-        got = student_t_sf_array(t, df)
-        assert got.tobytes() == np.array(want).tobytes()
-        assert np.isnan(got[0]) and got[1] == 1.0
+        for limit in (stats._INCBETA_MAX_ITER, 6):
+            monkeypatch.setattr(stats, "_INCBETA_MAX_ITER", limit)
+            want = []
+            for a, b in zip(t.tolist(), df.tolist()):
+                try:
+                    want.append(student_t_sf(a, b))
+                except (UndefinedTestError, ValueError):   # NaN t; no convergence
+                    want.append(np.nan)
+            got = student_t_sf_array(t, df)
+            assert got.tobytes() == np.array(want).tobytes()
+            assert np.isnan(got[0]) and got[1] == 1.0
         assert np.isnan(got[2:]).any() and np.isfinite(got[2:]).any()
+
+    def test_fraction_open_past_the_limit_in_the_scalar_finish_is_nan(self, monkeypatch):
+        # 100 fractions at t = 0.1 converge in 3 iterations of the array
+        # loop, which hands the 3 at t = 2, df = 1000 (40 iterations) to the
+        # scalar finish; there they run out of iterations
+        resumed = []
+        cf = stats._incbeta_cf
+
+        def spy(a, b, x, state=None):
+            if state is not None:
+                resumed.append(state[0])
+            return cf(a, b, x, state)
+
+        monkeypatch.setattr(stats, "_incbeta_cf", spy)
+        monkeypatch.setattr(stats, "_INCBETA_MAX_ITER", 20)
+        t = np.r_[np.full(100, 0.1), np.full(3, 2.0)]
+        df = np.r_[np.full(100, 10.0), np.full(3, 1e3)]
+        got = student_t_sf_array(t, df)
+        assert resumed == [4, 4, 4]
+        assert np.isfinite(got[:100]).all() and np.isnan(got[100:]).all()
+        monkeypatch.setattr(stats, "_INCBETA_MAX_ITER", 40)
+        assert np.isfinite(student_t_sf_array(t, df)).all()

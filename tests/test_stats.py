@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from groupmatch import stats
 from groupmatch.criteria import CriteriaSet, CriterionSpec, MatchConfig, compute_r
 from groupmatch.dataset import Dataset
 from groupmatch.errors import RegistrationError, UndefinedTestError
@@ -110,7 +111,7 @@ class TestStudentTail:
             assert done.returncode == 0, done.stderr
             assert bytes.fromhex(done.stdout) == scope["p"].tobytes(), disabled
 
-    def test_scalar_domain(self):
+    def test_scalar_domain(self, monkeypatch):
         assert student_t_sf(0.0, 3.0) == 1.0
         assert student_t_sf(-2.0, 7.5) == student_t_sf(2.0, 7.5)
         with pytest.raises(ValueError):
@@ -118,6 +119,12 @@ class TestStudentTail:
         with pytest.raises(ValueError):
             student_t_sf(math.nan, 3.0)
         assert np.isnan(student_t_sf_array(np.array([math.nan]), np.array([3.0]))).all()
+        # t*t is subnormal: y z ratio^2 in the prefactor rounds to 0, and
+        # the tail is 1 to double precision
+        monkeypatch.setattr(stats, "_SCALAR_TAILS", 0)   # the array kernel too
+        for t in (2.674432328170806e-162, 3e-162):
+            assert student_t_sf(t, 1.0) == 1.0
+            assert student_t_sf_array(np.array([t]), np.array([1.0]))[0] == 1.0
         # t*t / df overflows while x = df / (df + t*t) does not
         want = self.reference(1e154, 0.5)
         for p in (student_t_sf(1e154, 0.5),
@@ -193,6 +200,30 @@ class TestWelch:
         # the batch path defers such sets to welch_t, so a search sees every
         # state undefined instead of failing on a division by zero
         values = np.arange(1.0, 9.0)[:, None] * 1e-140
+        d = Dataset([f"s{i}" for i in range(8)], ["A"] * 4 + ["B"] * 4, values, ["x"])
+        config = MatchConfig(
+            criteria=CriteriaSet((CriterionSpec("welch_t", "x", ("A", "B"), 0.2),)))
+        with pytest.raises(UndefinedTestError, match="undefined on every state"):
+            greedy_search(d, config)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_df_is_undefined(self):
+        # (var / n)^2 overflows, so df is inf / inf
+        x = np.array([1.0, 2.0, 3.0, 5.0]) * 1e150
+        y = np.array([2.0, 4.0, 7.0, 1.0]) * 1e150
+        with pytest.raises(UndefinedTestError, match="overflows"):
+            welch_t(x, y)
+        # (var / n)^2 stays finite in each sample, but se2^2 overflows: df
+        # would be inf, where the tail reads 1.0 whatever t is (here -6.4)
+        x = np.array([-1.9e77, 0.0, 1.9e77])
+        with pytest.raises(UndefinedTestError, match="overflows"):
+            welch_t(x, x + 1e78)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_df_leaves_search_undefined(self):
+        # the batch path defers such sets to welch_t, so a search sees every
+        # state undefined instead of failing on a NaN df
+        values = np.array([1.0, 2.0, 3.0, 5.0, 2.0, 4.0, 7.0, 1.0])[:, None] * 1e150
         d = Dataset([f"s{i}" for i in range(8)], ["A"] * 4 + ["B"] * 4, values, ["x"])
         config = MatchConfig(
             criteria=CriteriaSet((CriterionSpec("welch_t", "x", ("A", "B"), 0.2),)))
