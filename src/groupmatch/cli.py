@@ -210,12 +210,14 @@ def cmd_estimate(args) -> int:
         run_cfg.dataset_path, run_cfg.schema, delimiter=run_cfg.delimiter
     )
     match_cfg = run_cfg.match_config
-    match_cfg.validate_for(dataset, _registry())
+    registry = _registry()
+    match_cfg.validate_for(dataset, registry)
     estimate = estimate_exhaustive(
         dataset,
         match_cfg,
         heuristic_removals=args.removals,
         calibrated_rate=args.rate,
+        registry=registry,
     )
     plural = "s" if estimate.configurations != 1 else ""
     print(f"{estimate.configurations} configuration{plural}")

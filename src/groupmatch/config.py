@@ -250,15 +250,14 @@ def load_run_config(path: str | Path) -> RunConfig:
     )
 
 
-_SPEC_KEYS = {f.name for f in fields(SyntheticSpec)}
+_SPEC_TYPES = {f.name: f.type for f in fields(SyntheticSpec)}
 
 
 def _spec_from_dict(raw: dict, context: str) -> SyntheticSpec:
-    _reject_unknown(raw, _SPEC_KEYS, context)
+    _reject_unknown(raw, set(_SPEC_TYPES), context)
     kwargs = dict(raw)
-    for key in ("group_split", "mean_range", "variance_factor_range",
-                "shift_range", "pd_eigenvalue_range", "basic_p_range"):
-        if kwargs.get(key) is not None:
+    for key, annotation in _SPEC_TYPES.items():   # JSON lists to tuple fields
+        if annotation.startswith("tuple[") and kwargs.get(key) is not None:
             kwargs[key] = tuple(kwargs[key])
     try:
         return SyntheticSpec(**kwargs)

@@ -384,7 +384,7 @@ class CriteriaEvaluator:
             self._pooled.append((pooled, codes, where))
         # the distinct (covariate, group) keys that Welch criteria read: each
         # key's column and group code, and each Welch criterion's row in the
-        # (criteria, sets) arrays of ``_welch_removals`` and its pair of keys
+        # (criteria, sets) arrays of ``_welch_t_df`` and its pair of keys
         keys: dict[tuple[str, str], int] = {}
         self._welch_rows: dict[int, int] = {}
         pairs = []
@@ -436,9 +436,9 @@ class CriteriaEvaluator:
 
         Criteria bound to the built-in Welch test are scored from each
         group's count, mean and sum of squared deviations on ``keep``,
-        downdated by the removed rows; a set too close to degenerate to
-        downdate is scored on its own.  Every other criterion is scored as
-        ``score_masks`` scores it, on ``keep`` less each removal set.
+        downdated by the removed rows (``_welch_removals``).  Every other
+        criterion is scored as ``score_masks`` scores it, on ``keep`` less
+        each removal set.
         """
         combos = np.asarray(combos, dtype=np.intp)
 
@@ -450,7 +450,7 @@ class CriteriaEvaluator:
             block[hit, positions[hit, col]] = False
             return block
 
-        return self._score(combos.shape[0], masks, keep, combos)
+        return self._score(combos.shape[0], masks, self._welch_removals(keep, combos))
 
     def score_masks(self, keeps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-criterion p-values of many keep-masks at once.
@@ -461,51 +461,46 @@ class CriteriaEvaluator:
         raises UndefinedTestError, and each of those rows holds a NaN.
 
         Criteria bound to the built-in Welch test are scored from each
-        group's two-pass masked moments, those bound to the built-in
-        Anderson-Darling test with ``anderson_darling_p_masks``; every other
-        criterion, and every mask that leaves a group constant or gives a
-        non-finite statistic, is scored on its own subset.
+        group's two-pass masked moments (``_welch_masks``), those bound to
+        the built-in Anderson-Darling test with ``anderson_darling_p_masks``;
+        every other criterion is scored on its own subset.
         """
         keeps = np.asarray(keeps, dtype=bool).reshape(-1, self.dataset.n_subjects)
         return self._score(
-            keeps.shape[0], lambda j, sets: keeps[sets][:, self._pooled[j][0]]
+            keeps.shape[0], lambda j, sets: keeps[sets][:, self._pooled[j][0]],
+            self._welch_masks(keeps),
         )
 
-    def _score(
-        self, m: int, masks, keep=None, combos=None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _score(self, m: int, masks, welch) -> tuple[np.ndarray, np.ndarray]:
         """(p, defined) of m subsets, criterion by criterion.
 
         ``masks(j, sets)`` gives the keep-masks of the subsets ``sets`` over
         criterion j's pooled rows, built in blocks of at most
-        ``MASK_BLOCK_CELLS`` cells.  Removal sets come with ``keep`` and
-        ``combos`` so that Welch criteria downdate them.  The Student t
-        tails of every Welch criterion are taken in one call at the end.
+        ``MASK_BLOCK_CELLS`` cells.  ``welch`` holds the (t, df, slow)
+        arrays of ``_welch_t_df`` over (Welch criteria, subsets), None when
+        there is no Welch criterion.  The Student t tails of every Welch
+        criterion are taken in one call at the end; only its slow subsets
+        are scored on masks.
         """
         p = np.full((m, len(self._bound)), np.nan)
         defined = np.ones(m, dtype=bool)
         tails: list = []
-        downdated = (
-            self._welch_removals(keep, combos)
-            if combos is not None and self._welch_rows else None
-        )
         for j, (test, _, column, rows) in enumerate(self._bound):
             todo = np.flatnonzero(defined)
-            moments = test is BUILTIN_WELCH
-            if moments and downdated is not None:
-                t, df, slow = (v[self._welch_rows[j], todo] for v in downdated)
-                _queue_tails(tails, j, todo, t, df, slow, defined)
-                todo, moments = todo[slow], False   # slow sets go per mask
+            if j in self._welch_rows:
+                # queue the tails of the sets neither slow nor undefined
+                t, df, slow = (v[self._welch_rows[j], todo] for v in welch)
+                undefined = ~slow & np.isnan(t)
+                defined[todo[undefined]] = False
+                fast = ~(slow | undefined)
+                tails.append((j, todo[fast], t[fast], df[fast]))
+                todo = todo[slow]
             pooled, codes, _ = self._pooled[j]
             values = column[pooled]
             step = max(1, MASK_BLOCK_CELLS // pooled.size)
             for start in range(0, todo.size, step):
                 sets = todo[start:start + step]
                 block = masks(j, sets)
-                if moments:
-                    t, df, slow = _welch_masked(block, values, codes, len(rows))
-                    _queue_tails(tails, j, sets, t, df, slow, defined)
-                    sets, block = sets[slow], block[slow]
                 if test is BUILTIN_AD:
                     got = anderson_darling_p_masks(values, codes, len(rows), block)
                 else:
@@ -515,115 +510,102 @@ class CriteriaEvaluator:
         _fill_tails(tails, p, defined)
         return p, defined
 
-    def _welch_removals(
-        self, keep: np.ndarray, combos: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Welch t and df of every Welch criterion on every removal set, from
-        per-group sufficient statistics: (t, df, slow) arrays of shape
-        (Welch criteria, sets), where the ``slow`` sets are too close to
-        degenerate to downdate and are left to the caller to score per
-        subset.
+    def _welch_removals(self, keep: np.ndarray, combos: np.ndarray):
+        """The (t, df, slow) arrays of ``_welch_t_df`` for every Welch
+        criterion on every removal set, from per-group sufficient
+        statistics; None when there is no Welch criterion.
 
         Each key's n, mean and C = sum((x - mean)^2) are taken over its
         group's kept rows with ``welch_t``'s own arithmetic, so a set that
         takes no row of the group leaves the bits of its p as they are.
         Removing k rows with deviations d = x - mean gives n' = n - k, a mean
         shift delta = -sum(d) / n' and C' = C - sum(d^2) - n' delta^2
-        (Welford 1962; Chan, Golub & LeVeque 1983).  Every key is downdated
-        in one (keys, sets, L) pass per block of ``MASK_BLOCK_CELLS`` cells.
-        The removal axis stays last and contiguous, so each set's sums add
-        in the order of a lone (sets, L) array, whatever the number of keys.
+        (Welford 1962; Chan, Golub & LeVeque 1983).  A key whose C is 0, or
+        whose C' has lost too many digits to cancellation, is degenerate.
+        Every key is downdated in one (keys, sets, L) pass per block of
+        ``MASK_BLOCK_CELLS`` cells.  The removal axis stays last and
+        contiguous, so each set's sums add in the order of a lone (sets, L)
+        array, whatever the number of keys.
         """
+        if not self._welch_rows:
+            return None
         n_keys = len(self._key_rows)
+        m, width = combos.shape
+        shape = (len(self._welch_rows), m)
+        t, df, slow = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+        step = max(1, MASK_BLOCK_CELLS // (n_keys * max(width, 1)))
         n = np.empty(n_keys, dtype=np.intp)
         mean, ss = np.zeros(n_keys), np.zeros(n_keys)
-        for k, idx in enumerate(self._key_rows):
-            values = self._key_columns[k, idx[keep[idx]]]
-            n[k] = values.size
-            if values.size:
-                mean[k], ss[k] = _mean_ss(values)
-        n, mean, ss = n[:, None], mean[:, None], ss[:, None]
-        kx, ky = self._key_pairs
-        m, width = combos.shape
-        t, df = np.empty((kx.size, m)), np.empty((kx.size, m))
-        slow = np.empty((kx.size, m), dtype=bool)
-        step = max(1, MASK_BLOCK_CELLS // (n_keys * max(width, 1)))
-        for start in range(0, m, step):
-            block = combos[start:start + step]
-            # (keys, sets, L), each key's rows of the set on its own column
-            in_group = self._key_groups[:, None, None] == self.dataset.group_codes[block]
-            x = np.take(self._key_columns, block, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for k, idx in enumerate(self._key_rows):
+                values = self._key_columns[k, idx[keep[idx]]]
+                n[k] = values.size
+                if values.size:
+                    mean[k], ss[k] = _mean_ss(values)
+            n, mean, ss = n[:, None], mean[:, None], ss[:, None]
+            for start in range(0, m, step):
+                block = combos[start:start + step]
+                # (keys, sets, L), each key's rows of the set on its own column
+                in_group = self._key_groups[:, None, None] == self.dataset.group_codes[block]
+                x = np.take(self._key_columns, block, axis=1)
                 d = np.where(in_group, x - mean[:, :, None], 0.0)
                 n_left = n - in_group.sum(axis=2)
                 delta = -d.sum(axis=2) / n_left
                 ss_left = ss - (d * d).sum(axis=2) - n_left * (delta * delta)
-                degenerate = (n_left < 2) | (ss == 0.0) | (ss_left <= _DOWNDATE_REL_FLOOR * ss)
-                var_n = ss_left / (n_left - 1) / n_left
-            mean_left = mean + delta
-            bt, bdf = _welch_t_df((
-                (n_left[kx], mean_left[kx], var_n[kx]),
-                (n_left[ky], mean_left[ky], var_n[ky]),
-            ))
-            cut = slice(start, start + step)
-            t[:, cut], df[:, cut] = bt, bdf
-            slow[:, cut] = degenerate[kx] | degenerate[ky] | ~(
-                np.isfinite(bt) & np.isfinite(bdf) & (bdf > 0.0))
+                cut = slice(start, start + step)
+                t[:, cut], df[:, cut], slow[:, cut] = _welch_t_df(
+                    self._key_pairs, n_left, mean + delta, ss_left / (n_left - 1) / n_left,
+                    (ss == 0.0) | (ss_left <= _DOWNDATE_REL_FLOOR * ss),
+                )
         return t, df, slow
 
+    def _welch_masks(self, keeps: np.ndarray):
+        """The (t, df, slow) arrays of ``_welch_t_df`` for every Welch
+        criterion on every keep-mask, from each key's two-pass moments over
+        its kept rows, with ``welch_t``'s arithmetic; None when there is no
+        Welch criterion.  A key that a mask leaves constant is degenerate,
+        since ``welch_t`` decides that case itself."""
+        if not self._welch_rows:
+            return None
+        shape = (len(self._key_rows), keeps.shape[0])
+        n, constant = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=bool)
+        mean, var_n = np.empty(shape), np.empty(shape)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for k, idx in enumerate(self._key_rows):
+                x = self._key_columns[k, idx]
+                step = max(1, MASK_BLOCK_CELLS // max(idx.size, 1))
+                for start in range(0, keeps.shape[0], step):
+                    cut = slice(start, start + step)
+                    kept = keeps[cut][:, idx]
+                    n[k, cut] = kept.sum(axis=1)
+                    mean[k, cut] = np.where(kept, x, 0.0).sum(axis=1) / n[k, cut]
+                    dev = np.where(kept, x - mean[k, cut, None], 0.0)
+                    var_n[k, cut] = np.sum(dev * dev, axis=1) / (n[k, cut] - 1) / n[k, cut]
+                    constant[k, cut] = (np.where(kept, x, np.inf).min(axis=1)
+                                        == np.where(kept, x, -np.inf).max(axis=1))
+            return _welch_t_df(self._key_pairs, n, mean, var_n, constant)
 
-def _welch_masked(
-    keeps: np.ndarray, values: np.ndarray, codes: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Welch t and df of keep-masks over a pooled sample (``values``, with
-    sample ``codes``) from each sample's two-pass masked moments: (t, df,
-    slow) as a row of ``CriteriaEvaluator._welch_removals``, with t NaN on
-    the masks that keep fewer than two rows of a sample (undefined).  A mask
-    that leaves a sample constant is slow, since ``welch_t`` decides that
-    case itself."""
-    undefined = np.zeros(keeps.shape[0], dtype=bool)
-    slow = np.zeros(keeps.shape[0], dtype=bool)
-    moments = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for g in range(k):
-            mine = codes == g
-            kept = keeps[:, mine]
-            x = values[mine]
-            n = kept.sum(axis=1)
-            mean = np.where(kept, x, 0.0).sum(axis=1) / n
-            dev = np.where(kept, x - mean[:, None], 0.0)
-            ss = np.sum(dev * dev, axis=1)
-            low = np.where(kept, x, np.inf).min(axis=1)
-            high = np.where(kept, x, -np.inf).max(axis=1)
-            undefined |= n < 2
-            slow |= low == high
-            var = ss / (n - 1)
-            moments.append((n, mean, var / n))
-    t, df = _welch_t_df(moments)
-    slow |= ~(np.isfinite(t) & np.isfinite(df) & (df > 0.0))
+
+def _welch_t_df(pairs, n, mean, var_n, degenerate):
+    """Welch t, Satterthwaite df and a ``slow`` flag for every criterion,
+    from (keys, sets) arrays of each key's n, mean, var / n and a degenerate
+    flag, with the arithmetic of ``welch_t``; ``pairs`` holds each
+    criterion's two keys.  Returns (criteria, sets) arrays.
+
+    t is NaN where a group keeps fewer than two rows (undefined).  The
+    other sets are slow where a key is degenerate or t and df are not
+    finite with df > 0; the caller scores those per subset.  Called under
+    the moment pass's ``np.errstate``."""
+    kx, ky = pairs
+    nx, ny, sx, sy = n[kx], n[ky], var_n[kx], var_n[ky]
+    se2 = sx + sy
+    t = (mean[kx] - mean[ky]) / np.sqrt(se2)
+    df = se2 * se2 / (sx * sx / (nx - 1) + sy * sy / (ny - 1))
+    undefined = (nx < 2) | (ny < 2)
+    slow = ~undefined & (degenerate[kx] | degenerate[ky]
+                         | ~(np.isfinite(t) & np.isfinite(df) & (df > 0.0)))
     t[undefined] = np.nan
-    return t, df, slow & ~undefined
-
-
-def _welch_t_df(moments) -> tuple[np.ndarray, np.ndarray]:
-    """t and Satterthwaite df from two groups' (n, mean, var / n) arrays,
-    with the arithmetic of ``welch_t``."""
-    (nx, mx, sx), (ny, my, sy) = moments
-    with np.errstate(divide="ignore", invalid="ignore"):
-        se2 = sx + sy
-        t = (mx - my) / np.sqrt(se2)
-        df = se2 * se2 / (sx * sx / (nx - 1) + sy * sy / (ny - 1))
-    return t, df
-
-
-def _queue_tails(tails: list, j: int, todo, t, df, slow, defined) -> None:
-    """Queue the Student t tails of criterion j's sets ``todo`` that are
-    neither slow nor undefined (t NaN) and mark the undefined ones; the
-    slow ones are left to the caller."""
-    undefined = ~slow & np.isnan(t)
-    defined[todo[undefined]] = False
-    fast = ~(slow | undefined)
-    tails.append((j, todo[fast], t[fast], df[fast]))
+    return t, df, slow
 
 
 def _fill_tails(tails: list, p: np.ndarray, defined: np.ndarray) -> None:

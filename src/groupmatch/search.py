@@ -88,7 +88,7 @@ from .criteria import (
 )
 from .dataset import Dataset, SubsetState
 from .errors import BudgetExceededError, UndefinedTestError, ValidationError, scalar_fits
-from .stats import BUILTIN_AD, TestRegistry
+from .stats import TestRegistry
 
 __all__ = [
     "TraceStep",
@@ -261,12 +261,10 @@ class _Engine:
         self.alphas = np.array([c.alpha for c in config.criteria])
         # touches[g, j]: taking a row of group g may change criterion j's p
         # as score_removals gives it.  A criterion reads only its own
-        # groups, but the Anderson-Darling batch kernel sums in another
-        # order than anderson_darling_p, so its last bits may differ on any
-        # set: every group touches it
+        # groups, and every batch kernel gives evaluate's bits on a subset,
+        # so a set that takes no row of them leaves p_j as it is
         self.touches = np.array([
-            [g in c.group_subset or registry.get(c.test_name) is BUILTIN_AD
-             for c in config.criteria]
+            [g in c.group_subset for c in config.criteria]
             for g in dataset.group_labels
         ], dtype=np.intp)
         self.deadline: float | None = None

@@ -318,7 +318,7 @@ def _t_front(a, y, log_x, ops: _Exact):
 
 def student_t_sf(t: float, df: float) -> float:
     """Two-sided survival probability P(|T_df| >= |t|), for finite t and
-    positive df.
+    finite positive df.
 
     This is I_x(df/2, 1/2) with x = df / (df + t*t), so the result depends
     on t only through t*t (exact sign symmetry).  x and 1 - x are both
@@ -329,9 +329,9 @@ def student_t_sf(t: float, df: float) -> float:
     every CPU and bit for bit that of ``student_t_sf_array``.  Raises
     UndefinedTestError when the continued fraction does not converge.
     """
-    if df <= 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
     t, df = float(t), float(df)
+    if not 0.0 < df < math.inf:
+        raise ValueError(f"degrees of freedom must be positive and finite, got {df}")
     tt = t * t
     s = df + tt
     x = df / s
@@ -362,7 +362,7 @@ def _tail_or_nan(t: float, df: float) -> float:
 
 
 def student_t_sf_array(t: np.ndarray, df: np.ndarray) -> np.ndarray:
-    """``student_t_sf`` elementwise over finite t and positive df.
+    """``student_t_sf`` elementwise over finite t and finite positive df.
 
     Each element is bit-identical to the scalar function: the prefactor
     runs the same IEEE-exact helpers on whole arrays (numpy's frexp, ldexp
@@ -370,16 +370,18 @@ def student_t_sf_array(t: np.ndarray, df: np.ndarray) -> np.ndarray:
     ``round``), with no per-element Python call, and the continued
     fraction runs in the same operation order.  Elements whose continued
     fraction does not converge (where the scalar function raises
-    UndefinedTestError) are NaN, as are elements with a NaN t.  At most
-    ``_SCALAR_TAILS`` elements of positive df go through the scalar
-    function instead, which is faster there and gives the same bits.
+    UndefinedTestError) are NaN, as are elements with a NaN t or a df that
+    is not finite and positive (where it raises ValueError).  At most
+    ``_SCALAR_TAILS`` elements go through the scalar function instead,
+    which is faster there and gives the same bits.
     """
     t, df = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(df, dtype=float))
-    if t.size <= _SCALAR_TAILS and (df > 0.0).all():
+    if t.size <= _SCALAR_TAILS:
         return np.array(
             [_tail_or_nan(a, b) for a, b in zip(t.ravel().tolist(), df.ravel().tolist())],
             dtype=float,
         ).reshape(t.shape)
+    df = np.where((df > 0.0) & (df < math.inf), df, math.nan)   # NaN where the scalar raises
     tt = t * t
     s = df + tt
     x = df / s
@@ -445,8 +447,9 @@ def welch_t(x, y) -> WelchResult:
     xs = _as_sample(x, 2)
     ys = _as_sample(y, 2)
     nx, ny = xs.size, ys.size
-    mx, ssx = _mean_ss(xs)
-    my, ssy = _mean_ss(ys)
+    with np.errstate(over="ignore"):    # an overflow makes df undefined below
+        mx, ssx = _mean_ss(xs)
+        my, ssy = _mean_ss(ys)
     vx, vy = ssx / (nx - 1), ssy / (ny - 1)
     if vx == 0.0 and vy == 0.0:
         if mx == my:
@@ -490,24 +493,36 @@ class ADResult:
 
 
 def _ad_midrank_statistic(samples: list[np.ndarray]) -> float:
-    """Ties-corrected k-sample statistic computed over distinct pooled values."""
-    pooled = np.sort(np.concatenate(samples))
-    total = pooled.size
-    distinct, pooled_counts = np.unique(pooled, return_counts=True)
+    """Ties-corrected k-sample statistic computed over distinct pooled values,
+    each sum added in the order of ``anderson_darling_p_masks``.  Raises
+    UndefinedTestError when the values are all identical."""
+    sizes = np.array([s.size for s in samples])
+    k, total = sizes.size, int(sizes.sum())
+    distinct, inverse, pooled_counts = np.unique(
+        np.concatenate(samples), return_inverse=True, return_counts=True)
+    if distinct.size < 2:
+        raise UndefinedTestError("all pooled observations are identical")
+    # (D, k): each sample's count at each distinct value
+    counts = np.bincount(inverse * k + np.repeat(np.arange(k), sizes),
+                         minlength=distinct.size * k).reshape(-1, k)
     # midrank count of pooled observations at or below each distinct value
     below_mid = np.cumsum(pooled_counts) - 0.5 * pooled_counts
     denom = below_mid * (total - below_mid) - total * pooled_counts / 4.0
     weight = pooled_counts / total
+    mid = np.cumsum(counts, axis=0) - 0.5 * counts
+    num = (total * mid - below_mid[:, None] * sizes) ** 2
     a2 = 0.0
-    for sample in samples:
-        s = np.sort(sample)
-        right = np.searchsorted(s, distinct, side="right")
-        left = np.searchsorted(s, distinct, side="left")
-        counts = right - left
-        mid = right - 0.5 * counts
-        num = (total * mid - below_mid * sample.size) ** 2
-        a2 += float(np.sum(weight * num / denom)) / sample.size
+    for s, n in zip(_ad_sums(weight[:, None] * num / denom[:, None]).tolist(), sizes.tolist()):
+        a2 += s / n
     return a2 * (total - 1.0) / total
+
+
+def _ad_sums(terms: np.ndarray) -> np.ndarray:
+    """The sums over axis 0 of a C-contiguous (D, k, ...) array, k >= 2,
+    each added left to right: numpy reduces a leading axis row by row, but
+    sums a contiguous axis, as a (D, 1) array would collapse to, pairwise in
+    blocks of 8.  So a zero term, a value a mask leaves out, moves no bit."""
+    return np.add.reduce(terms, axis=0)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -534,7 +549,9 @@ def _ad_variance_from(k: int, N, H, h, g):
 
 def _ad_variance(n_samples: int, total: int, sizes: np.ndarray) -> float:
     """Null variance of the k-sample statistic (exact finite-N formula)."""
-    H = float(np.sum(1.0 / sizes))
+    H = 0.0
+    for n in sizes.tolist():       # left to right, as in the batch kernel
+        H += 1.0 / n
     h, g = _ad_harmonic_sums(total)
     return _ad_variance_from(n_samples, total, H, h, g)
 
@@ -565,9 +582,6 @@ def anderson_darling(samples: Sequence) -> ADResult:
     arrays = [_as_sample(s, 2) for s in samples]
     pooled_size = sum(a.size for a in arrays)
     k = len(arrays)
-    distinct = np.unique(np.concatenate(arrays))
-    if distinct.size < 2:
-        raise UndefinedTestError("all pooled observations are identical")
     sizes = np.array([a.size for a in arrays], dtype=float)
     a2 = _ad_midrank_statistic(arrays)
     sigma_sq = _ad_variance(k, pooled_size, sizes)
@@ -603,7 +617,8 @@ def anderson_darling_p(samples: Sequence) -> float:
 
 
 def anderson_darling_p_masks(values, codes, k: int, masks) -> np.ndarray:
-    """``anderson_darling_p`` of many subsets of one pooled sample at once.
+    """``anderson_darling_p`` of many subsets of one pooled sample at once,
+    bit for bit.
 
     ``values`` is the pooled sample, ``codes`` the sample (0..k-1) of each
     value and ``masks`` an (m, n) block of keep-masks over them; row i
@@ -614,9 +629,9 @@ def anderson_darling_p_masks(values, codes, k: int, masks) -> np.ndarray:
     The pooled sample is sorted once.  Each mask's per-sample counts at
     every distinct value come from ``np.add.reduceat`` over the runs of
     equal values, so a value the mask leaves out has zero counts and adds
-    nothing; the midrank statistic, null variance and tail fit then run over
-    the whole block.  A mask whose null variance is not positive
-    and finite, or whose p is NaN, is scored on its own subset instead.
+    a zero term.  The midrank statistic, null variance and tail fit then run
+    over the whole block with the operations of ``anderson_darling``, and
+    every sum adds in its order (``_ad_sums``, H left to right).
     """
     values = np.asarray(values, dtype=float)
     codes = np.asarray(codes)
@@ -629,39 +644,40 @@ def anderson_darling_p_masks(values, codes, k: int, masks) -> np.ndarray:
     starts = np.flatnonzero(
         np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
     )
-    kept = masks[:, order]
+    kept = masks.T[order]
     sorted_codes = codes[order]
-    # per-sample counts at each distinct value: (k, m, D)
+    # each sample's count at each distinct value, and at or below it: (k, D, m)
     counts = np.stack([
         np.add.reduceat(
-            (kept & (sorted_codes == g)).astype(float), starts, axis=1
+            (kept & (sorted_codes == g)[:, None]).astype(float), starts, axis=0
         )
         for g in range(k)
     ])
-    pooled = counts.sum(axis=0)
-    sizes = counts.sum(axis=2)                     # (k, m)
-    total = pooled.sum(axis=1)                     # (m,)
-    scored = (sizes >= 2).all(axis=0) & (np.count_nonzero(pooled, axis=1) >= 2)
+    below = np.cumsum(counts, axis=1)
+    pooled = counts.sum(axis=0)                    # (D, m)
+    sizes = below[:, -1]                           # (k, m)
+    scored = (sizes >= 2).all(axis=0) & (np.count_nonzero(pooled, axis=0) >= 2)
     if not scored.any():
         return p
-    pooled, counts, sizes, total = (
-        pooled[scored], counts[:, scored], sizes[:, scored], total[scored]
-    )
-    N = total[:, None]
+    if not scored.all():
+        counts, below, pooled, sizes = (
+            counts[..., scored], below[..., scored], pooled[:, scored], sizes[:, scored])
+    total = sizes.sum(axis=0)                      # (m,)
     with np.errstate(divide="ignore", invalid="ignore"):
-        below_mid = np.cumsum(pooled, axis=1) - 0.5 * pooled
-        denom = below_mid * (N - below_mid) - N * pooled / 4.0
-        weight = pooled / N
+        below_mid = below.sum(axis=0) - 0.5 * pooled
+        denom = below_mid * (total - below_mid) - total * pooled / 4.0
+        weight = pooled / total
         present = pooled > 0
+        terms = np.empty((pooled.shape[0], k, pooled.shape[1]))    # (D, k, m)
+        for g in range(k):
+            num = (total * (below[g] - 0.5 * counts[g]) - below_mid * sizes[g]) ** 2
+            terms[:, g] = np.where(present, weight * num / denom, 0.0)
         a2 = np.zeros(total.shape)
-        for f, n in zip(counts, sizes):
-            mid = np.cumsum(f, axis=1) - 0.5 * f
-            num = (N * mid - below_mid * n[:, None]) ** 2
-            terms = np.where(present, weight * num / denom, 0.0)
-            a2 = a2 + terms.sum(axis=1) / n
+        for s, n in zip(_ad_sums(terms), sizes):
+            a2 = a2 + s / n
         a2 = a2 * (total - 1.0) / total
-        H = 1.0 / sizes[0]
-        for n in sizes[1:]:
+        H = np.zeros(total.shape)
+        for n in sizes:
             H = H + 1.0 / n
         N_int = total.astype(np.int64)
         # the sums depend on N only: one lookup per distinct pooled size
@@ -669,11 +685,8 @@ def anderson_darling_p_masks(values, codes, k: int, masks) -> np.ndarray:
         sums = np.array([_ad_harmonic_sums(int(t)) for t in distinct])[which]
         sigma_sq = _ad_variance_from(k, N_int, H, sums[:, 0], sums[:, 1])
         standardized = (a2 - (k - 1)) / np.sqrt(sigma_sq)
-    got = _ad_tail_p(k, standardized)
-    rows = np.flatnonzero(scored)
-    p[rows] = got
-    redo = rows[~(np.isfinite(sigma_sq) & (sigma_sq > 0.0)) | np.isnan(got)]
-    p[redo] = _per_mask_p(anderson_darling_p, values, codes, k, masks[redo])
+    # a null variance that is not positive is where anderson_darling raises
+    p[scored] = np.where(sigma_sq > 0.0, _ad_tail_p(k, standardized), np.nan)
     return p
 
 
@@ -725,11 +738,13 @@ class TestFunction:
 
 # The built-in tests.  When many subsets are scored at once
 # (``CriteriaEvaluator.score_removals`` and ``score_masks``), criteria bound
-# to these exact instances take a batch kernel: Welch downdates per-group
-# sufficient statistics for removal sets and takes two-pass masked moments
-# for keep-masks, and Anderson-Darling runs ``anderson_darling_p_masks``.
-# Any other test, including either name mapped to another instance, is
-# called once per keep-mask (``_per_mask_p``).
+# to these exact instances take a batch kernel.  Welch takes t and df of
+# every criterion from per-(covariate, group) moments: downdated sufficient
+# statistics for removal sets, two-pass masked moments for keep-masks.
+# Anderson-Darling runs ``anderson_darling_p_masks``, which gives the bits
+# of ``anderson_darling_p`` on every subset.  Any other test, including
+# either name mapped to another instance, is called once per keep-mask
+# (``_per_mask_p``).
 BUILTIN_WELCH = TestFunction("welch_t", "two_sample", lambda s: welch_t_p(s[0], s[1]))
 BUILTIN_AD = TestFunction("anderson_darling", "k_sample", anderson_darling_p)
 

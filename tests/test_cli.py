@@ -264,6 +264,27 @@ class TestEstimate:
         out = capsys.readouterr().out
         assert "verdict: infeasible" in out
 
+    def test_calibration_scores_with_the_registry_the_config_is_checked_against(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def always_half(samples):
+            calls.append(len(samples))
+            return 0.5
+
+        registry = TestRegistry()
+        registry.register(TestFunction("always_half", "k_sample", always_half))
+        monkeypatch.setattr("groupmatch.cli._registry", lambda: registry)
+        cfg = run_config(
+            tmp_path, matched_csv(tmp_path), tmp_path / "out",
+            criteria=[{"test": "always_half", "covariate": "x", "groups": ["A", "B"],
+                       "alpha": 0.2}],
+        )
+        assert main(["estimate", "--config", str(cfg), "--removals", "1"]) == 0
+        assert "configurations" in capsys.readouterr().out
+        assert calls
+
 
 class TestEvaluate:
     def test_tiny_grid(self, tmp_path, capsys):

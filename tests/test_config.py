@@ -148,6 +148,19 @@ def test_grid_config_defaults_and_keys(tmp_path):
         load_grid_config(write_json(tmp_path / "grid.json", grid_payload(seed=1)))
 
 
+def test_every_tuple_field_of_a_spec_loads_from_a_json_list(tmp_path):
+    from groupmatch.synthgen import SyntheticSpec
+
+    base = {"n_items": 40, "n_intruders": 4, "n_covariates": 2, "n_shifted_covariates": 2}
+    defaults = SyntheticSpec(**base)
+    lists = {f.name: list(getattr(defaults, f.name)) for f in fields(SyntheticSpec)
+             if isinstance(getattr(defaults, f.name), tuple)}
+    assert "group_split" in lists and "basic_p_range" in lists
+    spec = gm_config.load_synthetic_spec(write_json(tmp_path / "spec.json", {**base, **lists}))
+    assert spec == defaults
+    assert all(isinstance(getattr(spec, name), tuple) for name in lists)
+
+
 def test_evaluate_refuses_a_bare_test_name(tmp_path, capsys):
     path = write_json(tmp_path / "grid.json", grid_payload(
         tests="welch_t", output_dir=str(tmp_path / "out")

@@ -49,7 +49,6 @@ from groupmatch.criteria import (
     MatchConfig,
     SolutionRank,
     _compare_balance,
-    _welch_t_df,
     balance_close,
     balance_from_counts,
     compare_solutions,
@@ -412,10 +411,9 @@ def test_skipped_patterns_change_nothing(problem, variant, size, batch):
             return None
 
     # on a criterion that a scored set leaves untouched (``_Engine.touches``:
-    # it takes no row of the criterion's groups, and the test is not the
-    # built-in Anderson-Darling), the batch p has the bits of the p that
-    # evaluate gives the state the set is scored from; so the set's r is no
-    # higher than its bound, the lowest of those p_j / alpha_j
+    # it takes no row of the criterion's groups), the batch p has the bits
+    # of the p that evaluate gives the state the set is scored from; so the
+    # set's r is no higher than its bound, the lowest of those p_j / alpha_j
     alphas = [spec.alpha for spec in config.criteria]
     score = search._Engine.score
 
@@ -792,17 +790,20 @@ def reference_welch_removals(evaluator, keep, combos):
     for spec, (test, _, column, groups) in zip(evaluator.criteria, evaluator._bound):
         if test is not BUILTIN_WELCH:
             continue
-        slow = np.zeros(combos.shape[0], dtype=bool)
-        moments = []
         for group, idx in zip(spec.group_subset, groups):
             key = (spec.covariate, group)
             if key not in downdates:
                 downdates[key] = reference_group_downdate(evaluator, keep, combos, column, idx)
-            n_left, mean, var_n, degenerate = downdates[key]
-            moments.append((n_left, mean, var_n))
-            slow |= degenerate
-        t, df = _welch_t_df(moments)
-        rows.append((t, df, slow | ~(np.isfinite(t) & np.isfinite(df) & (df > 0.0))))
+        # t and df with welch_t's arithmetic; a set is slow where either
+        # group is degenerate (fewer than two rows left included, where
+        # welch_t raises) or t and df are not finite with df > 0
+        (nx, mx, sx, dx), (ny, my, sy, dy) = (
+            downdates[(spec.covariate, group)] for group in spec.group_subset)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            se2 = sx + sy
+            t = (mx - my) / np.sqrt(se2)
+            df = se2 * se2 / (sx * sx / (nx - 1) + sy * sy / (ny - 1))
+        rows.append((t, df, dx | dy | ~(np.isfinite(t) & np.isfinite(df) & (df > 0.0))))
     return tuple(np.array([row[i] for row in rows]) for i in range(3))
 
 

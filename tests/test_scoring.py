@@ -195,11 +195,11 @@ class TestMixedAndCustomTests:
         for size in (1, 2):
             combos = removable_combos(d, keep, set(), size)
             ps, defined, reference = assert_agrees(ev, keep, combos)
-            # Anderson-Darling is scored in blocks from one pooled sort: its
-            # p-values agree with the per-subset ones as closely as r does
+            # Anderson-Darling is scored in blocks from one pooled sort, with
+            # the per-subset sums in the same order: the same bits
             for row, ref in zip(ps[defined], [r for r in reference if r]):
                 for j in (0, 2):
-                    assert abs(row[j] - ref[1][j]) <= R_REL_TOL * ref[1][j]
+                    assert row[j] == ref[1][j]
 
     def test_registry_override_of_welch_is_honoured(self):
         calls = []
@@ -347,9 +347,11 @@ def mixed_criteria(labels):
 
 def assert_masks_agree(evaluator, keeps):
     """score_masks against evaluate on each mask: the same masks undefined,
-    and every p-value (so r too) within R_REL_TOL."""
+    every Anderson-Darling p-value bit for bit, and every p-value (so r too)
+    within R_REL_TOL."""
     ps, defined = evaluator.score_masks(keeps)
     alphas = np.array([c.alpha for c in evaluator.criteria])
+    ad = [j for j, c in enumerate(evaluator.criteria) if c.test_name == "anderson_darling"]
     for keep, row, ok in zip(keeps, ps, defined):
         try:
             r, ref = evaluator.evaluate(keep)
@@ -357,6 +359,7 @@ def assert_masks_agree(evaluator, keeps):
             assert not ok
             continue
         assert ok
+        assert row[ad].tobytes() == np.array(ref)[ad].tobytes()
         assert np.all(np.abs(row - ref) <= R_REL_TOL * np.array(ref))
         assert abs(float(np.min(row / alphas)) - r) <= R_REL_TOL * abs(r)
     return ps, defined
@@ -462,9 +465,12 @@ class TestAndersonDarlingMasks:
         return np.array(out)
 
     def test_agrees_with_per_subset(self):
+        # 2-9 samples, ties, and each mask also scored in a block of its own:
+        # the batch p has the bits of the per-subset p
         rng = np.random.default_rng(16)
-        for trial in range(60):
-            k = int(rng.integers(2, 5))
+        defined = 0
+        for trial in range(80):
+            k = int(rng.integers(2, 10))
             codes = np.repeat(np.arange(k), rng.integers(2, 12, size=k))
             if trial % 3 == 0:
                 values = rng.integers(0, 4, size=codes.size).astype(float)
@@ -473,27 +479,35 @@ class TestAndersonDarlingMasks:
             masks = random_masks(rng, codes.size, 30)
             got = anderson_darling_p_masks(values, codes, k, masks)
             want = self.reference(values, codes, k, masks)
-            assert np.isnan(got).tolist() == np.isnan(want).tolist()
-            ok = ~np.isnan(want)
-            assert np.all(np.abs(got[ok] - want[ok]) <= R_REL_TOL * want[ok])
+            assert got.tobytes() == want.tobytes()
+            alone = [anderson_darling_p_masks(values, codes, k, mask[None]) for mask in masks]
+            assert np.concatenate(alone).tobytes() == want.tobytes()
+            defined += int((~np.isnan(want)).sum())
+        assert defined > 1000
 
-    def test_non_finite_variance_is_scored_per_subset(self, monkeypatch):
-        # a block whose null variance comes out NaN takes the scalar path
+    def test_null_variance_not_positive_gives_nan(self, monkeypatch):
+        # a null variance that is NaN gives p = NaN per subset, and one that
+        # is not positive raises there: NaN in the batch either way, in the
+        # same masks
         real = stats._ad_variance_from
 
-        def nan_for_arrays(k, N, H, h, g):
+        def odd_nan_even_negative(k, N, H, h, g):
             out = real(k, N, H, h, g)
-            return np.full_like(out, np.nan) if np.ndim(out) else out
+            N = np.asarray(N)
+            return np.where(N % 2 == 1, np.nan, np.where(N % 4 == 2, -out, out))
 
-        monkeypatch.setattr(stats, "_ad_variance_from", nan_for_arrays)
+        monkeypatch.setattr(stats, "_ad_variance_from", odd_nan_even_negative)
         rng = np.random.default_rng(17)
         codes = np.repeat(np.arange(3), [6, 7, 5])
         values = rng.normal(size=codes.size)
-        masks = random_masks(rng, codes.size, 25)
+        masks = random_masks(rng, codes.size, 40)
         got = anderson_darling_p_masks(values, codes, 3, masks)
         want = self.reference(values, codes, 3, masks)
         assert got.tobytes() == want.tobytes()
-        assert not np.isnan(want).all()
+        totals = masks.sum(axis=1)
+        assert np.isnan(got[totals % 2 == 1]).all()
+        assert np.isnan(got[totals % 4 == 2]).all()
+        assert not np.isnan(got).all()
 
 
 def per_subset_registry():

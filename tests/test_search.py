@@ -581,6 +581,26 @@ class TestCriterionLocality:
         assert (step.combos[search._argmax_pool(engine, step)].tolist()
                 == every.combos[search._argmax_pool(engine, every)].tolist())
 
+    def test_anderson_darling_criteria_give_a_bound(self, monkeypatch):
+        # the clinical criteria, each on Anderson-Darling instead: every one
+        # reads two of the four groups, so patterns that leave one of them
+        # untouched are bounded by its p on the current state
+        d = build_clinical_dataset()
+        criteria = CriteriaSet(tuple(
+            CriterionSpec("anderson_darling", c.covariate, c.group_subset, c.alpha)
+            for c in clinical_criteria()))
+        cfg = clinical_config(seed=0, criteria=criteria)
+        engine = search._Engine(d, cfg, None)
+        assert engine.touches.tolist() == [
+            [g in c.group_subset for c in criteria] for g in d.group_labels]
+        result = lookahead_search(d, cfg, "h3", lookahead=1)
+        assert result.success and result.excluded_count(d) == 11
+        assert result.evaluations == 3_938
+        monkeypatch.setattr(search, "_pattern_bounds", unbounded)
+        every = lookahead_search(d, cfg, "h3", lookahead=1)
+        assert every.evaluations == 10_901
+        assert run_outcome(result) == run_outcome(every)
+
     def test_batched_steps_skip_nothing(self):
         # a reversion threshold above 1 keeps the walk batching to the end,
         # and a batch is planned from the ranking of every candidate

@@ -131,6 +131,21 @@ class TestStudentTail:
                   student_t_sf_array(np.array([1e154]), np.array([0.5]))[0]):
             assert float(abs((p - want) / want)) <= 1e-13
 
+    @pytest.mark.parametrize("scalar_tails", [32, 0], ids=["scalar", "array"])
+    def test_df_not_finite_and_positive_is_rejected(self, scalar_tails, monkeypatch):
+        # an infinite df would read 1.0 at every t (x = inf / inf, y = 0),
+        # and the array kernel read 0.0 at df = 0 (x = 0)
+        for df in (math.inf, math.nan, 0.0, -2.0):
+            with pytest.raises(ValueError, match="finite"):
+                student_t_sf(2.0, df)
+        monkeypatch.setattr(stats, "_SCALAR_TAILS", scalar_tails)
+        t = np.array([2.0, 0.0, 2.0, 1.0, 2.0, 1.5, 0.0, 3.0])
+        df = np.array([math.inf, math.inf, math.nan, 0.0, -3.0, 7.0, 4.0, 12.5])
+        got = student_t_sf_array(t, df)
+        assert np.isnan(got[:5]).all()
+        assert got[5:].tobytes() == student_t_sf_array(t[5:], df[5:]).tobytes()
+        assert got[5:].tolist() == [student_t_sf(a, b) for a, b in zip(t[5:], df[5:])]
+
 
 class TestWelch:
     def test_identical_samples(self):
@@ -206,20 +221,23 @@ class TestWelch:
         with pytest.raises(UndefinedTestError, match="undefined on every state"):
             greedy_search(d, config)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_df_is_undefined(self):
         # (var / n)^2 overflows, so df is inf / inf
         x = np.array([1.0, 2.0, 3.0, 5.0]) * 1e150
         y = np.array([2.0, 4.0, 7.0, 1.0]) * 1e150
         with pytest.raises(UndefinedTestError, match="overflows"):
             welch_t(x, y)
+        # the squared deviations themselves overflow
+        with pytest.raises(UndefinedTestError, match="overflows"):
+            welch_t(x * 1e10, y * 1e10)
         # (var / n)^2 stays finite in each sample, but se2^2 overflows: df
         # would be inf, where the tail reads 1.0 whatever t is (here -6.4)
         x = np.array([-1.9e77, 0.0, 1.9e77])
         with pytest.raises(UndefinedTestError, match="overflows"):
             welch_t(x, x + 1e78)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_df_leaves_search_undefined(self):
         # the batch path defers such sets to welch_t, so a search sees every
         # state undefined instead of failing on a NaN df
