@@ -1,6 +1,7 @@
 """The JSON config loaders: derived key sets and value types."""
 
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -167,3 +168,20 @@ def test_evaluate_refuses_a_bare_test_name(tmp_path, capsys):
     ))
     assert main(["evaluate", "--grid", str(path)]) == 1
     assert "'tests' must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["random", "greedy", "h3", "h4"])
+def test_max_removed_is_refused_where_the_search_would_not_read_it(tmp_path, name):
+    algorithms = [{"name": name, "max_removed": 1}]
+    path = write_json(tmp_path / "run.json", run_payload(algorithms=algorithms))
+    with pytest.raises(ConfigError, match=rf"algorithms\[0\].*'max_removed'"):
+        load_run_config(path)
+    path = write_json(tmp_path / "grid.json", grid_payload(algorithms=algorithms))
+    with pytest.raises(ConfigError, match=rf"algorithms\[0\].*'max_removed'"):
+        load_grid_config(path)
+
+
+def test_grid_config_refuses_an_empty_test_list(tmp_path):
+    path = write_json(tmp_path / "grid.json", grid_payload(tests=[]))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: 'tests' must be a nonempty list")):
+        load_grid_config(path)
