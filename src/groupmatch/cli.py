@@ -20,7 +20,7 @@ import json
 import platform
 import sys
 from dataclasses import fields, replace
-from functools import partial
+from functools import cmp_to_key, partial
 from pathlib import Path
 
 import numpy as np
@@ -70,22 +70,14 @@ def _write_manifest(out_dir: Path, payload: dict) -> None:
 
 
 def _solutions_lines(result: MatchResult, dataset) -> list[str]:
-    lines = []
-    for state in result.solutions:
-        lines.append(",".join(sorted(state.kept_ids(dataset))))
-    return sorted(lines)
+    return sorted(",".join(sorted(s.kept_ids(dataset))) for s in result.solutions)
 
 
 def cmd_match(args) -> int:
     run_cfg: RunConfig = load_run_config(args.config)
     match_cfg = run_cfg.match_config
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.budget is not None:
-        overrides["eval_budget"] = args.budget
+    flags = {"seed": args.seed, "threads": args.threads, "eval_budget": args.budget}
+    overrides = {k: v for k, v in flags.items() if v is not None}
     if overrides:
         match_cfg = match_cfg.with_(**overrides)
     dataset = load_dataset(
@@ -101,9 +93,7 @@ def cmd_match(args) -> int:
                 f"--algorithms {args.algorithms!r} matches none of the "
                 f"configured algorithms"
             )
-    out_dir = Path(args.output_dir) if args.output_dir else run_cfg.output_dir
-    if out_dir is None:
-        out_dir = Path("groupmatch-out")
+    out_dir = Path(args.output_dir or run_cfg.output_dir or "groupmatch-out")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
@@ -123,17 +113,13 @@ def cmd_match(args) -> int:
             f"{result.wall_time:.2f}s"
         )
 
-    successes = [(a, r) for a, r in results if r.success]
+    # the best match by solution rank, else the highest r; the first wins ties
+    successes = [(alg, result) for alg, result in results if result.success]
+    by_rank = cmp_to_key(compare_solutions)
     if successes:
-        winner_alg, winner = successes[0]
-        for alg, result in successes[1:]:
-            if compare_solutions(result.rank, winner.rank) > 0:
-                winner_alg, winner = alg, result
+        winner_alg, winner = max(successes, key=lambda pair: by_rank(pair[1].rank))
     else:
-        winner_alg, winner = results[0]
-        for alg, result in results[1:]:
-            if result.r > winner.r:
-                winner_alg, winner = alg, result
+        winner_alg, winner = max(results, key=lambda pair: pair[1].r)
 
     (out_dir / "solutions.txt").write_text(
         "\n".join(_solutions_lines(winner, dataset)) + "\n", encoding="utf-8"
@@ -248,15 +234,13 @@ def cmd_evaluate(args) -> int:
         grid.replications,
         grid.master_seed,
         criteria_builder=lambda d: build_default_criteria(
-            d, alpha=grid.alpha, tests=grid.tests
+            d, alpha=grid.alpha, tests=grid.tests, registry=registry
         ),
         workers=args.workers if args.workers is not None else grid.workers,
         time_limit=grid.time_limit,
         registry=registry,
     )
-    out_dir = Path(args.output_dir) if args.output_dir else grid.output_dir
-    if out_dir is None:
-        out_dir = Path("groupmatch-grid")
+    out_dir = Path(args.output_dir or grid.output_dir or "groupmatch-grid")
     out_dir.mkdir(parents=True, exist_ok=True)
     report.write_rows_csv(out_dir / "rows.csv")
     table = report.summary_table()

@@ -14,7 +14,7 @@ from pathlib import Path
 from .criteria import CriteriaSet, CriterionSpec, MatchConfig
 from .dataset import ColumnSchema
 from .errors import ConfigError, GroupMatchError, scalar_fits
-from .harness import AlgorithmSpec
+from .harness import ALGORITHMS, AlgorithmSpec
 from .synthgen import SyntheticSpec
 
 __all__ = ["RunConfig", "load_run_config", "load_synthetic_spec", "load_grid_config"]
@@ -38,9 +38,11 @@ _BALANCE_FIELDS = {"balance_mode", "target_proportions", "precedence"}
 _MATCH_TYPES = {f.name: f.type for f in fields(MatchConfig)}
 _SEARCH_KEYS = set(_MATCH_TYPES) - _RUN_KEYS - _BALANCE_FIELDS
 
-_ALGORITHM_NAMES = ("random", "greedy", "h3", "h4", "exhaustive")
-_ALGORITHM_PARAM_TYPES = {k: _MATCH_TYPES[k] for k in _SEARCH_KEYS | {"seed"}}
-_ALGORITHM_PARAM_TYPES["max_removed"] = "int | None"
+# per algorithm: the MatchConfig fields it may override, and its own params
+_ALGORITHM_PARAM_TYPES = {
+    name: {**{k: _MATCH_TYPES[k] for k in _SEARCH_KEYS | {"seed"}}, **own}
+    for name, (_, own) in ALGORITHMS.items()
+}
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -145,17 +147,16 @@ def _parse_algorithms(raw, context: str) -> tuple[AlgorithmSpec, ...]:
         if not isinstance(item, dict):
             raise ConfigError(f"{ctx}: expected an object or a name string")
         name = str(_require(item, "name", ctx))
-        if name not in _ALGORITHM_NAMES:
+        if name not in ALGORITHMS:
             raise ConfigError(
-                f"{ctx}: unknown algorithm {name!r}; choose from {_ALGORITHM_NAMES}"
+                f"{ctx}: unknown algorithm {name!r}; choose from {tuple(ALGORITHMS)}"
             )
         label = item.get("label")
-        params = {
-            k: v for k, v in item.items() if k not in ("name", "label")
-        }
-        _reject_unknown(params, set(_ALGORITHM_PARAM_TYPES), ctx)
+        params = {k: v for k, v in item.items() if k not in ("name", "label")}
+        types = _ALGORITHM_PARAM_TYPES[name]
+        _reject_unknown(params, set(types), ctx)
         for key, value in params.items():
-            _checked(key, value, _ALGORITHM_PARAM_TYPES[key], ctx)
+            _checked(key, value, types[key], ctx)
         out.append(AlgorithmSpec(name=name, params=params, label=label))
     return tuple(out)
 
@@ -299,15 +300,16 @@ def load_grid_config(path: str | Path) -> GridConfig:
     specs = tuple(
         _spec_from_dict(s, f"{context}: specs[{i}]") for i, s in enumerate(raw_specs)
     )
+    tests = _names(raw.get("tests", ["welch_t", "anderson_darling"]), "tests", context)
+    if not tests:
+        raise ConfigError(f"{context}: 'tests' must be a nonempty list")
     return GridConfig(
         specs=specs,
         algorithms=_parse_algorithms(_require(raw, "algorithms", context), context),
         replications=_get(raw, "replications", _GRID_TYPES, context, 1),
         master_seed=_get(raw, "master_seed", _GRID_TYPES, context, 0),
         alpha=float(_get(raw, "alpha", _GRID_TYPES, context, 0.2)),
-        tests=_names(
-            raw.get("tests", ["welch_t", "anderson_darling"]), "tests", context
-        ),
+        tests=tests,
         workers=_get(raw, "workers", _GRID_TYPES, context, 1),
         time_limit=_get(raw, "time_limit", _GRID_TYPES, context),
         output_dir=Path(raw["output_dir"]) if raw.get("output_dir") else None,

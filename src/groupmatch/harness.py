@@ -1,11 +1,13 @@
 """Experiment harness: run search algorithms over dataset grids and report
 the evaluation metrics (exclusion percentages, balanced divergence,
-post-match p, wall time).
+post-match p, wall time).  ``ALGORITHMS`` is the one table of algorithms
+and ``_SUMMARY_COLUMNS`` the one table of summary columns.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import statistics
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -16,18 +18,14 @@ import numpy as np
 from .criteria import CriteriaSet, CriterionSpec, MatchConfig, kl_divergence
 from .dataset import Dataset
 from .errors import GroupMatchError
-from .search import (
-    MatchResult,
-    exhaustive_search,
-    greedy_search,
-    lookahead_search,
-    random_search,
-)
+from .search import MatchResult, _default_registry
+from .search import exhaustive_search, greedy_search, lookahead_search, random_search
 from .stats import TestRegistry
 from .synthgen import SyntheticSpec, generate_dataset
 
 __all__ = [
     "EvalMetrics",
+    "ALGORITHMS",
     "AlgorithmSpec",
     "GridRow",
     "GridReport",
@@ -71,12 +69,8 @@ def evaluate_run(
     """Metrics for a result's best solution; intruder metrics only when
     ground-truth flags are supplied (bool array by row, or id -> bool map)."""
     keep = result.best.keep
-    n = dataset.n_subjects
-    excluded = n - int(keep.sum())
-    pct_excluded = 100.0 * excluded / n
-
-    pct_excl_intruders = None
-    recall = None
+    excluded = dataset.n_subjects - int(keep.sum())
+    pct_excl_intruders = recall = None
     if truth is not None:
         if isinstance(truth, Mapping):
             flags = np.array(
@@ -84,27 +78,27 @@ def evaluate_run(
             )
         else:
             flags = np.asarray(truth, dtype=bool)
-        excluded_mask = ~keep
         n_intruders = int(flags.sum())
-        excl_intruders = int((flags & excluded_mask).sum())
+        excl_intruders = int((flags & ~keep).sum())
         if excluded > 0:
             pct_excl_intruders = 100.0 * excl_intruders / excluded
         if n_intruders > 0:
             recall = 100.0 * excl_intruders / n_intruders
 
+    # against the config's target, or the original group sizes without one
     counts = np.bincount(dataset.group_codes[keep], minlength=dataset.n_groups)
-    if config is not None and counts.min() > 0:
-        observed = counts / counts.sum()
-        bd = kl_divergence(observed, config.target_vector(dataset))
-    else:
-        bd = 0.0 if counts.min() == 0 else _bd_against_original(dataset, counts)
+    sizes = dataset.group_sizes()
+    bd = 0.0 if counts.min() == 0 else kl_divergence(
+        counts / counts.sum(),
+        sizes / sizes.sum() if config is None else config.target_vector(dataset),
+    )
 
     post_p = min(result.p_values) if result.p_values else float("nan")
     return EvalMetrics(
         success=result.success,
         timed_out=result.timed_out,
         preserved=int(keep.sum()),
-        pct_excluded_items=pct_excluded,
+        pct_excluded_items=100.0 * excluded / dataset.n_subjects,
         pct_excluded_intruders=pct_excl_intruders,
         intruder_recall=recall,
         balanced_divergence=bd,
@@ -116,31 +110,25 @@ def evaluate_run(
     )
 
 
-def _bd_against_original(dataset: Dataset, counts: np.ndarray) -> float:
-    sizes = dataset.group_sizes().astype(float)
-    return kl_divergence(counts / counts.sum(), sizes / sizes.sum())
-
-
 def build_default_criteria(
     dataset: Dataset,
     alpha: float = 0.2,
     tests: Sequence[str] = ("welch_t", "anderson_darling"),
+    registry: TestRegistry | None = None,
 ) -> CriteriaSet:
-    """One criterion per (test, covariate).  Two-sample tests are expanded
-    to every group pair; k-sample tests span all groups at once."""
-    two_sample = {"welch_t"}
-    specs = []
+    """One criterion per (test, covariate).  A test whose arity in
+    ``registry`` (the default registry if None) is two_sample is expanded to
+    every group pair; a k-sample test spans all groups at once, and so does a
+    name the registry lacks, which ``MatchConfig.validate_for`` then rejects."""
+    registry = registry or _default_registry()
     labels = dataset.group_labels
+    pairs = list(itertools.combinations(labels, 2))
+    specs = []
     for name in tests:
-        for cov in dataset.covariate_names:
-            if name in two_sample and len(labels) > 2:
-                for i in range(len(labels)):
-                    for j in range(i + 1, len(labels)):
-                        specs.append(
-                            CriterionSpec(name, cov, (labels[i], labels[j]), alpha)
-                        )
-            else:
-                specs.append(CriterionSpec(name, cov, labels, alpha))
+        two_sample = name in registry and registry.get(name).arity == "two_sample"
+        subsets = pairs if two_sample else [labels]
+        specs += [CriterionSpec(name, cov, subset, alpha)
+                  for cov in dataset.covariate_names for subset in subsets]
     return CriteriaSet(tuple(specs))
 
 
@@ -148,9 +136,10 @@ def build_default_criteria(
 class AlgorithmSpec:
     """A named search strategy plus config overrides for grid runs.
 
-    ``name`` is one of random, greedy, h3, h4, exhaustive.  ``params`` may
-    override any MatchConfig field (iterations, lookahead, batch_size, ...)
-    plus ``max_removed`` for exhaustive search.
+    ``name`` is a key of ``ALGORITHMS``: random, greedy, h3, h4 or
+    exhaustive.  ``params`` may override any MatchConfig field (iterations,
+    lookahead, batch_size, ...); exhaustive search also takes
+    ``max_removed``, and ``run_algorithm`` refuses it on the others.
     """
 
     name: str
@@ -166,29 +155,47 @@ class AlgorithmSpec:
         return f"{self.name}({inner})"
 
 
+# Each algorithm's search, called as (dataset, config, registry, **own
+# params), and the annotations of the params it takes besides MatchConfig's
+# fields.  The lambdas look each search up in this module when called, so a
+# caller may replace harness.greedy_search and the others (to time them).
+ALGORITHMS: dict[str, tuple[Callable[..., MatchResult], dict[str, str]]] = {
+    "random": (lambda d, cfg, reg: random_search(d, cfg, registry=reg), {}),
+    "greedy": (lambda d, cfg, reg: greedy_search(d, cfg, registry=reg), {}),
+    "h3": (lambda d, cfg, reg: lookahead_search(d, cfg, variant="h3", registry=reg), {}),
+    "h4": (lambda d, cfg, reg: lookahead_search(d, cfg, variant="h4", registry=reg), {}),
+    "exhaustive": (
+        lambda d, cfg, reg, max_removed=None: exhaustive_search(
+            d, cfg, max_removed=max_removed, registry=reg
+        ),
+        {"max_removed": "int | None"},
+    ),
+}
+_CONFIG_FIELDS = frozenset(f.name for f in fields(MatchConfig))
+
+
 def run_algorithm(
     dataset: Dataset,
     config: MatchConfig,
     algorithm: AlgorithmSpec,
     registry: TestRegistry | None = None,
 ) -> MatchResult:
-    """Dispatch one algorithm with its overrides applied to the config."""
+    """Dispatch one algorithm with its overrides applied to the config; a
+    param that is neither a MatchConfig field nor the algorithm's own
+    (``max_removed`` on any but exhaustive search) raises GroupMatchError."""
+    if algorithm.name not in ALGORITHMS:
+        raise GroupMatchError(f"unknown algorithm {algorithm.name!r}")
+    search, takes = ALGORITHMS[algorithm.name]
     params = dict(algorithm.params)
-    max_removed = params.pop("max_removed", None)
+    own = {k: params.pop(k) for k in takes if k in params}
+    stray = sorted(params.keys() - _CONFIG_FIELDS)
+    if stray:
+        raise GroupMatchError(
+            f"algorithm {algorithm.name!r} does not take {', '.join(map(repr, stray))}"
+        )
     if params:
         config = config.with_(**params)
-    name = algorithm.name
-    if name == "random":
-        return random_search(dataset, config, registry=registry)
-    if name == "greedy":
-        return greedy_search(dataset, config, registry=registry)
-    if name in ("h3", "h4"):
-        return lookahead_search(dataset, config, variant=name, registry=registry)
-    if name == "exhaustive":
-        return exhaustive_search(
-            dataset, config, max_removed=max_removed, registry=registry
-        )
-    raise GroupMatchError(f"unknown algorithm {name!r}")
+    return search(dataset, config, registry, **own)
 
 
 @dataclass(frozen=True)
@@ -228,6 +235,19 @@ def _csv_cell(value):
     return value
 
 
+# The summary's columns after algorithm, runs and succ%: header, the
+# EvalMetrics field whose median over successful runs it shows, and format.
+_SUMMARY_COLUMNS = (
+    ("#sol", "n_solutions", "{:.0f}"),
+    ("%E.items", "pct_excluded_items", "{:.1f}"),
+    ("%E.intr", "pct_excluded_intruders", "{:.0f}"),
+    ("recall%", "intruder_recall", "{:.0f}"),
+    ("BD", "balanced_divergence", "{:.3f}"),
+    ("p", "post_match_p", "{:.3f}"),
+    ("time(s)", "wall_time", "{:.2f}"),
+)
+
+
 @dataclass
 class GridReport:
     rows: list[GridRow]
@@ -241,87 +261,47 @@ class GridReport:
             for row in self.rows:
                 writer.writerow(row.as_record())
 
-    def aggregate(self, center: str = "median") -> list[dict]:
-        """Per-algorithm aggregates; exclusion/balance/p statistics are
-        taken over successful runs (failed runs have no solution to grade)."""
-        if center == "median":
-            middle = statistics.median
-        elif center == "mean":
-            middle = statistics.fmean
-        else:
-            raise ValueError(f"unknown center {center!r}")
+    def aggregate(self) -> list[dict]:
+        """Per-algorithm aggregates, in order of first appearance: runs,
+        success rate, and the median of each summary column over successful
+        runs (failed runs have no solution to grade), None where no
+        successful run has a value."""
         by_alg: dict[str, list[GridRow]] = {}
-        order: list[str] = []
         for row in self.rows:
-            if row.algorithm not in by_alg:
-                order.append(row.algorithm)
             by_alg.setdefault(row.algorithm, []).append(row)
         out = []
-        for alg in order:
-            rows = by_alg[alg]
+        for alg, rows in by_alg.items():
             ok = [r.metrics for r in rows if r.metrics and r.metrics.success]
             entry = {
                 "algorithm": alg,
                 "runs": len(rows),
                 "success_rate": 100.0 * len(ok) / len(rows),
             }
-            for name in (
-                "n_solutions",
-                "pct_excluded_items",
-                "pct_excluded_intruders",
-                "intruder_recall",
-                "balanced_divergence",
-                "post_match_p",
-                "wall_time",
-            ):
-                present = [getattr(m, name) for m in ok]
-                present = [v for v in present if v is not None]
-                entry[name] = middle(present) if present else None
+            for _, name, _ in _SUMMARY_COLUMNS:
+                present = [getattr(m, name) for m in ok if getattr(m, name) is not None]
+                entry[name] = statistics.median(present) if present else None
             out.append(entry)
         return out
 
-    def summary_table(self, center: str = "median") -> str:
-        headers = [
-            "algorithm",
-            "runs",
-            "succ%",
-            "#sol",
-            "%E.items",
-            "%E.intr",
-            "recall%",
-            "BD",
-            "p",
-            "time(s)",
+    def summary_table(self) -> str:
+        """The aggregates as right-aligned text columns, "-" for None."""
+        headers = ["algorithm", "runs", "succ%", *(h for h, _, _ in _SUMMARY_COLUMNS)]
+        lines = [
+            [
+                entry["algorithm"],
+                str(entry["runs"]),
+                f"{entry['success_rate']:.0f}",
+                *("-" if entry[name] is None else fmt.format(entry[name])
+                  for _, name, fmt in _SUMMARY_COLUMNS),
+            ]
+            for entry in self.aggregate()
         ]
-        lines = []
-        for entry in self.aggregate(center):
-            lines.append(
-                [
-                    entry["algorithm"],
-                    str(entry["runs"]),
-                    f"{entry['success_rate']:.0f}",
-                    _cell(entry["n_solutions"], "{:.0f}"),
-                    _cell(entry["pct_excluded_items"], "{:.1f}"),
-                    _cell(entry["pct_excluded_intruders"], "{:.0f}"),
-                    _cell(entry["intruder_recall"], "{:.0f}"),
-                    _cell(entry["balanced_divergence"], "{:.3f}"),
-                    _cell(entry["post_match_p"], "{:.3f}"),
-                    _cell(entry["wall_time"], "{:.2f}"),
-                ]
-            )
-        widths = [
-            max(len(headers[i]), *(len(row[i]) for row in lines)) if lines else len(headers[i])
-            for i in range(len(headers))
-        ]
-        def fmt_row(cells):
-            return "  ".join(c.rjust(widths[i]) for i, c in enumerate(cells))
-        out = [fmt_row(headers), fmt_row(["-" * w for w in widths])]
-        out.extend(fmt_row(row) for row in lines)
-        return "\n".join(out) + "\n"
-
-
-def _cell(value, fmt: str) -> str:
-    return "-" if value is None else fmt.format(value)
+        # a report without rows still gets its header's widths
+        widths = [max(map(len, column)) for column in zip(headers, *lines)]
+        out = [headers, ["-" * w for w in widths], *lines]
+        return "".join(
+            "  ".join(c.rjust(w) for c, w in zip(cells, widths)) + "\n" for cells in out
+        )
 
 
 def _derived_seed(*path: int) -> int:
@@ -352,36 +332,27 @@ def run_experiment_grid(
         raise GroupMatchError("specs and algorithms must be nonempty")
     if replications < 1:
         raise GroupMatchError("replications must be >= 1")
-    builder = criteria_builder or build_default_criteria
+    builder = criteria_builder or (
+        lambda d: build_default_criteria(d, registry=registry)
+    )
 
-    cells = [
-        (si, rep)
-        for si in range(len(specs))
-        for rep in range(replications)
-    ]
-
-    def run_cell(cell):
-        si, rep = cell
+    def run_cell(si, rep):
         spec = replace(specs[si], seed=_derived_seed(master_seed, si, rep))
-        rows: list[GridRow] = []
         try:
             generated = generate_dataset(spec)
         except GroupMatchError as exc:
-            for alg in algorithms:
-                rows.append(GridRow(si, rep, alg.display(), 0, str(exc), None))
-            return rows
+            return [GridRow(si, rep, alg.display(), 0, str(exc), None) for alg in algorithms]
         dataset = generated.dataset
         criteria = builder(dataset)
         template = base_config or MatchConfig(criteria=criteria)
         template = template.with_(criteria=criteria, time_limit=time_limit)
+        rows: list[GridRow] = []
         for ai, alg in enumerate(algorithms):
             seed = _derived_seed(master_seed, si, rep, 1000 + ai)
             config = template.with_(seed=seed)
             try:
                 result = run_algorithm(dataset, config, alg, registry)
-                metrics = evaluate_run(
-                    dataset, result, generated.intruder_flags, config
-                )
+                metrics = evaluate_run(dataset, result, generated.intruder_flags, config)
                 error = None
                 if result.timed_out:
                     metrics = replace(metrics, success=False)
@@ -391,5 +362,10 @@ def run_experiment_grid(
             rows.append(GridRow(si, rep, alg.display(), seed, error, metrics))
         return rows
 
-    rows = [row for cell in cells for row in run_cell(cell)]
+    rows = [
+        row
+        for si in range(len(specs))
+        for rep in range(replications)
+        for row in run_cell(si, rep)
+    ]
     return GridReport(rows=rows, replications=replications, master_seed=master_seed)

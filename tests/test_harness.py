@@ -277,6 +277,16 @@ class TestGrid:
         assert "Budget" in row.error
         assert row.metrics is None
 
+    def test_unregistered_test_fails_each_run_not_the_grid(self):
+        report = run_experiment_grid(
+            tiny_grid_specs(),
+            [AlgorithmSpec("greedy")],
+            replications=1,
+            master_seed=16,
+            criteria_builder=lambda d: build_default_criteria(d, tests=("nope",)),
+        )
+        assert "unregistered test 'nope'" in report.rows[0].error
+
     def test_timeout_counts_as_failure(self):
         report = run_experiment_grid(
             tiny_grid_specs(),

@@ -70,7 +70,9 @@ p = student_t_sf_array(t, df)
 
 
 class TestStudentTail:
-    DFS = (1.0, 3.7, 13.3, 50.0, 98.0, 1600.0, 1e4, 1e5, 1e6, 1e7)
+    # down to stats._DF_MIN, the least df the tail takes
+    DFS = (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.7, 13.3, 50.0, 98.0, 1600.0, 1e4,
+           1e5, 1e6, 1e7)
     TS = (0.001, 0.05, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0)
 
     @staticmethod
@@ -134,17 +136,21 @@ class TestStudentTail:
     @pytest.mark.parametrize("scalar_tails", [32, 0], ids=["scalar", "array"])
     def test_df_not_finite_and_positive_is_rejected(self, scalar_tails, monkeypatch):
         # an infinite df would read 1.0 at every t (x = inf / inf, y = 0),
-        # and the array kernel read 0.0 at df = 0 (x = 0)
-        for df in (math.inf, math.nan, 0.0, -2.0):
+        # the array kernel read 0.0 at df = 0 (x = 0), and below the floor
+        # p leaves [0, 1]: 1 + 4.4e-15 at t = 1, df = 1e-20
+        floor = stats._DF_MIN
+        for df in (math.inf, math.nan, 0.0, -2.0, 1e-300, 1e-20, floor * (1 - 1e-15)):
             with pytest.raises(ValueError, match="finite"):
                 student_t_sf(2.0, df)
         monkeypatch.setattr(stats, "_SCALAR_TAILS", scalar_tails)
-        t = np.array([2.0, 0.0, 2.0, 1.0, 2.0, 1.5, 0.0, 3.0])
-        df = np.array([math.inf, math.inf, math.nan, 0.0, -3.0, 7.0, 4.0, 12.5])
+        t = np.array([2.0, 0.0, 2.0, 1.0, 2.0, 1.0, 1.0, 1.5, 0.0, 3.0, 1.0])
+        df = np.array([math.inf, math.inf, math.nan, 0.0, -3.0, 1e-300, 1e-20,
+                       7.0, 4.0, 12.5, floor])
         got = student_t_sf_array(t, df)
-        assert np.isnan(got[:5]).all()
-        assert got[5:].tobytes() == student_t_sf_array(t[5:], df[5:]).tobytes()
-        assert got[5:].tolist() == [student_t_sf(a, b) for a, b in zip(t[5:], df[5:])]
+        assert np.isnan(got[:7]).all()
+        assert got[7:].tobytes() == student_t_sf_array(t[7:], df[7:]).tobytes()
+        assert got[7:].tolist() == [student_t_sf(a, b) for a, b in zip(t[7:], df[7:])]
+        assert 0.0 <= got[-1] <= 1.0
 
 
 class TestWelch:
