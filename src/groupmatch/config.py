@@ -14,7 +14,7 @@ from pathlib import Path
 from .criteria import CriteriaSet, CriterionSpec, MatchConfig
 from .dataset import ColumnSchema
 from .errors import ConfigError, GroupMatchError, scalar_fits
-from .harness import ALGORITHMS, AlgorithmSpec
+from .harness import ALGORITHMS, DEFAULT_TESTS, AlgorithmSpec
 from .synthgen import SyntheticSpec
 
 __all__ = ["RunConfig", "load_run_config", "load_synthetic_spec", "load_grid_config"]
@@ -300,7 +300,7 @@ def load_grid_config(path: str | Path) -> GridConfig:
     specs = tuple(
         _spec_from_dict(s, f"{context}: specs[{i}]") for i, s in enumerate(raw_specs)
     )
-    tests = _names(raw.get("tests", ["welch_t", "anderson_darling"]), "tests", context)
+    tests = _names(raw["tests"], "tests", context) if "tests" in raw else DEFAULT_TESTS
     if not tests:
         raise ConfigError(f"{context}: 'tests' must be a nonempty list")
     return GridConfig(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .stats import (
     TestRegistry,
     _mean_ss,
     _per_mask_p,
+    _tail_or_nan,
     anderson_darling_p_masks,
     default_registry,
     student_t_sf_array,
@@ -53,6 +54,20 @@ RANK_REL_TOL = 1e-12
 # was downdated from has lost too many digits to cancellation; such removal
 # sets are scored on their own subset instead.
 _DOWNDATE_REL_FLOOR = 1e-9
+
+# A set is skipped below a floor (``CriteriaEvaluator.score_removals``) only
+# when an upper bound on its r, raised by this relative margin, is still
+# below the floor and not ``r_close`` to it.  The margin is far above the
+# Student t tail kernel's error against mpmath for df from 1 to
+# ``_FLOOR_DF_MAX`` (below 7e-11 over t at df = 1e6; the error grows with df,
+# to 8.8e-10 at 1e7 and 9.7e-9 at 1e8, so a set of a higher df is never
+# skipped by its t), and above the drift that a chain of ``r_close`` values
+# can add within one scoring call (1,024 sets of a constructive or
+# exhaustive chunk, at most 4,096 draws of a random-search chunk, times
+# 1e-12).  So a set skipped against floor F has r below
+# F * (1 - FLOOR_MARGIN / 2), and apart from every floor at or above that.
+FLOOR_MARGIN = 1e-8
+_FLOOR_DF_MAX = 1e6
 
 # Keep-masks scored in one block hold at most this many cells (masks times
 # rows), and so do the Welch downdates of one block of removal sets (keys
@@ -400,6 +415,7 @@ class CriteriaEvaluator:
         self._key_groups = np.array(
             [dataset.group_labels.index(g) for _, g in keys], dtype=np.intp)
         self._key_rows = [dataset.group_index[g] for _, g in keys]
+        self.alphas = np.array([spec.alpha for spec in criteria])
 
     def __len__(self) -> int:
         return len(self._bound)
@@ -422,8 +438,15 @@ class CriteriaEvaluator:
         r = min(p / spec.alpha for p, spec in zip(ps, self.criteria))
         return r, ps
 
+    def r_values(self, ps: np.ndarray, defined: np.ndarray) -> np.ndarray:
+        """r of each row of a p-value matrix, NaN where it is undefined."""
+        rs = np.full(len(defined), np.nan)
+        rs[defined] = np.min(ps[defined] / self.alphas, axis=1)
+        return rs
+
     def score_removals(
-        self, keep: np.ndarray, combos: np.ndarray
+        self, keep: np.ndarray, combos: np.ndarray,
+        floor: Callable[[np.ndarray], float] | None = None, pilot: int = 1,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-criterion p-values of many removal sets at once.
 
@@ -439,6 +462,16 @@ class CriteriaEvaluator:
         downdated by the removed rows (``_welch_removals``).  Every other
         criterion is scored as ``score_masks`` scores it, on ``keep`` less
         each removal set.
+
+        ``floor``, when given, is a callable: from the r values (an array,
+        NaN where undefined) of the sets this call has scored so far, it
+        gives the least r a set must reach to matter to the caller (-inf:
+        every set matters).  Sets that the Welch criteria show to lie below
+        it, and not ``r_close`` to it, are skipped (``_score``): each of
+        their rows is NaN and ``defined`` is False, as for an undefined
+        set.  Every other set has the p-values it has without a floor.
+        ``pilot`` is the number of sets scored first when the floor is -inf
+        before any set is scored.
         """
         combos = np.asarray(combos, dtype=np.intp)
 
@@ -450,15 +483,20 @@ class CriteriaEvaluator:
             block[hit, positions[hit, col]] = False
             return block
 
-        return self._score(combos.shape[0], masks, self._welch_removals(keep, combos))
+        welch = self._welch_removals(keep, combos)
+        return self._score(combos.shape[0], masks, welch, floor, pilot)
 
-    def score_masks(self, keeps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def score_masks(
+        self, keeps: np.ndarray,
+        floor: Callable[[np.ndarray], float] | None = None, pilot: int = 1,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per-criterion p-values of many keep-masks at once.
 
         ``keeps`` is an (m, n_subjects) boolean array.  Returns an
         (m, n_criteria) p-value matrix and an (m,) mask ``defined``, like
         ``score_removals``: ``defined`` is False exactly where ``evaluate``
-        raises UndefinedTestError, and each of those rows holds a NaN.
+        raises UndefinedTestError, and each of those rows holds a NaN.  A
+        ``floor`` skips masks as in ``score_removals``.
 
         Criteria bound to the built-in Welch test are scored from each
         group's two-pass masked moments (``_welch_masks``), those bound to
@@ -468,25 +506,53 @@ class CriteriaEvaluator:
         keeps = np.asarray(keeps, dtype=bool).reshape(-1, self.dataset.n_subjects)
         return self._score(
             keeps.shape[0], lambda j, sets: keeps[sets][:, self._pooled[j][0]],
-            self._welch_masks(keeps),
+            self._welch_masks(keeps), floor, pilot,
         )
 
-    def _score(self, m: int, masks, welch) -> tuple[np.ndarray, np.ndarray]:
-        """(p, defined) of m subsets, criterion by criterion.
+    def _score(self, m: int, masks, welch, floor=None, pilot: int = 1):
+        """(p, defined) of m subsets.
 
         ``masks(j, sets)`` gives the keep-masks of the subsets ``sets`` over
         criterion j's pooled rows, built in blocks of at most
         ``MASK_BLOCK_CELLS`` cells.  ``welch`` holds the (t, df, slow)
         arrays of ``_welch_t_df`` over (Welch criteria, subsets), None when
-        there is no Welch criterion.  The Student t tails of every Welch
-        criterion are taken in one call at the end; only its slow subsets
-        are scored on masks.
+        there is no Welch criterion.
+
+        With a ``floor`` (see ``score_removals``) and a Welch criterion,
+        the subsets that Welch's t already rules out are dropped before any
+        tail or mask block is computed (``_ruled_out``).  When the floor is
+        -inf before any subset is scored, a pilot goes first: the ``pilot``
+        subsets of smallest max_j |t_j| among those no Welch criterion
+        finds slow or undefined, scored in full, whose r values then give
+        the floor.  Every subset left is scored by ``_score_sets``.
         """
         p = np.full((m, len(self._bound)), np.nan)
         defined = np.ones(m, dtype=bool)
+        todo = np.arange(m)
+        if floor is not None and welch is not None:
+            least = floor(np.empty(0))
+            if least == -math.inf:
+                t, _, slow = welch
+                fast = ~(slow | np.isnan(t)).any(axis=0)
+                spread = np.where(fast, np.abs(t).max(axis=0), np.inf)
+                first = np.sort(np.argsort(spread, kind="stable")[:min(pilot, fast.sum())])
+                self._score_sets(first, p, defined, masks, welch)
+                least = floor(self.r_values(p[first], defined[first]))
+                todo = np.delete(todo, first)
+            skip = self._ruled_out(welch, least)[todo]
+            defined[todo[skip]] = False
+            todo = todo[~skip]
+        self._score_sets(todo, p, defined, masks, welch)
+        return p, defined
+
+    def _score_sets(self, sets, p, defined, masks, welch) -> None:
+        """Fill ``p`` and ``defined`` for the subsets ``sets`` (ascending),
+        criterion by criterion.  The Student t tails of every Welch
+        criterion are taken in one call at the end; only its slow subsets
+        are scored on masks."""
         tails: list = []
         for j, (test, _, column, rows) in enumerate(self._bound):
-            todo = np.flatnonzero(defined)
+            todo = sets[defined[sets]]
             if j in self._welch_rows:
                 # queue the tails of the sets neither slow nor undefined
                 t, df, slow = (v[self._welch_rows[j], todo] for v in welch)
@@ -499,16 +565,53 @@ class CriteriaEvaluator:
             values = column[pooled]
             step = max(1, MASK_BLOCK_CELLS // pooled.size)
             for start in range(0, todo.size, step):
-                sets = todo[start:start + step]
-                block = masks(j, sets)
+                block_sets = todo[start:start + step]
+                block = masks(j, block_sets)
                 if test is BUILTIN_AD:
                     got = anderson_darling_p_masks(values, codes, len(rows), block)
                 else:
                     got = _per_mask_p(test, values, codes, len(rows), block)
-                p[sets, j] = got
-                defined[sets] = ~np.isnan(got)
+                p[block_sets, j] = got
+                defined[block_sets] = ~np.isnan(got)
         _fill_tails(tails, p, defined)
-        return p, defined
+
+    def _ruled_out(self, welch, least: float) -> np.ndarray:
+        """Which subsets have r below ``least`` and not ``r_close`` to it,
+        by their Welch t alone (``welch`` as in ``_score``).
+
+        For fixed |t| the two-sided p = P(|T_df| >= |t|) falls as df grows
+        (T_df is a normal scale mixture whose mixing law chi2_df / df falls
+        in convex order as df grows, and P(|Z| >= c sqrt(s)) is convex in
+        s), and it falls as |t| grows.  So for Welch criterion j, with
+        df_lo its least df over the subsets, every subset with
+        |t_j| >= t*_j (``_t_cut``) has p_j <= P(|T_df_lo| >= t*_j), and so
+        r <= that / alpha_j.  A subset is ruled out when some criterion
+        rules it out so.  Subsets a criterion finds slow or undefined, or
+        whose df exceeds ``_FLOOR_DF_MAX``, are not ruled out by it.
+
+        Each t*_j costs kernel calls, so criteria take their turn by how
+        many subsets not yet ruled out their guess (``_t_guess``) would
+        rule out, most first, until no guess rules out another.
+        """
+        t, df, slow = welch
+        skip = np.zeros(t.shape[1], dtype=bool)
+        if not (least > 0.0 and skip.size):
+            return skip
+        size = np.abs(t)
+        fast = ~slow & ~np.isnan(t) & (df <= _FLOOR_DF_MAX)
+        df_lo = np.where(fast, df, np.inf).min(axis=1).tolist()
+        alphas = self.alphas[list(self._welch_rows)].tolist()
+        guess = [_t_guess(d, a * least / (1.0 + 2.0 * FLOOR_MARGIN))
+                 for d, a in zip(df_lo, alphas)]
+        reach = fast & (size >= np.array(guess)[:, None])
+        while True:
+            gain = (reach & ~skip).sum(axis=1)
+            w = int(gain.argmax())
+            if not gain[w]:
+                return skip
+            cut = _t_cut(df_lo[w], alphas[w], least, guess[w])
+            skip |= fast[w] & (size[w] >= cut)
+            reach[w] = False
 
     def _welch_removals(self, keep: np.ndarray, combos: np.ndarray):
         """The (t, df, slow) arrays of ``_welch_t_df`` for every Welch
@@ -608,10 +711,62 @@ def _welch_t_df(pairs, n, mean, var_n, degenerate):
     return t, df, slow
 
 
+def _t_guess(df: float, aim: float) -> float:
+    """About the |t| where P(|T_df| >= |t|) = ``aim``, with no kernel call:
+    the tail of z with z^2 = (df - 1/2) log(1 + t^2 / df) taken as normal,
+    which puts t a little high.  inf outside 1e-280 < aim < 1 and
+    1 <= df <= ``_FLOOR_DF_MAX``, or beyond t = 1e152 sqrt(df)."""
+    if not (1e-280 < aim < 1.0 and 1.0 <= df <= _FLOOR_DF_MAX):
+        return math.inf
+    # z with P(|Z| >= z) = aim, by Newton steps on log erfc
+    z = math.sqrt(-2.0 * math.log(aim))
+    for _ in range(6):
+        q = math.erfc(z / math.sqrt(2.0))
+        z += (math.log(q) - math.log(aim)) * q / math.sqrt(2.0 / math.pi) * math.exp(0.5 * z * z)
+    if z * z > 700.0 * (df - 0.5):
+        return math.inf
+    return math.sqrt(df * math.expm1(z * z / (df - 0.5)))
+
+
+def _t_cut(df: float, alpha: float, least: float, t: float) -> float:
+    """A |t| at and above which P(|T_df| >= |t|) * (1 + FLOOR_MARGIN) /
+    alpha is below ``least`` and not ``r_close`` to it, checked with
+    ``student_t_sf``; inf when none is found.
+
+    From the guess ``t``, Newton steps on log p over log t, with the slope
+    from the closed-form t density, aim at p = alpha * least /
+    (1 + 2 FLOOR_MARGIN).  At most four kernel calls are made; the least t
+    that passed the check is returned, and the search stops once one lands
+    within 1 % of the aim.  A step moves t by a factor of e^20 at most."""
+    aim = alpha * least / (1.0 + 2.0 * FLOOR_MARGIN)
+    log_density = (math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
+                   - 0.5 * math.log(df * math.pi))
+    best = math.inf
+    for _ in range(4):
+        p = _tail_or_nan(t, df)
+        if math.isnan(p):
+            break
+        bound = p * (1.0 + FLOOR_MARGIN) / alpha
+        if bound < least and not r_close(bound, least):
+            best = min(best, t)
+            if p >= 0.99 * aim:
+                break
+        if p == 0.0:
+            t *= 0.5
+            continue
+        # d log p / d log t = -2 t f(t) / p, with f the t density
+        log_f = log_density - 0.5 * (df + 1.0) * math.log1p(t * t / df)
+        slope = -2.0 * t * math.exp(log_f - math.log(p))
+        t *= math.exp(min(20.0, max(-20.0, (math.log(aim) - math.log(p)) / slope)))
+    return best
+
+
 def _fill_tails(tails: list, p: np.ndarray, defined: np.ndarray) -> None:
     """Every queued tail in one ``student_t_sf_array`` call, so the continued
     fraction runs once for all Welch criteria; a p that is NaN or outside
-    [0, 1] leaves its set undefined.
+    [0, 1] leaves its set undefined.  Only the sets a call scores are
+    queued: a floor's pilot in a call of its own, then the sets the floor
+    did not rule out (``CriteriaEvaluator._score``).
 
     The kernel reads t only through t * t, so each distinct (t * t, df) pair
     is computed once, from the first t that gives it; removal sets that

@@ -110,10 +110,15 @@ def evaluate_run(
     )
 
 
+# The tests of the default criteria, for the Python API and for a grid
+# config that names none.
+DEFAULT_TESTS = ("welch_t", "anderson_darling")
+
+
 def build_default_criteria(
     dataset: Dataset,
     alpha: float = 0.2,
-    tests: Sequence[str] = ("welch_t", "anderson_darling"),
+    tests: Sequence[str] = DEFAULT_TESTS,
     registry: TestRegistry | None = None,
 ) -> CriteriaSet:
     """One criterion per (test, covariate).  A test whose arity in

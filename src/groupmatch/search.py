@@ -51,6 +51,14 @@ chunker (``_class_chunks``); within a class the sets keep the order of
 own are skipped, since none of their states could be stored.  In every
 search ``evaluations`` counts only the states scored.
 
+Each scoring call of a step, depth or random-search chunk takes a score
+floor, the least r a state must reach to change what the search keeps
+(``_floor``, ``_Keeper.floor``).  The evaluator skips the states that the
+Welch t alone shows to lie below it (``CriteriaEvaluator.score_removals``);
+a skipped state reads as undefined but is charged.  A step's floor can fall
+as later sets extend its chain, so a step settles its chunks at the end of
+each pass (``_settle``).
+
 One keeper (``_Keeper``) serves every search: it stores the matches and
 the best failing state, and builds the result.  An array prefilter picks
 the states of a scored chunk that can change what is stored, and only
@@ -75,6 +83,7 @@ from typing import Sequence
 import numpy as np
 
 from .criteria import (
+    FLOOR_MARGIN,
     MASK_BLOCK_CELLS,
     RANK_REL_TOL,
     CriteriaEvaluator,
@@ -258,7 +267,6 @@ class _Engine:
         for g in config.locked_groups:
             self.locked_mask[dataset.group_index[g]] = True
         self.feasible = _Feasibility(dataset, config)
-        self.alphas = np.array([c.alpha for c in config.criteria])
         # touches[g, j]: taking a row of group g may change criterion j's p
         # as score_removals gives it.  A criterion reads only its own
         # groups, and every batch kernel gives evaluate's bits on a subset,
@@ -276,19 +284,15 @@ class _Engine:
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.perf_counter() > self.deadline
 
-    def score(self, keep: np.ndarray, combos) -> np.ndarray:
+    def score(self, keep: np.ndarray, combos, floor=None, pilot: int = 1) -> np.ndarray:
         """r of each removal set in ``combos`` (an (m, L) array of rows kept
-        in ``keep``) applied to ``keep``, NaN where a test is undefined.
-        Charged like one evaluation per removal set."""
+        in ``keep``) applied to ``keep``, NaN where a test is undefined or
+        the set lies below ``floor`` (``CriteriaEvaluator.score_removals``).
+        Charged like one evaluation per removal set, skipped or not."""
         combos = np.asarray(combos, dtype=np.intp)
         self.budget.charge_states(len(combos))
-        return self.r_values(*self.evaluator.score_removals(keep, combos))
-
-    def r_values(self, ps: np.ndarray, defined: np.ndarray) -> np.ndarray:
-        """r of each row of a p-value matrix, NaN where it is undefined."""
-        rs = np.full(len(defined), np.nan)
-        rs[defined] = np.min(ps[defined] / self.alphas, axis=1)
-        return rs
+        evaluator = self.evaluator
+        return evaluator.r_values(*evaluator.score_removals(keep, combos, floor, pilot))
 
     def evaluate_one(self, keep: np.ndarray) -> tuple[float | None, np.ndarray | None]:
         """(r, r_j) of ``keep``, charged as one evaluation: r_j is each
@@ -299,7 +303,7 @@ class _Engine:
             r, ps = self.evaluator.evaluate(keep)
         except UndefinedTestError:
             return None, None
-        return r, np.array(ps) / self.alphas
+        return r, np.array(ps) / self.evaluator.alphas
 
     def rank(self, keep: np.ndarray, r: float) -> SolutionRank:
         return solution_rank(self.dataset, keep, self.config, r)
@@ -388,6 +392,22 @@ class _Keeper:
             r = float(rs[i])
             rank = None if balance is None else SolutionRank(int(kept[i]), balance(i), r)
             self.offer(state(i), r, rank)
+
+    def floor(self, rs: np.ndarray) -> float:
+        """The least r a state of a chunk must reach to change what is
+        reported, given the r values ``rs`` (NaN: undefined) of the chunk's
+        states scored so far: 1 once a match is stored or scored, since the
+        failing state is then never reported; else the ``_floor`` of those
+        r values and the stored failing r (-inf when there are none).  A
+        state below it by more than ``FLOOR_MARGIN`` is never stored:
+        ``offer_chunk`` stores failing states only from the ``r_close``
+        chain at the top, which one chunk cannot stretch that far."""
+        rs = rs[~np.isnan(rs)]
+        if self.matches or (rs >= 1.0).any():
+            rs = np.ones(1)
+        elif self.failing_rank is not None:
+            rs = np.append(rs, self.failing_rank.r)
+        return _floor(rs)
 
     def report(self, trace: Sequence[TraceStep] = (), timed_out: bool = False,
                partial: bool = False) -> MatchResult:
@@ -523,7 +543,8 @@ def random_search(
                 drawn.append(keep)
         if drawn:
             masks = np.array(drawn)
-            rs = engine.r_values(*engine.evaluator.score_masks(masks))
+            evaluator = engine.evaluator
+            rs = evaluator.r_values(*evaluator.score_masks(masks, keeper.floor))
             keeper.offer_chunk(rs, masks.sum(axis=1), masks.__getitem__)
     return keeper.report(timed_out=timed_out)
 
@@ -561,17 +582,17 @@ class _OutOfTime(Exception):
     """The deadline passed while removal sets were being scored."""
 
 
-def _scored(engine: _Engine, keep: np.ndarray, chunks):
+def _scored(engine: _Engine, keep: np.ndarray, chunks, floor=None, pilot: int = 1):
     """``(sets, tags, r)`` for each chunk ``(sets, tags)`` of removal sets
     that the iterator ``chunks`` yields (``_chunked``), applied to
-    ``keep``; r is NaN where a test is undefined.  The clock is read before
-    each chunk and once after the last; raises _OutOfTime when the deadline
-    has passed."""
+    ``keep``; r is NaN where a test is undefined or the set lies below
+    ``floor`` (``_Engine.score``).  The clock is read before each chunk and
+    once after the last; raises _OutOfTime when the deadline has passed."""
     while not engine.out_of_time():
         chunk = next(chunks, None)
         if chunk is None:
             return
-        yield *chunk, engine.score(keep, chunk[0])
+        yield *chunk, engine.score(keep, chunk[0], floor, pilot)
     raise _OutOfTime
 
 
@@ -597,7 +618,8 @@ def _chunked(blocks):
 
 
 def _evaluate_step(
-    engine: _Engine, walk: _Walk, size: int, ceiling: np.ndarray | None
+    engine: _Engine, walk: _Walk, size: int, ceiling: np.ndarray | None,
+    limit: int | None = None,
 ) -> _StepCandidates | None:
     """Score the feasible removal sets of ``size`` rows that can win the
     step, whole count patterns at a time; None when no set is feasible and
@@ -614,6 +636,18 @@ def _evaluate_step(
     ``r_close`` to it, so it could neither join nor break the chain at the
     top of the step, which is all ``_tied_best`` scans.  The sets scored
     come back in the order of ``itertools.combinations``.
+
+    With a ``limit``, the step needs only that chain and its ``limit`` best
+    sets (a batch plan at L = 1 reads no further), and each chunk is scored
+    against the ``_floor`` of the r values it and the chunks before it have
+    scored exactly; the first chunk scores a pilot of ``limit`` sets to find
+    it.  A set below it is skipped (``_Engine.score``), and left out of
+    the step like an undefined one.  The floor falls only as later sets
+    extend the chain, so after each pass ``_settle`` scores exactly the
+    skipped sets of every chunk whose floor it has since fallen below.  In
+    the end every skipped set lies below the step's floor and apart from
+    it, as it would were every set scored, and the step holds the same
+    chain and the same ``limit`` best sets.
     """
     rows = engine.feasible.open_rows(walk.keep, walk.removed_counts, size)
     patterns = _patterns(engine.feasible.room - walk.removed_counts, size)
@@ -625,17 +659,30 @@ def _evaluate_step(
     codes = engine.dataset.group_codes[rows]
     done = np.zeros(len(patterns), dtype=bool)
     todo = bounds == bounds.max()
-    scored = []   # (sets, tags, r) of each chunk; a tag is a row of patterns
+    scored = []   # [sets, tags, r, floor] of each chunk; a tag is a row of patterns
+    exact = []    # the r values of each chunk that are not NaN
+    last = -math.inf
+
+    def floor(rs: np.ndarray) -> float:
+        nonlocal last
+        last = _floor(np.concatenate(exact + [rs[~np.isnan(rs)]]), limit)
+        return last
+
     while todo.any():
         done |= todo
         picked = np.flatnonzero(todo)
         blocks = ((sets, picked[t]) for sets, t in _lex_sets(rows, codes, patterns[todo]))
-        scored.extend(_scored(engine, walk.keep, _chunked(blocks)))
-        got = np.concatenate([rs for _, _, rs in scored])
-        got = got[~np.isnan(got)]
-        floor = _chain_floor(got) if got.size else -np.inf
-        todo = ~done & ~((bounds < floor) & _apart(bounds, floor))
-    combos, tags, rs_all = (np.concatenate(part) for part in zip(*scored))
+        for sets, tags, rs in _scored(engine, walk.keep, _chunked(blocks),
+                                      None if limit is None else floor, limit or 1):
+            scored.append([sets, tags, rs, last])
+            exact.append(rs[~np.isnan(rs)])
+            last = -math.inf
+        if limit is not None:
+            _settle(engine, walk.keep, scored, exact, limit)
+        got = np.concatenate(exact)
+        floor_r = _chain_floor(got) if got.size else -np.inf
+        todo = ~done & ~((bounds < floor_r) & _apart(bounds, floor_r))
+    combos, tags, rs_all = (np.concatenate([chunk[i] for chunk in scored]) for i in range(3))
     defined = ~np.isnan(rs_all)
     if not defined.any():
         return None
@@ -647,6 +694,27 @@ def _evaluate_step(
         balance_from_counts(engine.dataset, engine.config, left - p) for p in patterns[done]
     ]
     return _StepCandidates(combos[order], rs_all[defined][order], index[order], balances)
+
+
+def _settle(engine: _Engine, keep: np.ndarray, scored: list, exact: list, limit: int) -> None:
+    """Score exactly, uncharged, the sets that a chunk of ``scored`` skipped
+    against a floor the step's ``_floor`` has since fallen below by more
+    than ``FLOOR_MARGIN / 2`` (a set skipped against floor F has r below
+    F * (1 - FLOOR_MARGIN / 2), and apart from any floor above that), until
+    no chunk is left so; ``exact`` is kept current."""
+    evaluator = engine.evaluator
+    while True:
+        least = _floor(np.concatenate(exact), limit)
+        stale = [k for k, chunk in enumerate(scored)
+                 if least < chunk[3] * (1.0 - FLOOR_MARGIN / 2)]
+        if not stale:
+            return
+        for k in stale:
+            sets, _, rs, _ = scored[k]
+            redo = np.flatnonzero(np.isnan(rs))
+            rs[redo] = evaluator.r_values(*evaluator.score_removals(keep, sets[redo]))
+            scored[k][3] = -math.inf
+            exact[k] = rs[~np.isnan(rs)]
 
 
 def _pattern_bounds(touches: np.ndarray, patterns: np.ndarray, ceiling: np.ndarray):
@@ -681,6 +749,19 @@ def _chain_floor(rs: np.ndarray) -> float:
     ordered = np.sort(rs)[::-1]
     gaps = np.flatnonzero(_apart(ordered[:-1], ordered[1:]))
     return ordered[gaps[0]] if gaps.size else ordered[-1]
+
+
+def _floor(rs: np.ndarray, limit: int = 1) -> float:
+    """The least r a set must reach to matter, given the r values ``rs`` (no
+    NaN) of the sets scored so far, when what matters is the ``r_close``
+    chain at the top and the ``limit`` best sets: the lower of the chain
+    floor (``_chain_floor``) and the limit-th highest r; -inf when there
+    are fewer than ``limit`` values.  A set below it and not ``r_close`` to
+    it is in neither, however many sets follow, unless a later set
+    extends the chain down to it (see ``_evaluate_step``)."""
+    if rs.size < limit:
+        return -math.inf
+    return float(min(_chain_floor(rs), np.partition(rs, rs.size - limit)[rs.size - limit]))
 
 
 def _tied_best(rs: np.ndarray, balance=None) -> list[int]:
@@ -838,10 +919,11 @@ def _constructive(
                 ).size
                 batch_limit = max(1, int(config.batch_fraction * remaining))
         # a batch is planned from the ranking of every candidate, so a step
-        # that may remove more than one row skips none
+        # that may remove more than one row skips no pattern; it skips the
+        # sets below its batch_limit best (batching needs L = 1)
         try:
             step = _evaluate_step(
-                engine, walk, set_size, ceiling if batch_limit == 1 else None
+                engine, walk, set_size, ceiling if batch_limit == 1 else None, batch_limit
             )
         except _OutOfTime:
             return keeper.report(trace, timed_out=True)
@@ -975,7 +1057,7 @@ def exhaustive_search(
             # pruned(k): a stored match ranks above every state of class k
             chunks = _class_chunks(rows, codes[rows], classes, lambda k: bool(
                 keeper.matches) and _compare_balance(keeper.rank.balance, best[k]) < 0)
-            for sets, tags, rs in _scored(engine, full, chunks):
+            for sets, tags, rs in _scored(engine, full, chunks, keeper.floor):
                 # the keep-mask of set i: every row but the rows it removes
                 keeper.offer_chunk(
                     rs, n - depth,

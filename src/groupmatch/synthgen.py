@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -219,13 +219,17 @@ def _min_pairwise_welch_p(values: np.ndarray, codes: np.ndarray, n_groups: int):
 
 def generate_dataset(spec: SyntheticSpec) -> GeneratedData:
     """Generate one dataset per the spec, rejection-sampling child seeds
-    until the acceptance windows hold (or raising GenerationError)."""
-    children = np.random.SeedSequence(spec.seed).spawn(spec.max_attempts)
-    for attempt, child in enumerate(children, start=1):
-        rng = np.random.default_rng(child)
-        generated = _generate_once(spec, rng, attempt)
-        if _accept(spec, generated):
-            return generated
+    until the acceptance windows hold (or raising GenerationError).
+
+    Child seeds are spawned one attempt at a time, and the windows are
+    checked on the drawn values and group codes before any ids, labels or
+    ``Dataset`` are built."""
+    root = np.random.SeedSequence(spec.seed)
+    for attempt in range(1, spec.max_attempts + 1):
+        rng = np.random.default_rng(root.spawn(1)[0])
+        info, values, flags, codes = _draw(spec, rng)
+        if _accept(spec, values, codes, flags):
+            return _build(spec, replace(info, attempts=attempt), values, flags, codes)
     raise GenerationError(
         f"no dataset satisfied the acceptance windows in {spec.max_attempts} "
         f"attempts (seed {spec.seed}); relax basic_p_range/full_p_max or raise "
@@ -233,9 +237,9 @@ def generate_dataset(spec: SyntheticSpec) -> GeneratedData:
     )
 
 
-def _generate_once(
-    spec: SyntheticSpec, rng: np.random.Generator, attempt: int
-) -> GeneratedData:
+def _draw(spec: SyntheticSpec, rng: np.random.Generator):
+    """Every random draw of one attempt: the ground truth (0 attempts), the
+    values, the intruder flags and each row's group code."""
     k = spec.n_covariates
     means = rng.uniform(*spec.mean_range, size=k)
     variances = means * rng.uniform(*spec.variance_factor_range, size=k)
@@ -259,39 +263,42 @@ def _generate_once(
     flags[n_basic:] = True
 
     counts = _largest_remainder_counts(spec.group_split, spec.n_items)
-    labels = spec.group_labels()
     assignment = np.repeat(np.arange(spec.n_groups), counts)
     rng.shuffle(assignment)
-
-    width = len(str(spec.n_items))
-    ids = [f"item{i + 1:0{width}d}" for i in range(spec.n_items)]
-    groups = [labels[c] for c in assignment]
-    names = [f"cov{j + 1}" for j in range(k)]
-    dataset = Dataset(ids, groups, values, names)
     info = GenerationInfo(
         means=means,
         variances=variances,
         covariance=cov,
         shifted_covariates=tuple(int(j) for j in shifted),
         shifts=shifts,
-        attempts=attempt,
+        attempts=0,
     )
-    return GeneratedData(dataset, flags, info)
+    return info, values, flags, assignment
 
 
-def _accept(spec: SyntheticSpec, generated: GeneratedData) -> bool:
-    if spec.basic_p_range is None and spec.full_p_max is None:
-        return True
-    d = generated.dataset
-    codes = np.asarray(d.group_codes)
-    values = d.covariates
+def _build(spec: SyntheticSpec, info: GenerationInfo, values: np.ndarray,
+           flags: np.ndarray, codes: np.ndarray) -> GeneratedData:
+    """The dataset of one accepted attempt: ids, group labels and names."""
+    width = len(str(spec.n_items))
+    ids = [f"item{i + 1:0{width}d}" for i in range(spec.n_items)]
+    labels = spec.group_labels()
+    groups = [labels[c] for c in codes]
+    names = [f"cov{j + 1}" for j in range(spec.n_covariates)]
+    return GeneratedData(Dataset(ids, groups, values, names), flags, info)
+
+
+def _accept(spec: SyntheticSpec, values: np.ndarray, codes: np.ndarray,
+            flags: np.ndarray) -> bool:
+    """Whether the windows hold for ``values`` with group ``codes`` (any
+    numbering of the groups gives the same minimum over group pairs) and
+    intruder ``flags``."""
     if spec.basic_p_range is not None:
-        basics = ~generated.intruder_flags
-        p = _min_pairwise_welch_p(values[basics], codes[basics], d.n_groups)
+        basics = ~flags
+        p = _min_pairwise_welch_p(values[basics], codes[basics], spec.n_groups)
         if p is None or not spec.basic_p_range[0] <= p <= spec.basic_p_range[1]:
             return False
     if spec.full_p_max is not None:
-        p = _min_pairwise_welch_p(values, codes, d.n_groups)
+        p = _min_pairwise_welch_p(values, codes, spec.n_groups)
         if p is None or p >= spec.full_p_max:
             return False
     return True

@@ -1,5 +1,6 @@
 """The JSON config loaders: derived key sets and value types."""
 
+import inspect
 import json
 import re
 from dataclasses import fields
@@ -10,6 +11,7 @@ from groupmatch.cli import main
 from groupmatch.config import load_grid_config, load_run_config
 from groupmatch.criteria import MatchConfig
 from groupmatch.errors import ConfigError
+from groupmatch.harness import build_default_criteria
 
 
 def write_json(path, payload):
@@ -147,6 +149,14 @@ def test_grid_config_defaults_and_keys(tmp_path):
     assert grid.tests == ("welch_t",) and grid.time_limit == 5
     with pytest.raises(ConfigError, match="unknown keys"):
         load_grid_config(write_json(tmp_path / "grid.json", grid_payload(seed=1)))
+
+
+def test_grid_default_tests_are_the_default_criteria_tests(tmp_path):
+    # a grid config that names no tests and the Python API's default
+    # criteria use the same tests
+    default = inspect.signature(build_default_criteria).parameters["tests"].default
+    grid = load_grid_config(write_json(tmp_path / "grid.json", grid_payload()))
+    assert grid.tests == tuple(default) == ("welch_t", "anderson_darling")
 
 
 def test_every_tuple_field_of_a_spec_loads_from_a_json_list(tmp_path):

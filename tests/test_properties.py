@@ -11,6 +11,10 @@
 * A step that skips the count patterns its criterion-locality bound rules
   out gives the run of a step that scores every set, and no scored set
   has an r above its bound.
+* Scoring against floors (sets whose Welch t already rules them out get no
+  tail and no mask block) gives the run of scoring every set, in every
+  search; and a step whose chunk floors were too high is set right by the
+  re-check at the end of each pass.
 * Exhaustive search's class enumerator gives the sets of each depth that
   ``itertools.combinations`` gives and ``_Feasibility.allows`` accepts:
   balance classes best first, each in canonical order.
@@ -257,7 +261,7 @@ def test_removal_sets_match_per_set_rule(problem, seed, chunk):
         walk.remove(int(rng.choice(rows)))
     sizes: list[int] = []   # of the chunks scored
 
-    def score(keep, combos):
+    def score(keep, combos, *floor):
         sizes.append(len(combos))
         return np.zeros(len(combos))
 
@@ -417,9 +421,9 @@ def test_skipped_patterns_change_nothing(problem, variant, size, batch):
     alphas = [spec.alpha for spec in config.criteria]
     score = search._Engine.score
 
-    def checked(engine, keep, combos):
+    def checked(engine, keep, combos, *floor):
         combos = np.asarray(combos, dtype=np.intp)
-        rs = score(engine, keep, combos)
+        rs = score(engine, keep, combos, *floor)
         evaluator = engine.evaluator
         try:
             _, ps = evaluator.evaluate(keep)
@@ -443,6 +447,126 @@ def test_skipped_patterns_change_nothing(problem, variant, size, batch):
     # the same solutions, trace, rank, p-values and success; fewer evaluations at most
     assert skipping[:4] + skipping[5:] == scoring_all[:4] + scoring_all[5:]
     assert skipping[4] <= scoring_all[4]
+
+
+@st.composite
+def floor_problems(draw):
+    """2-4 groups of 3-7 rows, interleaved, with two covariates shifted by
+    group, random locks, caps, ``min_group_size`` and balance mode, under
+    1-3 Welch criteria on pairs of groups and, when drawn, 1-2
+    Anderson-Darling criteria."""
+    k = draw(st.integers(2, 4))
+    labels = [f"g{i}" for i in range(k)]
+    sizes = [draw(st.integers(3, 7)) for _ in labels]
+    groups = draw(st.permutations([g for g, n in zip(labels, sizes) for _ in range(n)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = {g: rng.normal(0.0, 1.0, 2) for g in labels}
+    values = np.array([rng.normal(shift[g], 1.0) for g in groups])
+    if draw(st.booleans()):
+        values = np.round(values, 1)   # ties, and sets that tie exactly
+    dataset = Dataset([f"s{i}" for i in range(len(groups))], groups, values, ["x", "y"])
+    welch = [("welch_t", c, pair) for c in ("x", "y")
+             for pair in itertools.combinations(labels, 2)]
+    chosen = draw(st.lists(st.sampled_from(welch), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        ad = [("anderson_darling", c, tuple(labels)) for c in ("x", "y")]
+        ad += [("anderson_darling", c, pair) for c in ("x", "y")
+               for pair in itertools.combinations(labels, 2)]
+        chosen += draw(st.lists(st.sampled_from(ad), min_size=1, max_size=2, unique=True))
+    alpha = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    locked = frozenset(g for g in labels[1:] if draw(st.integers(0, 4)) == 0)
+    precedence = draw(st.none() | st.permutations(labels))
+    config = MatchConfig(
+        criteria=CriteriaSet(tuple(CriterionSpec(*c, alpha) for c in chosen)),
+        balance_mode="proportions" if precedence is None else "precedence",
+        precedence=precedence,
+        locked_groups=locked,
+        max_removed_per_group={g: draw(st.integers(1, 4)) for g in labels
+                               if g not in locked and draw(st.integers(0, 3)) == 0},
+        max_removed_total=draw(st.none() | st.integers(2, 8)),
+        min_group_size=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 1000)),
+        pool_cap=draw(st.integers(1, 4)),
+        reversion_threshold=draw(st.sampled_from([0.5, 2.0])),
+        batch_fraction=draw(st.none() | st.sampled_from([0.3, 1.0])),
+    )
+    return dataset, config
+
+
+def no_floor(rs, limit=1):
+    return -math.inf
+
+
+def floor_run(dataset, config, variant, size, batch):
+    """The outcome of one search: greedy, h3 or h4 with lookahead ``size``
+    (batched by ``batch``, or by the config's batch fraction, at size 1),
+    random search or exhaustive search; None when its criteria are
+    undefined on every state it visits."""
+    if variant == "greedy" or size == 1:
+        config = config.with_(lookahead=1, batch_size=batch)
+    else:
+        config = unbatched(config).with_(lookahead=size, batch_size=1)
+    try:
+        if variant == "random":
+            return outcome(search.random_search(dataset, config, iterations=60))
+        if variant == "exhaustive":
+            return outcome(search.exhaustive_search(dataset, config, max_removed=3))
+        if variant == "greedy":
+            return outcome(search.greedy_search(dataset, config))
+        return outcome(search.lookahead_search(dataset, config, variant))
+    except UndefinedTestError:
+        return None
+
+
+FLOOR_VARIANTS = st.sampled_from(["greedy", "h3", "h4", "random", "exhaustive"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(floor_problems(), FLOOR_VARIANTS, st.integers(1, 3), st.sampled_from([1, 3]),
+       st.sampled_from([5, 1024]))
+def test_floors_change_nothing(problem, variant, size, batch, chunk):
+    # scoring against floors, in chunks of ``chunk`` sets (random search:
+    # draws of ``chunk`` cells), gives the run of scoring every set in full
+    dataset, config = problem
+    with mock.patch.object(search, "_SCORE_CHUNK", chunk), \
+            mock.patch.object(search, "MASK_BLOCK_CELLS", chunk * dataset.n_subjects):
+        floored = floor_run(dataset, config, variant, size, batch)
+        with mock.patch.object(search, "_floor", no_floor):
+            scoring_all = floor_run(dataset, config, variant, size, batch)
+    # the same solutions, trace, rank, p-values, evaluations and success
+    assert floored == scoring_all
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(floor_problems(), st.sampled_from(["greedy", "h3", "h4"]), st.integers(1, 3),
+       st.sampled_from([1, 3]))
+def test_steps_scored_against_overstated_floors_are_settled(problem, variant, size, batch):
+    # chunk floors three times too high skip sets that can win the step;
+    # the re-check at the end of each pass (``_settle``) scores them, so
+    # the run is that of scoring every set
+    dataset, config = problem
+    true_floor = search._floor
+    scoring = []
+    score = CriteriaEvaluator.score_removals
+
+    def inside(self, *args):
+        scoring.append(True)
+        try:
+            return score(self, *args)
+        finally:
+            scoring.pop()
+
+    def overstated(rs, limit=1):
+        least = true_floor(rs, limit)
+        return 3.0 * least if scoring and least > 0.0 else least
+
+    with mock.patch.object(search, "_SCORE_CHUNK", 5):
+        with mock.patch.object(search, "_floor", overstated), \
+                mock.patch.object(CriteriaEvaluator, "score_removals", inside):
+            settled = floor_run(dataset, config, variant, size, batch)
+        with mock.patch.object(search, "_floor", no_floor):
+            scoring_all = floor_run(dataset, config, variant, size, batch)
+    assert settled == scoring_all
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,16 @@ import math
 import numpy as np
 import pytest
 
+import groupmatch.criteria as criteria_module
+import groupmatch.search as search_module
 import groupmatch.stats as stats
-from groupmatch.criteria import CriteriaEvaluator, CriteriaSet, CriterionSpec, MatchConfig
+from groupmatch.criteria import (
+    FLOOR_MARGIN,
+    CriteriaEvaluator,
+    CriteriaSet,
+    CriterionSpec,
+    MatchConfig,
+)
 from groupmatch.dataset import Dataset
 from groupmatch.errors import UndefinedTestError
 from groupmatch.search import exhaustive_search, greedy_search, lookahead_search
@@ -27,6 +35,8 @@ from groupmatch.stats import (
     student_t_sf_array,
     welch_t_p,
 )
+
+from conftest import build_two_group_dataset, welch_only_criteria
 
 R_REL_TOL = 1e-11
 
@@ -551,6 +561,88 @@ class TestSearchesAgreeWithPerSubsetScoring:
             batch = run(None)
             reference = run(per_subset_registry())
             assert self.outcome(batch) == self.outcome(reference)
+
+
+class TestFloors:
+    """Scoring against a floor: the sets not skipped keep their bits, every
+    skipped set lies below the floor by more than half the margin, and most
+    sets far below it are skipped."""
+
+    def scored(self, ev, keep, combos, floor, pilot=1):
+        p, defined = ev.score_removals(keep, combos)
+        got, got_defined = ev.score_removals(keep, combos, floor, pilot)
+        skipped = defined & ~got_defined
+        assert not (got_defined & ~defined).any()
+        assert np.isnan(got[skipped]).all()
+        assert got[~skipped].tobytes() == p[~skipped].tobytes()
+        alphas = np.array([c.alpha for c in ev.criteria])
+        rs = np.where(defined, np.min(p / alphas, axis=1), np.nan)
+        return rs, skipped
+
+    @pytest.mark.parametrize("with_ad", [False, True])
+    def test_fixed_floor(self, with_ad):
+        d = build_two_group_dataset(150, 0.4, seed=8, n_shifted=0)
+        specs = [CriterionSpec("welch_t", "x", ("A", "B"), 0.2)]
+        if with_ad:
+            specs.append(CriterionSpec("anderson_darling", "x", ("A", "B"), 0.2))
+        ev = CriteriaEvaluator(d, CriteriaSet(tuple(specs)))
+        keep = np.ones(d.n_subjects, dtype=bool)
+        combos = np.arange(d.n_subjects)[:, None]
+        exact, _ = self.scored(ev, keep, combos, None)
+        least = float(np.sort(exact)[-20])   # the 20th best r
+        rs, skipped = self.scored(ev, keep, combos, lambda r: least)
+        assert (rs[skipped] < least * (1 - FLOOR_MARGIN / 2)).all()
+        assert skipped.sum() >= 0.8 * d.n_subjects
+        assert not skipped[rs >= least].any()
+
+    def test_no_sets(self):
+        d = build_two_group_dataset(10, 0.4, seed=8)
+        ev = CriteriaEvaluator(d, welch_only_criteria())
+        keep = np.ones(d.n_subjects, dtype=bool)
+        p, defined = ev.score_removals(keep, np.empty((0, 1), dtype=np.intp), lambda r: 0.5)
+        assert p.shape == (0, 1) and defined.shape == (0,)
+
+    def test_pilot_gives_the_floor(self):
+        # with no floor before it, a call scores the pilot sets of smallest
+        # max |t| first and takes its floor from their r
+        rng = np.random.default_rng(5)
+        d = make_dataset(rng, (60, 70, 50), integer=False)
+        ev = CriteriaEvaluator(d, pairwise_welch(d.group_labels))
+        keep = np.ones(d.n_subjects, dtype=bool)
+        combos = np.array(list(itertools.combinations(range(0, d.n_subjects, 3), 2)))
+        seen = []
+
+        def floor(r):
+            seen.append(r.copy())
+            return -math.inf if r.size == 0 else float(np.nanmin(r))
+
+        rs, skipped = self.scored(ev, keep, combos, floor, pilot=4)
+        assert [r.size for r in seen] == [0, 4]
+        least = float(np.nanmin(seen[1]))
+        assert (rs[skipped] < least * (1 - FLOOR_MARGIN / 2)).all()
+        assert skipped.sum() >= 0.5 * len(combos)
+
+    def test_searches_take_few_tails(self, monkeypatch):
+        # a greedy walk over 2 x 150 items takes the tails of the few sets
+        # that can win each step, not of every set, for the same run
+        d = build_two_group_dataset(150, 1.0, seed=3, n_shifted=30)
+        config = MatchConfig(criteria=welch_only_criteria(), seed=1)
+        queued = []
+        fill = criteria_module._fill_tails
+
+        def counting(tails, p, defined):
+            queued.append(sum(len(sets) for _, sets, _, _ in tails))
+            return fill(tails, p, defined)
+
+        monkeypatch.setattr(criteria_module, "_fill_tails", counting)
+        floored = greedy_search(d, config)
+        taken = sum(queued)
+        queued.clear()
+        monkeypatch.setattr(search_module, "_floor", lambda rs, limit=1: -math.inf)
+        every = greedy_search(d, config)
+        assert every.evaluations == floored.evaluations
+        assert [s.key() for s in every.solutions] == [s.key() for s in floored.solutions]
+        assert taken * 10 < sum(queued)
 
 
 class TestStudentTailArray:

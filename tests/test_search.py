@@ -569,7 +569,7 @@ class TestCriterionLocality:
             criteria=CriteriaSet((CriterionSpec("welch_t", "x", ("A", "B"), 0.2),)),
             min_group_size=1), None)
         by_group = np.array([1.0, 1.0 - 0.5e-12, 1.0 - 2e-12])
-        monkeypatch.setattr(engine, "score", lambda keep, combos: by_group[
+        monkeypatch.setattr(engine, "score", lambda keep, combos, *floor: by_group[
             d.group_codes[np.asarray(combos)[:, 0]]])
         monkeypatch.setattr(search, "_pattern_bounds", lambda touches, patterns, ceiling:
                             np.where(patterns[:, 0] > 0, np.inf, patterns @ by_group))

@@ -11,7 +11,14 @@ import pytest
 from scipy import stats as scipy_stats
 
 from groupmatch import stats
-from groupmatch.criteria import CriteriaSet, CriterionSpec, MatchConfig, compute_r
+from groupmatch.criteria import (
+    _FLOOR_DF_MAX,
+    FLOOR_MARGIN,
+    CriteriaSet,
+    CriterionSpec,
+    MatchConfig,
+    compute_r,
+)
 from groupmatch.dataset import Dataset
 from groupmatch.errors import RegistrationError, UndefinedTestError
 from groupmatch.search import greedy_search
@@ -92,6 +99,38 @@ class TestStudentTail:
         for t, p in zip(self.TS, got.tolist()):
             want = self.reference(t, df)
             assert float(abs((p - want) / want)) <= bound, (t, df)
+
+    # df from 1 to 1e8: score floors (criteria.FLOOR_MARGIN) bound a set's
+    # tail by the tail at the least df of its call
+    ORDER_DFS = (1.0, 1.5, 3.7, 13.3, 50.0, 98.0, 400.0, 1600.0, 1e4, 1e5, 1e6, 1e7, 1e8)
+
+    def test_tail_falls_as_df_grows(self):
+        # what score floors rest on: for fixed |t|, P(|T_df| >= |t|) falls
+        # as df grows.  The exact tail falls strictly; the array kernel (on
+        # the whole grid, past its scalar hand-off) and the scalar kernel
+        # keep that order up to the relative margin of 1e-8
+        t, df = (g.ravel() for g in np.meshgrid(self.TS, self.ORDER_DFS, indexing="ij"))
+        array = student_t_sf_array(t, df).reshape(len(self.TS), -1)
+        for i, ti in enumerate(self.TS):
+            want = [self.reference(ti, d) for d in self.ORDER_DFS]
+            assert all(a > b for a, b in zip(want, want[1:])), ti
+            scalar = [student_t_sf(ti, d) for d in self.ORDER_DFS]
+            assert scalar == array[i].tolist()
+            assert all(b <= a * (1 + 1e-8) for a, b in zip(scalar, scalar[1:])), ti
+
+    def test_error_below_the_floor_margin_up_to_the_floor_df(self):
+        # a set is ruled out by its t only at df <= criteria._FLOOR_DF_MAX,
+        # where the kernel's error must stay far below FLOOR_MARGIN; it is
+        # largest near t = 2, where the continued fraction needs the most
+        # iterations, and grows with df
+        bound = 1e-10
+        assert FLOOR_MARGIN >= 50 * bound
+        ts = np.linspace(1.0, 4.0, 61)
+        for df in (1e4, _FLOOR_DF_MAX / 10, _FLOOR_DF_MAX):
+            got = student_t_sf_array(ts, np.full(ts.size, df))
+            for t, p in zip(ts.tolist(), got.tolist()):
+                want = self.reference(t, df)
+                assert float(abs((p - want) / want)) <= bound, (t, df)
 
     def test_bits_do_not_depend_on_simd_code_paths(self):
         found = cpu_features()

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -245,6 +246,53 @@ class TestEvaluationGrid:
             b = generate_dataset(replace(spec, seed=seed))
             assert np.array_equal(a.dataset.covariates, b.dataset.covariates)
             assert a.dataset.groups == b.dataset.groups
+
+
+def digest(generated) -> str:
+    """The first 16 hex digits of a SHA-256 over a generated dataset's
+    values, groups, ids and intruder flags."""
+    d = generated.dataset
+    h = hashlib.sha256(d.covariates.tobytes())
+    h.update(",".join(d.groups).encode())
+    h.update(",".join(d.subject_ids).encode())
+    h.update(generated.intruder_flags.tobytes())
+    return h.hexdigest()[:16]
+
+
+# (spec fields, seed, attempts, digest): the two specs of the benchmark's
+# intruder grid, at a few seeds and at the seeds that master seed 2026
+# derives for them; a three-group split; and 28 groups, whose labels g0..g27
+# sort apart from the order they are numbered in
+GRID_2 = dict(n_items=100, n_intruders=10, n_covariates=2, n_shifted_covariates=2,
+              variance_factor_range=(1.0, 10.0))
+GRID_4 = dict(n_items=100, n_intruders=10, n_covariates=4, n_shifted_covariates=3,
+              variance_factor_range=(1.0, 4.0))
+THREE = dict(n_items=60, n_intruders=6, n_covariates=2, n_shifted_covariates=1,
+             group_split=(0.5, 0.3, 0.2))
+MANY = dict(n_items=140, n_intruders=10, n_covariates=1, n_shifted_covariates=1,
+            group_split=(1 / 28,) * 27 + (1 - 27 / 28,), basic_p_range=None,
+            full_p_max=0.003)
+PINNED = [
+    (GRID_2, 0, 98, "237c7b51adfdf37c"),
+    (GRID_2, 1, 57, "c4555d5b338cbaf9"),
+    (GRID_2, 7, 26, "c108cd98f2f8b6d8"),
+    (GRID_2, 2727543821, 8, "0917cd581da9ecfa"),
+    (GRID_4, 0, 38, "f6ae46d839fe015d"),
+    (GRID_4, 1, 21, "43cf4904ed7961fe"),
+    (GRID_4, 7, 18, "046d0d685c9847e7"),
+    (GRID_4, 2351327623, 50, "025234d025b5fdb6"),
+    (THREE, 3, 23, "87b5ab9d396080ae"),
+    (THREE, 11, 12, "7df9fc1fc7da5b3a"),
+    (MANY, 3, 1, "cdc347e293afbf7b"),
+    (MANY, 11, 3, "5753ed05be49b3f7"),
+]
+
+
+@pytest.mark.parametrize("fields, seed, attempts, expected", PINNED)
+def test_generated_datasets_are_pinned(fields, seed, attempts, expected):
+    generated = generate_dataset(SyntheticSpec(**fields, seed=seed))
+    assert generated.info.attempts == attempts
+    assert digest(generated) == expected
 
 
 class TestSidecarFiles:
