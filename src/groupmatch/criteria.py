@@ -27,8 +27,8 @@ from .stats import (
     TestRegistry,
     _mean_ss,
     _per_mask_p,
+    _ADMasks,
     _tail_or_nan,
-    anderson_darling_p_masks,
     default_registry,
     student_t_sf_array,
 )
@@ -331,6 +331,11 @@ def r_close(a: float, b: float) -> bool:
     return abs(a - b) <= RANK_REL_TOL * max(abs(a), abs(b))
 
 
+def _apart(a, b) -> np.ndarray:
+    """Elementwise: a and b are not ``r_close``."""
+    return np.abs(a - b) > RANK_REL_TOL * np.maximum(np.abs(a), np.abs(b))
+
+
 def balance_close(a: float, b: float) -> bool:
     """Balance (KL) comparisons keep an absolute floor: a divergence gap
     below 1e-12 is summation noise, never a real imbalance."""
@@ -369,8 +374,10 @@ class CriteriaEvaluator:
 
     Precomputes per-criterion covariate columns and group row indices so a
     single evaluation is a handful of boolean gathers plus the test itself.
-    Instances are immutable after construction and safe to share across
-    threads.
+    Instances are immutable after construction, but for the Anderson-Darling
+    kernels' tables of N-only sums, which are filled as pooled sizes appear
+    and only ever store the same value at one place, and are safe to share
+    across threads.
     """
 
     def __init__(
@@ -387,7 +394,10 @@ class CriteriaEvaluator:
         # per criterion: its rows pooled, each row's sample code, and the
         # position in the pool of every dataset row (-1 outside it)
         self._pooled: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for spec in criteria:
+        # the Anderson-Darling block kernel of each criterion on that test,
+        # prepared once for its pooled rows
+        self._ad_kernels: dict[int, _ADMasks] = {}
+        for j, spec in enumerate(criteria):
             test = registry.get(spec.test_name)
             column = dataset.covariate_column(spec.covariate)
             rows = [dataset.group_index[g] for g in spec.group_subset]
@@ -397,6 +407,8 @@ class CriteriaEvaluator:
             where = np.full(dataset.n_subjects, -1, dtype=np.intp)
             where[pooled] = np.arange(pooled.size)
             self._pooled.append((pooled, codes, where))
+            if test is BUILTIN_AD:
+                self._ad_kernels[j] = _ADMasks(column[pooled], codes, len(rows))
         # the distinct (covariate, group) keys that Welch criteria read: each
         # key's column and group code, and each Welch criterion's row in the
         # (criteria, sets) arrays of ``_welch_t_df`` and its pair of keys
@@ -467,11 +479,13 @@ class CriteriaEvaluator:
         NaN where undefined) of the sets this call has scored so far, it
         gives the least r a set must reach to matter to the caller (-inf:
         every set matters).  Sets that the Welch criteria show to lie below
-        it, and not ``r_close`` to it, are skipped (``_score``): each of
-        their rows is NaN and ``defined`` is False, as for an undefined
-        set.  Every other set has the p-values it has without a floor.
-        ``pilot`` is the number of sets scored first when the floor is -inf
-        before any set is scored.
+        it, and not ``r_close`` to it, are skipped, and so are sets that
+        the criteria scored before a mask-scored one (Anderson-Darling or
+        any other test) already put there, before that one is scored
+        (``_score``): each of their rows is NaN and ``defined`` is False,
+        as for an undefined set.  Every other set has the p-values it has
+        without a floor.  ``pilot`` is the number of sets scored first when
+        the floor is -inf before any set is scored.
         """
         combos = np.asarray(combos, dtype=np.intp)
 
@@ -500,8 +514,12 @@ class CriteriaEvaluator:
 
         Criteria bound to the built-in Welch test are scored from each
         group's two-pass masked moments (``_welch_masks``), those bound to
-        the built-in Anderson-Darling test with ``anderson_darling_p_masks``;
-        every other criterion is scored on its own subset.
+        the built-in Anderson-Darling test with the block kernel prepared
+        for them when the evaluator was built (``stats._ADMasks``); every
+        other criterion is scored on its own subset.  Under a floor, a
+        mask-scored criterion is scored only on the masks that the criteria
+        scored before it leave at or near the floor, as in
+        ``score_removals``.
         """
         keeps = np.asarray(keeps, dtype=bool).reshape(-1, self.dataset.n_subjects)
         return self._score(
@@ -518,40 +536,54 @@ class CriteriaEvaluator:
         arrays of ``_welch_t_df`` over (Welch criteria, subsets), None when
         there is no Welch criterion.
 
-        With a ``floor`` (see ``score_removals``) and a Welch criterion,
-        the subsets that Welch's t already rules out are dropped before any
-        tail or mask block is computed (``_ruled_out``).  When the floor is
-        -inf before any subset is scored, a pilot goes first: the ``pilot``
-        subsets of smallest max_j |t_j| among those no Welch criterion
-        finds slow or undefined, scored in full, whose r values then give
-        the floor.  Every subset left is scored by ``_score_sets``.
+        With a ``floor`` (see ``score_removals``), the call's floor
+        ``least`` is asked once, before any subset is scored.  With a Welch
+        criterion, the subsets that Welch's t already rules out are dropped
+        before any tail or mask block is computed (``_ruled_out``); when
+        ``least`` is -inf, a pilot goes first: the ``pilot`` subsets of
+        smallest max_j |t_j| among those no Welch criterion finds slow or
+        undefined, scored in full, whose r values then give ``least``.
+        Every subset left is scored by ``_score_sets``, which skips, on
+        each mask-scored criterion, the subsets that the criteria scored
+        before it put below ``least``.  That one ``least`` is the only
+        floor a call applies, so a skipped subset has r below
+        ``least * (1 - FLOOR_MARGIN / 2)``, as ``FLOOR_MARGIN`` states.
         """
         p = np.full((m, len(self._bound)), np.nan)
         defined = np.ones(m, dtype=bool)
         todo = np.arange(m)
-        if floor is not None and welch is not None:
-            least = floor(np.empty(0))
-            if least == -math.inf:
-                t, _, slow = welch
-                fast = ~(slow | np.isnan(t)).any(axis=0)
-                spread = np.where(fast, np.abs(t).max(axis=0), np.inf)
-                first = np.sort(np.argsort(spread, kind="stable")[:min(pilot, fast.sum())])
-                self._score_sets(first, p, defined, masks, welch)
-                least = floor(self.r_values(p[first], defined[first]))
-                todo = np.delete(todo, first)
+        least = -math.inf if floor is None else floor(np.empty(0))
+        if floor is not None and welch is not None and least == -math.inf:
+            t, _, slow = welch
+            fast = ~(slow | np.isnan(t)).any(axis=0)
+            spread = np.where(fast, np.abs(t).max(axis=0), np.inf)
+            first = np.sort(np.argsort(spread, kind="stable")[:min(pilot, fast.sum())])
+            self._score_sets(first, p, defined, masks, welch)
+            least = floor(self.r_values(p[first], defined[first]))
+            todo = np.delete(todo, first)
+        if welch is not None and least > 0.0:
             skip = self._ruled_out(welch, least)[todo]
             defined[todo[skip]] = False
             todo = todo[~skip]
-        self._score_sets(todo, p, defined, masks, welch)
+        self._score_sets(todo, p, defined, masks, welch, least)
         return p, defined
 
-    def _score_sets(self, sets, p, defined, masks, welch) -> None:
+    def _score_sets(self, sets, p, defined, masks, welch, least: float = -math.inf) -> None:
         """Fill ``p`` and ``defined`` for the subsets ``sets`` (ascending),
         criterion by criterion.  The Student t tails of every Welch
-        criterion are taken in one call at the end; only its slow subsets
-        are scored on masks."""
+        criterion are taken in one call; only its slow subsets are scored
+        on masks.
+
+        With no positive floor ``least``, every other criterion is scored
+        in turn, before the tails.  With one, they are scored after the
+        tails, in turn, each on the subsets whose running bound, the least
+        p_j / alpha_j over the criteria scored so far raised by
+        ``FLOOR_MARGIN``, is not below ``least`` or is ``r_close`` to it.
+        The others are skipped: each of their rows is NaN and ``defined``
+        is False, as for a subset that Welch's t rules out."""
         tails: list = []
-        for j, (test, _, column, rows) in enumerate(self._bound):
+        later = []
+        for j in range(len(self._bound)):
             todo = sets[defined[sets]]
             if j in self._welch_rows:
                 # queue the tails of the sets neither slow nor undefined
@@ -561,19 +593,46 @@ class CriteriaEvaluator:
                 fast = ~(slow | undefined)
                 tails.append((j, todo[fast], t[fast], df[fast]))
                 todo = todo[slow]
-            pooled, codes, _ = self._pooled[j]
-            values = column[pooled]
-            step = max(1, MASK_BLOCK_CELLS // pooled.size)
-            for start in range(0, todo.size, step):
-                block_sets = todo[start:start + step]
-                block = masks(j, block_sets)
-                if test is BUILTIN_AD:
-                    got = anderson_darling_p_masks(values, codes, len(rows), block)
-                else:
-                    got = _per_mask_p(test, values, codes, len(rows), block)
-                p[block_sets, j] = got
-                defined[block_sets] = ~np.isnan(got)
+            elif least > 0.0:
+                later.append(j)
+                continue
+            if todo.size:
+                self._score_on_masks(j, todo, p, defined, masks)
         _fill_tails(tails, p, defined)
+        if not later:
+            return
+        todo = sets[defined[sets]]
+        scored = list(self._welch_rows)
+        bound = np.min(p[np.ix_(todo, scored)] / self.alphas[scored], axis=1, initial=np.inf)
+        for j in later:
+            raised = bound * (1.0 + FLOOR_MARGIN)
+            out = (raised < least) & _apart(raised, least)
+            defined[todo[out]] = False
+            p[todo[out]] = np.nan
+            todo, bound = todo[~out], bound[~out]
+            self._score_on_masks(j, todo, p, defined, masks)
+            kept = defined[todo]
+            todo = todo[kept]
+            bound = np.minimum(bound[kept], p[todo, j] / self.alphas[j])
+
+    def _score_on_masks(self, j: int, sets, p, defined, masks) -> None:
+        """Criterion j's p of the subsets ``sets`` from their keep-masks, a
+        block of at most ``MASK_BLOCK_CELLS`` cells at a time: by its
+        prepared Anderson-Darling kernel, or by its test one mask at a
+        time; a subset where the test is undefined is left undefined."""
+        test, _, column, rows = self._bound[j]
+        pooled, codes, _ = self._pooled[j]
+        kernel = self._ad_kernels.get(j)
+        step = max(1, MASK_BLOCK_CELLS // pooled.size)
+        for start in range(0, sets.size, step):
+            block_sets = sets[start:start + step]
+            block = masks(j, block_sets)
+            if kernel is not None:
+                got = kernel(block)
+            else:
+                got = _per_mask_p(test, column[pooled], codes, len(rows), block)
+            p[block_sets, j] = got
+            defined[block_sets] = ~np.isnan(got)
 
     def _ruled_out(self, welch, least: float) -> np.ndarray:
         """Which subsets have r below ``least`` and not ``r_close`` to it,

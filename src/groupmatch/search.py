@@ -32,9 +32,10 @@ into chunks of ``_SCORE_CHUNK`` sets, which may span blocks, and one loop,
 ``_scored``, scores each chunk with one ``CriteriaEvaluator.score_removals``
 call, reading the clock (``time_limit``) before each call and once after
 the last.  Random search makes and charges its draws one at a time, in
-chunks of ``MASK_BLOCK_CELLS`` cells that are scored with one
-``CriteriaEvaluator.score_masks`` call each; it reads the clock between
-chunks.
+chunks of ``MASK_BLOCK_CELLS`` cells; the draws of a chunk that could
+still be stored (``_Keeper.storable``) are scored with one
+``CriteriaEvaluator.score_masks`` call, and a chunk with none makes no
+call.  It reads the clock between chunks.
 
 A constructive step enumerates its patterns in passes, one ``_lex_sets``
 call per pass, and skips the patterns that a criterion-locality bound
@@ -54,10 +55,13 @@ search ``evaluations`` counts only the states scored.
 Each scoring call of a step, depth or random-search chunk takes a score
 floor, the least r a state must reach to change what the search keeps
 (``_floor``, ``_Keeper.floor``).  The evaluator skips the states that the
-Welch t alone shows to lie below it (``CriteriaEvaluator.score_removals``);
+Welch t alone shows to lie below it, and then scores each Anderson-Darling
+or other mask-scored criterion only on the states that the criteria
+scored before it leave at or near it (``CriteriaEvaluator.score_removals``);
 a skipped state reads as undefined but is charged.  A step's floor can fall
 as later sets extend its chain, so a step settles its chunks at the end of
-each pass (``_settle``).
+each pass (``_settle``).  Once a match is stored, random search scores no
+draw that keeps fewer rows than it, since such a draw can never be stored.
 
 One keeper (``_Keeper``) serves every search: it stores the matches and
 the best failing state, and builds the result.  An array prefilter picks
@@ -85,10 +89,10 @@ import numpy as np
 from .criteria import (
     FLOOR_MARGIN,
     MASK_BLOCK_CELLS,
-    RANK_REL_TOL,
     CriteriaEvaluator,
     MatchConfig,
     SolutionRank,
+    _apart,
     _compare_balance,
     balance_from_counts,
     compare_solutions,
@@ -373,15 +377,14 @@ class _Keeper:
         Offering every state in order stores the same: a match that keeps
         fewer rows is turned away or displaced, and so is a failing state
         below that chain, since r values of the chain and below it are
-        never ``r_close``."""
+        never ``r_close``.  So a caller may leave out, unscored, the states
+        that ``storable`` turns away; a match among them would be turned
+        away here too."""
         rs = np.asarray(rs, dtype=float)
         kept = np.broadcast_to(preserved, rs.shape)
-        chosen = rs >= 1.0
+        chosen = (rs >= 1.0) & self.storable(kept)
         if chosen.any():
-            most = kept[chosen].max()
-            if self.rank is not None:
-                most = max(most, self.rank.preserved)
-            chosen &= kept >= most
+            chosen &= kept >= kept[chosen].max()
         failing = rs < 1.0
         if failing.any():
             values = rs[failing]
@@ -393,21 +396,23 @@ class _Keeper:
             rank = None if balance is None else SolutionRank(int(kept[i]), balance(i), r)
             self.offer(state(i), r, rank)
 
+    def storable(self, preserved: np.ndarray) -> np.ndarray:
+        """Which states, keeping ``preserved[i]`` rows each, could still be
+        stored and so change the result: every state while no match is
+        stored; once one is, only those that keep at least as many rows as
+        the stored matches, since ``compare_solutions`` ranks preserved
+        rows first and a failing state is never reported once a match
+        exists."""
+        if self.rank is None:
+            return np.ones(np.shape(preserved), dtype=bool)
+        return preserved >= self.rank.preserved
+
     def floor(self, rs: np.ndarray) -> float:
-        """The least r a state of a chunk must reach to change what is
-        reported, given the r values ``rs`` (NaN: undefined) of the chunk's
-        states scored so far: 1 once a match is stored or scored, since the
-        failing state is then never reported; else the ``_floor`` of those
-        r values and the stored failing r (-inf when there are none).  A
-        state below it by more than ``FLOOR_MARGIN`` is never stored:
-        ``offer_chunk`` stores failing states only from the ``r_close``
-        chain at the top, which one chunk cannot stretch that far."""
-        rs = rs[~np.isnan(rs)]
-        if self.matches or (rs >= 1.0).any():
-            rs = np.ones(1)
-        elif self.failing_rank is not None:
-            rs = np.append(rs, self.failing_rank.r)
-        return _floor(rs)
+        """The ``_keeper_floor`` of a chunk's r values ``rs`` given what is
+        stored: a match counts as an r of 1, the failing state as its r."""
+        if self.matches:
+            return _keeper_floor(rs, 1.0)
+        return _keeper_floor(rs, None if self.failing_rank is None else self.failing_rank.r)
 
     def report(self, trace: Sequence[TraceStep] = (), timed_out: bool = False,
                partial: bool = False) -> MatchResult:
@@ -480,6 +485,11 @@ def random_search(
 
     Always returns: when no draw reaches r >= 1 the closest failing draw is
     reported with success=False.
+
+    Every draw is made and charged one at a time, so the rng stream and
+    ``evaluations`` do not depend on what is scored.  Only the draws that
+    could still be stored (``_Keeper.storable``) are scored: once a match
+    is stored, a draw that keeps fewer rows than it can never be.
     """
     iterations = _int_arg("iterations", iterations)
     total = config.iterations if iterations is None else int(iterations)
@@ -543,9 +553,13 @@ def random_search(
                 drawn.append(keep)
         if drawn:
             masks = np.array(drawn)
-            evaluator = engine.evaluator
-            rs = evaluator.r_values(*evaluator.score_masks(masks, keeper.floor))
-            keeper.offer_chunk(rs, masks.sum(axis=1), masks.__getitem__)
+            kept = masks.sum(axis=1)
+            wanted = keeper.storable(kept)
+            if wanted.any():
+                masks, kept = masks[wanted], kept[wanted]
+                evaluator = engine.evaluator
+                rs = evaluator.r_values(*evaluator.score_masks(masks, keeper.floor))
+                keeper.offer_chunk(rs, kept, masks.__getitem__)
     return keeper.report(timed_out=timed_out)
 
 
@@ -736,11 +750,6 @@ def _cap_pool(engine: _Engine, pool: list) -> list:
     return [pool[int(i)] for i in sorted(picked)]
 
 
-def _apart(a, b) -> np.ndarray:
-    """Elementwise: a and b are not ``r_close``."""
-    return np.abs(a - b) > RANK_REL_TOL * np.maximum(np.abs(a), np.abs(b))
-
-
 def _chain_floor(rs: np.ndarray) -> float:
     """The lowest r of the ``r_close`` chain at the top of ``rs`` (no NaN):
     the r above the first gap, in descending order, between two values
@@ -762,6 +771,22 @@ def _floor(rs: np.ndarray, limit: int = 1) -> float:
     if rs.size < limit:
         return -math.inf
     return float(min(_chain_floor(rs), np.partition(rs, rs.size - limit)[rs.size - limit]))
+
+
+def _keeper_floor(rs: np.ndarray, stored: float | None = None) -> float:
+    """The least r a state of a chunk must reach to change what a keeper
+    reports, given the r values ``rs`` (NaN: undefined) of the chunk's
+    states scored so far and the r of what it stores (None: nothing; a
+    match counts as 1): 1 once a match is stored or scored, since the
+    failing state is then never reported; else the ``_floor`` of those r
+    values and the stored failing r (-inf when there are none).  A state
+    below it by more than ``FLOOR_MARGIN`` is never stored:
+    ``_Keeper.offer_chunk`` stores failing states only from the ``r_close``
+    chain at the top, which one chunk cannot stretch that far."""
+    rs = rs[~np.isnan(rs)]
+    if stored is not None:
+        rs = np.append(rs, stored)
+    return _floor(np.ones(1) if (rs >= 1.0).any() else rs)
 
 
 def _tied_best(rs: np.ndarray, balance=None) -> list[int]:
@@ -1268,10 +1293,11 @@ def estimate_exhaustive(
     ``min_group_size`` and the total cap all apply.  Its balance pruning may
     score fewer sets than this counts, once a depth holds a match.  When no rate is supplied, one
     is measured on the actual dataset the way exhaustive search scores
-    states: ``score_removals`` over chunks of single removals of the rows
-    it may remove, from the full set, in removal sets per second.  The
-    verdict compares the projected number of criterion evaluations against
-    the configured budget.
+    states: ``score_removals`` over chunks of up to ``_SCORE_CHUNK``
+    removal sets of the deepest depth counted, from the full set, each
+    against the floor a fresh depth takes, in removal sets per second.
+    The verdict compares the projected number of criterion evaluations
+    against the configured budget.
     """
     _int_arg("heuristic_removals", heuristic_removals, optional=False)
     if calibrated_rate is not None and calibrated_rate <= 0:
@@ -1292,16 +1318,18 @@ def estimate_exhaustive(
         evaluator = CriteriaEvaluator(dataset, config.criteria, registry)
         keep = np.ones(dataset.n_subjects, dtype=bool)
         rows = feasible.open_rows(keep, np.zeros(dataset.n_groups, dtype=np.intp))
-        chunks = [rows[start:start + _SCORE_CHUNK, None]
-                  for start in range(0, rows.size, _SCORE_CHUNK)]
-        chunks = chunks or [np.empty((1, 0), dtype=np.intp)]   # the full set
+        depth = min(bound, int(feasible.room.sum()), rows.size)
+        # the first chunks of the deepest depth, taken in turn as they are
+        # timed; depth 0 is the full set
+        chunks = itertools.cycle(_chunked(_lex_sets(
+            rows, dataset.group_codes[rows], np.array(_patterns(feasible.room, depth)))))
         begin = time.perf_counter()
-        calls = done = 0
+        done = 0
         while time.perf_counter() - begin < calibration_seconds or done == 0:
-            chunk = chunks[calls % len(chunks)]
-            evaluator.score_removals(keep, chunk)
-            calls += 1
-            done += len(chunk)
+            sets, _ = next(chunks)
+            # a fresh depth's floor: nothing is stored yet
+            evaluator.score_removals(keep, sets, _keeper_floor)
+            done += len(sets)
         calibrated_rate = done / max(time.perf_counter() - begin, 1e-9)
     seconds = configurations / calibrated_rate
     criterion_evals = configurations * len(config.criteria)

@@ -633,68 +633,87 @@ def anderson_darling_p_masks(values, codes, k: int, masks) -> np.ndarray:
     (m,) p-values, NaN exactly where ``anderson_darling_p`` of that subset
     raises UndefinedTestError or gives NaN.
 
-    The pooled sample is sorted once.  Each mask's per-sample counts at
-    every distinct value come from ``np.add.reduceat`` over the runs of
-    equal values, so a value the mask leaves out has zero counts and adds
-    a zero term.  The midrank statistic, null variance and tail fit then run
-    over the whole block with the operations of ``anderson_darling``, and
-    every sum adds in its order (``_ad_sums``, H left to right).
+    This prepares an ``_ADMasks`` kernel for the pooled sample and scores
+    one block with it; a caller that scores many blocks of one pooled
+    sample keeps the kernel instead, so its set-up runs once.
     """
-    values = np.asarray(values, dtype=float)
-    codes = np.asarray(codes)
-    masks = np.asarray(masks, dtype=bool).reshape(-1, values.size)
-    p = np.full(masks.shape[0], np.nan)
-    if k < 2 or values.size == 0:
+    return _ADMasks(values, codes, k)(masks)
+
+
+class _ADMasks:
+    """``anderson_darling_p_masks`` for one pooled sample, its set-up done
+    once: the stable sort, the runs of equal values, each sample's
+    indicator in sorted order, and a table of the N-only sums h and g of
+    the null variance, filled as pooled sizes appear.
+
+    Each mask's per-sample counts at every distinct value come from
+    ``np.add.reduceat`` over the runs of equal values (taken as they are
+    when no two values tie), so a value the mask leaves out has zero counts
+    and adds a zero term.  The midrank statistic, null variance and tail
+    fit then run over the whole block with the operations of
+    ``anderson_darling``, and every sum adds in its order (``_ad_sums``, H
+    left to right)."""
+
+    def __init__(self, values, codes, k: int):
+        values = np.asarray(values, dtype=float)
+        self.k, self.n = k, values.size
+        self.order = np.argsort(values, kind="stable")
+        sorted_values = values[self.order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
+        self.starts = None if starts.size == values.size else starts
+        # (k, n, 1): whether each sorted value belongs to sample g
+        self.samples = (np.asarray(codes)[self.order] == np.arange(k)[:, None])[..., None]
+        self.sums = np.full((values.size + 1, 2), np.nan)   # h, g by N
+
+    def __call__(self, masks) -> np.ndarray:
+        k = self.k
+        masks = np.asarray(masks, dtype=bool).reshape(-1, self.n)
+        p = np.full(masks.shape[0], np.nan)
+        if k < 2 or self.n == 0:
+            return p
+        # each sample's count at each distinct value, and at or below it: (k, D, m)
+        counts = (masks.T[self.order] & self.samples).astype(float)
+        if self.starts is not None:
+            counts = np.add.reduceat(counts, self.starts, axis=1)
+        below = np.cumsum(counts, axis=1)
+        pooled = counts.sum(axis=0)                    # (D, m)
+        sizes = below[:, -1]                           # (k, m)
+        scored = (sizes >= 2).all(axis=0) & (np.count_nonzero(pooled, axis=0) >= 2)
+        if not scored.any():
+            return p
+        if not scored.all():
+            counts, below, pooled, sizes = (
+                counts[..., scored], below[..., scored], pooled[:, scored], sizes[:, scored])
+        total = sizes.sum(axis=0)                      # (m,)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            below_mid = below.sum(axis=0) - 0.5 * pooled
+            denom = below_mid * (total - below_mid) - total * pooled / 4.0
+            weight = pooled / total
+            present = pooled > 0
+            terms = np.empty((pooled.shape[0], k, pooled.shape[1]))    # (D, k, m)
+            for g in range(k):
+                num = (total * (below[g] - 0.5 * counts[g]) - below_mid * sizes[g]) ** 2
+                terms[:, g] = np.where(present, weight * num / denom, 0.0)
+            a2 = np.zeros(total.shape)
+            for s, n in zip(_ad_sums(terms), sizes):
+                a2 = a2 + s / n
+            a2 = a2 * (total - 1.0) / total
+            H = np.zeros(total.shape)
+            for n in sizes:
+                H = H + 1.0 / n
+            N_int = total.astype(np.int64)
+            sums = self.sums[N_int]
+            missing = np.isnan(sums[:, 0])
+            if missing.any():
+                for N in np.unique(N_int[missing]).tolist():
+                    self.sums[N] = _ad_harmonic_sums(N)
+                sums = self.sums[N_int]
+            sigma_sq = _ad_variance_from(k, N_int, H, sums[:, 0], sums[:, 1])
+            standardized = (a2 - (k - 1)) / np.sqrt(sigma_sq)
+        # a null variance that is not positive is where anderson_darling raises
+        p[scored] = np.where(sigma_sq > 0.0, _ad_tail_p(k, standardized), np.nan)
         return p
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
-    )
-    kept = masks.T[order]
-    sorted_codes = codes[order]
-    # each sample's count at each distinct value, and at or below it: (k, D, m)
-    counts = np.stack([
-        np.add.reduceat(
-            (kept & (sorted_codes == g)[:, None]).astype(float), starts, axis=0
-        )
-        for g in range(k)
-    ])
-    below = np.cumsum(counts, axis=1)
-    pooled = counts.sum(axis=0)                    # (D, m)
-    sizes = below[:, -1]                           # (k, m)
-    scored = (sizes >= 2).all(axis=0) & (np.count_nonzero(pooled, axis=0) >= 2)
-    if not scored.any():
-        return p
-    if not scored.all():
-        counts, below, pooled, sizes = (
-            counts[..., scored], below[..., scored], pooled[:, scored], sizes[:, scored])
-    total = sizes.sum(axis=0)                      # (m,)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        below_mid = below.sum(axis=0) - 0.5 * pooled
-        denom = below_mid * (total - below_mid) - total * pooled / 4.0
-        weight = pooled / total
-        present = pooled > 0
-        terms = np.empty((pooled.shape[0], k, pooled.shape[1]))    # (D, k, m)
-        for g in range(k):
-            num = (total * (below[g] - 0.5 * counts[g]) - below_mid * sizes[g]) ** 2
-            terms[:, g] = np.where(present, weight * num / denom, 0.0)
-        a2 = np.zeros(total.shape)
-        for s, n in zip(_ad_sums(terms), sizes):
-            a2 = a2 + s / n
-        a2 = a2 * (total - 1.0) / total
-        H = np.zeros(total.shape)
-        for n in sizes:
-            H = H + 1.0 / n
-        N_int = total.astype(np.int64)
-        # the sums depend on N only: one lookup per distinct pooled size
-        distinct, which = np.unique(N_int, return_inverse=True)
-        sums = np.array([_ad_harmonic_sums(int(t)) for t in distinct])[which]
-        sigma_sq = _ad_variance_from(k, N_int, H, sums[:, 0], sums[:, 1])
-        standardized = (a2 - (k - 1)) / np.sqrt(sigma_sq)
-    # a null variance that is not positive is where anderson_darling raises
-    p[scored] = np.where(sigma_sq > 0.0, _ad_tail_p(k, standardized), np.nan)
-    return p
 
 
 def _per_mask_p(test, values, codes, k: int, masks) -> np.ndarray:
@@ -748,8 +767,9 @@ class TestFunction:
 # to these exact instances take a batch kernel.  Welch takes t and df of
 # every criterion from per-(covariate, group) moments: downdated sufficient
 # statistics for removal sets, two-pass masked moments for keep-masks.
-# Anderson-Darling runs ``anderson_darling_p_masks``, which gives the bits
-# of ``anderson_darling_p`` on every subset.  Any other test, including
+# Anderson-Darling runs the block kernel of ``anderson_darling_p_masks``,
+# prepared once per criterion (``_ADMasks``), which gives the bits of
+# ``anderson_darling_p`` on every subset.  Any other test, including
 # either name mapped to another instance, is called once per keep-mask
 # (``_per_mask_p``).
 BUILTIN_WELCH = TestFunction("welch_t", "two_sample", lambda s: welch_t_p(s[0], s[1]))

@@ -12,9 +12,13 @@
   out gives the run of a step that scores every set, and no scored set
   has an r above its bound.
 * Scoring against floors (sets whose Welch t already rules them out get no
-  tail and no mask block) gives the run of scoring every set, in every
-  search; and a step whose chunk floors were too high is set right by the
-  re-check at the end of each pass.
+  tail and no mask block, and a mask-scored criterion skips the sets that
+  the criteria scored before it put below the floor) gives the run of
+  scoring every set, in every search, also where Anderson-Darling or a
+  user test binds; and a step whose chunk floors were too high is set
+  right by the re-check at the end of each pass.
+* Random search that scores only the draws that could still be stored
+  gives the run of scoring every draw.
 * Exhaustive search's class enumerator gives the sets of each depth that
   ``itertools.combinations`` gives and ``_Feasibility.allows`` accepts:
   balance classes best first, each in canonical order.
@@ -449,30 +453,55 @@ def test_skipped_patterns_change_nothing(problem, variant, size, batch):
     assert skipping[4] <= scoring_all[4]
 
 
+def spread_ratio_p(samples) -> float:
+    """A k-sample test of equal spread: (least sd / greatest sd) squared."""
+    sds = [float(np.std(s, ddof=1)) if len(s) >= 2 else 0.0 for s in samples]
+    if min(sds) == 0.0:
+        raise UndefinedTestError("a sample has fewer than two distinct values")
+    return (min(sds) / max(sds)) ** 2
+
+
+# the built-in tests, and one user test that is scored one mask at a time
+FLOOR_REGISTRY = stats.TestRegistry()
+FLOOR_REGISTRY.register(stats.TestFunction("spread_ratio", "k_sample", spread_ratio_p))
+
+
 @st.composite
 def floor_problems(draw):
-    """2-4 groups of 3-7 rows, interleaved, with two covariates shifted by
-    group, random locks, caps, ``min_group_size`` and balance mode, under
-    1-3 Welch criteria on pairs of groups and, when drawn, 1-2
-    Anderson-Darling criteria."""
+    """2-4 groups of 3-7 rows, interleaved, random locks, caps,
+    ``min_group_size`` and balance mode.  Either two covariates shifted by
+    group, under 1-3 Welch criteria on pairs of groups and, when drawn, 1-2
+    Anderson-Darling criteria; or equal means and one group's spread
+    scaled by 2 or 4, so that the mask-scored criteria bind while the Welch
+    ones pass: 0-2 Welch criteria, 1-2 Anderson-Darling criteria and, when
+    drawn, the user test ``spread_ratio`` of ``FLOOR_REGISTRY``, in any
+    order."""
+    masked = draw(st.booleans())
     k = draw(st.integers(2, 4))
     labels = [f"g{i}" for i in range(k)]
     sizes = [draw(st.integers(3, 7)) for _ in labels]
     groups = draw(st.permutations([g for g, n in zip(labels, sizes) for _ in range(n)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shift = {g: rng.normal(0.0, 1.0, 2) for g in labels}
-    values = np.array([rng.normal(shift[g], 1.0) for g in groups])
+    if masked:
+        wide, scale = draw(st.sampled_from(labels)), draw(st.sampled_from([2.0, 4.0]))
+        values = np.array([rng.normal(0.0, scale if g == wide else 1.0, 2) for g in groups])
+    else:
+        shift = {g: rng.normal(0.0, 1.0, 2) for g in labels}
+        values = np.array([rng.normal(shift[g], 1.0) for g in groups])
     if draw(st.booleans()):
         values = np.round(values, 1)   # ties, and sets that tie exactly
     dataset = Dataset([f"s{i}" for i in range(len(groups))], groups, values, ["x", "y"])
-    welch = [("welch_t", c, pair) for c in ("x", "y")
-             for pair in itertools.combinations(labels, 2)]
-    chosen = draw(st.lists(st.sampled_from(welch), min_size=1, max_size=3, unique=True))
-    if draw(st.booleans()):
-        ad = [("anderson_darling", c, tuple(labels)) for c in ("x", "y")]
-        ad += [("anderson_darling", c, pair) for c in ("x", "y")
-               for pair in itertools.combinations(labels, 2)]
+    pairs = list(itertools.combinations(labels, 2))
+    welch = [("welch_t", c, pair) for c in ("x", "y") for pair in pairs]
+    chosen = draw(st.lists(st.sampled_from(welch), min_size=1 - masked, max_size=3 - masked,
+                           unique=True))
+    if masked or draw(st.booleans()):
+        ad = [("anderson_darling", c, sub) for c in ("x", "y") for sub in [tuple(labels)] + pairs]
         chosen += draw(st.lists(st.sampled_from(ad), min_size=1, max_size=2, unique=True))
+    if masked and draw(st.booleans()):
+        chosen.append(("spread_ratio", draw(st.sampled_from(["x", "y"])),
+                       draw(st.sampled_from([tuple(labels)] + pairs))))
+        chosen = draw(st.permutations(chosen))
     alpha = draw(st.sampled_from([0.05, 0.2, 0.5]))
     locked = frozenset(g for g in labels[1:] if draw(st.integers(0, 4)) == 0)
     precedence = draw(st.none() | st.permutations(labels))
@@ -508,12 +537,15 @@ def floor_run(dataset, config, variant, size, batch):
         config = unbatched(config).with_(lookahead=size, batch_size=1)
     try:
         if variant == "random":
-            return outcome(search.random_search(dataset, config, iterations=60))
+            return outcome(search.random_search(dataset, config, iterations=60,
+                                                registry=FLOOR_REGISTRY))
         if variant == "exhaustive":
-            return outcome(search.exhaustive_search(dataset, config, max_removed=3))
+            return outcome(search.exhaustive_search(dataset, config, max_removed=3,
+                                                    registry=FLOOR_REGISTRY))
         if variant == "greedy":
-            return outcome(search.greedy_search(dataset, config))
-        return outcome(search.lookahead_search(dataset, config, variant))
+            return outcome(search.greedy_search(dataset, config, registry=FLOOR_REGISTRY))
+        return outcome(search.lookahead_search(dataset, config, variant,
+                                               registry=FLOOR_REGISTRY))
     except UndefinedTestError:
         return None
 
@@ -521,7 +553,7 @@ def floor_run(dataset, config, variant, size, batch):
 FLOOR_VARIANTS = st.sampled_from(["greedy", "h3", "h4", "random", "exhaustive"])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(floor_problems(), FLOOR_VARIANTS, st.integers(1, 3), st.sampled_from([1, 3]),
        st.sampled_from([5, 1024]))
 def test_floors_change_nothing(problem, variant, size, batch, chunk):
@@ -567,6 +599,66 @@ def test_steps_scored_against_overstated_floors_are_settled(problem, variant, si
         with mock.patch.object(search, "_floor", no_floor):
             scoring_all = floor_run(dataset, config, variant, size, batch)
     assert settled == scoring_all
+
+
+def keep_every_draw(self, preserved):
+    return np.ones(np.shape(preserved), dtype=bool)
+
+
+def draw_run(dataset, config, iterations):
+    """Random search's outcome and ``timed_out``; None when its criteria are
+    undefined on every draw it scores."""
+    try:
+        result = search.random_search(dataset, config, iterations=iterations,
+                                      registry=FLOOR_REGISTRY)
+    except UndefinedTestError:
+        return None
+    return outcome(result) + (result.timed_out,)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(floor_problems(), st.booleans(), st.sampled_from([1, 5]), st.integers(40, 160),
+       st.sampled_from([3, 25]))
+def test_draw_filter_changes_nothing(problem, feasible_draws, max_solutions, iterations, chunk):
+    # random search scores only the draws that could still be stored; that
+    # gives the run of scoring every draw, in chunks of ``chunk`` draws
+    dataset, config = problem
+    config = config.with_(ensure_feasible_draws=feasible_draws, max_solutions=max_solutions)
+    with mock.patch.object(search, "MASK_BLOCK_CELLS", chunk * dataset.n_subjects):
+        filtered = draw_run(dataset, config, iterations)
+        with mock.patch.object(search._Keeper, "storable", keep_every_draw):
+            scoring_all = draw_run(dataset, config, iterations)
+    assert filtered == scoring_all
+
+
+def test_draw_filter_skips_draws_below_a_full_match():
+    # two groups with the same values match on the full set, so no draw
+    # that removes a row can be stored: none is scored, and the run is that
+    # of scoring every draw
+    values = np.array([[1.0, 4.0], [2.0, 2.0], [3.0, 5.0], [4.0, 1.0], [5.0, 3.0]] * 2)
+    dataset = Dataset([f"s{i}" for i in range(10)], ["A"] * 5 + ["B"] * 5, values, ["x", "y"])
+    config = MatchConfig(criteria=CriteriaSet((
+        CriterionSpec("welch_t", "x", ("A", "B"), 0.2),
+        CriterionSpec("anderson_darling", "y", ("A", "B"), 0.2),
+    )), seed=3, max_solutions=5)
+    score = CriteriaEvaluator.score_masks
+    scored = []
+
+    def recording(self, keeps, *floor):
+        scored.append(np.array(keeps))
+        return score(self, keeps, *floor)
+
+    with mock.patch.object(search, "MASK_BLOCK_CELLS", 20 * dataset.n_subjects), \
+            mock.patch.object(CriteriaEvaluator, "score_masks", recording):
+        filtered = draw_run(dataset, config, 200)
+        kept = [masks.sum(axis=1) for masks in scored]
+        scored.clear()
+        with mock.patch.object(search._Keeper, "storable", keep_every_draw):
+            scoring_all = draw_run(dataset, config, 200)
+    assert filtered == scoring_all
+    assert filtered[-2] is True and filtered[2].startswith("SolutionRank(preserved=10,")
+    assert all((k == 10).all() for k in kept)
+    assert sum(map(len, kept)) < sum(map(len, scored)) == 200
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,32 @@ class TestAndersonDarlingMasks:
             defined += int((~np.isnan(want)).sum())
         assert defined > 1000
 
+    def test_prepared_kernel_over_many_blocks(self):
+        # one prepared kernel scores block after block, with and without
+        # ties, k = 2-4, blocks of 1 and of many masks, and masks that leave
+        # a sample with fewer than two rows or with one distinct value: each
+        # p has the bits of the per-subset p
+        rng = np.random.default_rng(18)
+        for trial in range(24):
+            k = 2 + trial % 3
+            codes = np.repeat(np.arange(k), rng.integers(3, 9, size=k))
+            values = rng.normal(size=codes.size) + codes * rng.uniform(0, 2)
+            if trial % 2:
+                values = np.round(values, 0)
+            kernel = stats._ADMasks(values, codes, k)
+            assert (kernel.starts is None) == (np.unique(values).size == values.size)
+            masks = random_masks(rng, codes.size, 40)
+            for i in range(0, 40, 4):
+                g = rng.integers(k)
+                rows = np.flatnonzero(codes == g)
+                masks[i] &= codes != g
+                masks[i, rows[:1]] = True                     # one row of sample g
+                masks[i + 1, rows] = values[rows] == values[rows[0]]   # one distinct value
+            for block in (masks[:1], masks[1:2], masks[2:10], masks[10:]):
+                got = kernel(block)
+                assert got.tobytes() == self.reference(values, codes, k, block).tobytes()
+                assert got.tobytes() == anderson_darling_p_masks(values, codes, k, block).tobytes()
+
     def test_null_variance_not_positive_gives_nan(self, monkeypatch):
         # a null variance that is NaN gives p = NaN per subset, and one that
         # is not positive raises there: NaN in the batch either way, in the
@@ -643,6 +669,48 @@ class TestFloors:
         assert every.evaluations == floored.evaluations
         assert [s.key() for s in every.solutions] == [s.key() for s in floored.solutions]
         assert taken * 10 < sum(queued)
+
+
+    def test_mask_scored_criteria_skip_below_the_floor(self, monkeypatch):
+        # equal means and one group of twice the spread: Welch passes, while
+        # Anderson-Darling and a user test scored one mask at a time bind.
+        # Each is scored only on the sets that the criteria before it leave
+        # at or near the floor, and a skipped set reads as undefined
+        rng = np.random.default_rng(21)
+        values = np.concatenate([rng.normal(0.0, 1.0, 60), rng.normal(0.0, 2.0, 60)])
+        d = Dataset([f"s{i}" for i in range(120)], ["A"] * 60 + ["B"] * 60,
+                    values[:, None], ["x"])
+        registry = TestRegistry()
+        registry.register(TestFunction(
+            "spread_ratio", "k_sample",
+            lambda s: (min(np.std(x, ddof=1) for x in s) / max(np.std(x, ddof=1) for x in s)) ** 2))
+        ev = CriteriaEvaluator(d, CriteriaSet(tuple(
+            CriterionSpec(name, "x", ("A", "B"), 0.2)
+            for name in ("welch_t", "anderson_darling", "spread_ratio"))), registry)
+        keep = np.ones(d.n_subjects, dtype=bool)
+        combos = np.array(list(itertools.combinations(range(0, 120, 4), 2)))
+        masked = []
+        on_masks = CriteriaEvaluator._score_on_masks
+
+        def counting(self, j, sets, *rest):
+            if j:   # not the Welch criterion's slow sets, of which there are none
+                masked.append((j, sets.size))
+            return on_masks(self, j, sets, *rest)
+
+        monkeypatch.setattr(CriteriaEvaluator, "_score_on_masks", counting)
+        exact, _ = self.scored(ev, keep, combos, None)
+        assert masked == [(1, len(combos)), (2, len(combos))] * 2
+        least = float(np.sort(exact)[-20])   # the 20th best r
+        masked.clear()
+        rs, skipped = self.scored(ev, keep, combos, lambda r: least)
+        assert (rs[skipped] < least * (1 - FLOOR_MARGIN / 2)).all()
+        assert not skipped[rs >= least].any()
+        # the unfloored call first; then Welch, which passes everywhere,
+        # leaves every set to Anderson-Darling, and that leaves few to the
+        # user test
+        (first, on_first), (second, on_second) = masked[2:]
+        assert (first, second, on_first) == (1, 2, len(combos))
+        assert 20 <= on_second < len(combos) / 2
 
 
 class TestStudentTailArray:

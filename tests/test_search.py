@@ -736,15 +736,16 @@ class TestFeasibilityArithmetic:
 
     def test_estimate_calibrates_on_removal_scoring(self, monkeypatch):
         """The rate is measured on the path exhaustive search takes: batch
-        scoring of single removals from the full set, never a full-mask
+        scoring of the removal sets of the deepest depth counted, from the
+        full set and against a fresh depth's floor, never a full-mask
         evaluation, and it counts removal sets, not calls."""
         d = build_two_group_dataset(15, 0.5, seed=14)
         calls = []
         score = CriteriaEvaluator.score_removals
 
-        def counting(self, keep, combos):
-            calls.append((keep.copy(), np.array(combos)))
-            return score(self, keep, combos)
+        def counting(self, keep, combos, floor=None):
+            calls.append((keep.copy(), np.array(combos), floor))
+            return score(self, keep, combos, floor)
 
         def forbidden(self, keep):
             raise AssertionError("calibration evaluated a full mask")
@@ -759,11 +760,16 @@ class TestFeasibilityArithmetic:
         # clock reads: begin 0, checks 1, 2, 3 pass and 4 stops, end 5:
         # three calls in five seconds
         assert len(calls) == 3
-        for keep, combos in calls:
+        pairs = list(itertools.combinations(range(d.n_subjects), 2))   # one chunk of 435
+        for keep, combos, floor in calls:
             assert keep.all()
-            assert combos.shape == (d.n_subjects, 1)
-            assert combos[:, 0].tolist() == list(range(d.n_subjects))
-        assert est.rate == pytest.approx(3 * d.n_subjects / 5.0)
+            assert [tuple(c) for c in combos.tolist()] == pairs
+            # a fresh depth's floor: none before any set is scored, then
+            # the chain floor of the r values scored, and 1 once one matches
+            assert floor(np.empty(0)) == -math.inf
+            assert floor(np.array([0.25, np.nan, 0.5])) == 0.5
+            assert floor(np.array([0.25, 3.0])) == 1.0
+        assert est.rate == pytest.approx(3 * len(pairs) / 5.0)
         assert est.seconds == pytest.approx(est.configurations / est.rate)
 
     def test_estimate_calibrates_on_the_rows_search_may_remove(self, monkeypatch):
@@ -772,9 +778,9 @@ class TestFeasibilityArithmetic:
         seen = []
         score = CriteriaEvaluator.score_removals
 
-        def recording(self, keep, combos):
+        def recording(self, keep, combos, *floor):
             seen.extend(np.asarray(combos).ravel().tolist())
-            return score(self, keep, combos)
+            return score(self, keep, combos, *floor)
 
         monkeypatch.setattr(CriteriaEvaluator, "score_removals", recording)
         cfg = base_config(locked_groups=frozenset({"A"}))
