@@ -574,13 +574,13 @@ class CriteriaEvaluator:
         criterion are taken in one call; only its slow subsets are scored
         on masks.
 
-        With no positive floor ``least``, every other criterion is scored
-        in turn, before the tails.  With one, they are scored after the
-        tails, in turn, each on the subsets whose running bound, the least
-        p_j / alpha_j over the criteria scored so far raised by
-        ``FLOOR_MARGIN``, is not below ``least`` or is ``r_close`` to it.
-        The others are skipped: each of their rows is NaN and ``defined``
-        is False, as for a subset that Welch's t rules out."""
+        Every other criterion is scored after the tails, in turn, each on
+        the subsets whose running bound, the least p_j / alpha_j over the
+        criteria scored so far raised by ``FLOOR_MARGIN``, is not below
+        ``least`` or is ``r_close`` to it (with no floor, every subset
+        still defined).  The others are skipped: each of their rows is NaN
+        and ``defined`` is False, as for a subset that Welch's t rules
+        out."""
         tails: list = []
         later = []
         for j in range(len(self._bound)):
@@ -593,15 +593,20 @@ class CriteriaEvaluator:
                 fast = ~(slow | undefined)
                 tails.append((j, todo[fast], t[fast], df[fast]))
                 todo = todo[slow]
-            elif least > 0.0:
+                if todo.size:
+                    self._score_on_masks(j, todo, p, defined, masks)
+            else:
                 later.append(j)
-                continue
-            if todo.size:
-                self._score_on_masks(j, todo, p, defined, masks)
         _fill_tails(tails, p, defined)
         if not later:
             return
         todo = sets[defined[sets]]
+        if least == -math.inf:
+            # no floor: no running bound to keep
+            for j in later:
+                self._score_on_masks(j, todo, p, defined, masks)
+                todo = todo[defined[todo]]
+            return
         scored = list(self._welch_rows)
         bound = np.min(p[np.ix_(todo, scored)] / self.alphas[scored], axis=1, initial=np.inf)
         for j in later:

@@ -1222,19 +1222,43 @@ def _patterns(room, depth: int) -> list[tuple[int, ...]]:
     c[g] <= ``room[g]``, in lexicographic order: the patterns of one depth
     of exhaustive search, which holds the product of C(size[g], c[g]) sets
     of each."""
+    return list(_each_pattern(room, depth))
+
+
+def _each_pattern(room, depth: int):
+    """The patterns of ``_patterns``, one at a time as they are walked."""
     room = [int(v) for v in room]
     reach = list(itertools.accumulate(room[::-1]))[::-1] + [0]   # room of g and later
-    table = []
 
-    def walk(g: int, left: int, head: tuple[int, ...]) -> None:
+    def walk(g: int, left: int, head: tuple[int, ...]):
         if g == len(room):
-            table.append(head)
+            yield head
             return
         for c in range(max(0, left - reach[g + 1]), min(room[g], left) + 1):
-            walk(g + 1, left - c, head + (c,))
+            yield from walk(g + 1, left - c, head + (c,))
 
-    walk(0, depth, ())
-    return table
+    return walk(0, depth, ())
+
+
+def _first_sets(rows: np.ndarray, codes: np.ndarray, room, depth: int) -> np.ndarray:
+    """Up to ``_SCORE_CHUNK`` removal sets of ``depth`` of ``rows``
+    (ascending; group ``codes``) that keep ``room``, in lexicographic
+    order: those of the first patterns of ``_each_pattern``, each taken
+    in the order of its per-group combinations.  Neither the patterns nor
+    the sets of a deep depth are listed beyond the first ones."""
+    groups = [rows[codes == g].tolist() for g in range(len(room))]
+    sets: list[list[int]] = []
+    for pattern in _each_pattern(room, depth):
+        need = _SCORE_CHUNK - len(sets)
+        # the first ``need`` of a product read at most ``need`` of each factor
+        parts = [list(itertools.islice(itertools.combinations(groups[g], c), need))
+                 for g, c in enumerate(pattern) if c]
+        picks = itertools.islice(itertools.product(*parts), need)
+        sets.extend(sorted(itertools.chain(*pick)) for pick in picks)
+        if len(sets) == _SCORE_CHUNK:
+            break
+    sets.sort()
+    return np.array(sets, dtype=np.intp).reshape(len(sets), depth)
 
 
 def format_duration(seconds: float) -> str:
@@ -1293,9 +1317,10 @@ def estimate_exhaustive(
     ``min_group_size`` and the total cap all apply.  Its balance pruning may
     score fewer sets than this counts, once a depth holds a match.  When no rate is supplied, one
     is measured on the actual dataset the way exhaustive search scores
-    states: ``score_removals`` over chunks of up to ``_SCORE_CHUNK``
-    removal sets of the deepest depth counted, from the full set, each
-    against the floor a fresh depth takes, in removal sets per second.
+    states: ``score_removals`` of one chunk of up to ``_SCORE_CHUNK``
+    removal sets of the deepest depth counted (``_first_sets``), from the
+    full set, over and over, each time against the floor a fresh depth
+    takes, in removal sets per second.
     The verdict compares the projected number of criterion evaluations
     against the configured budget.
     """
@@ -1319,14 +1344,12 @@ def estimate_exhaustive(
         keep = np.ones(dataset.n_subjects, dtype=bool)
         rows = feasible.open_rows(keep, np.zeros(dataset.n_groups, dtype=np.intp))
         depth = min(bound, int(feasible.room.sum()), rows.size)
-        # the first chunks of the deepest depth, taken in turn as they are
-        # timed; depth 0 is the full set
-        chunks = itertools.cycle(_chunked(_lex_sets(
-            rows, dataset.group_codes[rows], np.array(_patterns(feasible.room, depth)))))
+        # one chunk of the deepest depth, timed over and over; depth 0 is
+        # the full set
+        sets = _first_sets(rows, dataset.group_codes[rows], feasible.room, depth)
         begin = time.perf_counter()
         done = 0
         while time.perf_counter() - begin < calibration_seconds or done == 0:
-            sets, _ = next(chunks)
             # a fresh depth's floor: nothing is stored yet
             evaluator.score_removals(keep, sets, _keeper_floor)
             done += len(sets)

@@ -553,7 +553,7 @@ def floor_run(dataset, config, variant, size, batch):
 FLOOR_VARIANTS = st.sampled_from(["greedy", "h3", "h4", "random", "exhaustive"])
 
 
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(floor_problems(), FLOOR_VARIANTS, st.integers(1, 3), st.sampled_from([1, 3]),
        st.sampled_from([5, 1024]))
 def test_floors_change_nothing(problem, variant, size, batch, chunk):
@@ -569,7 +569,7 @@ def test_floors_change_nothing(problem, variant, size, batch, chunk):
     assert floored == scoring_all
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(floor_problems(), st.sampled_from(["greedy", "h3", "h4"]), st.integers(1, 3),
        st.sampled_from([1, 3]))
 def test_steps_scored_against_overstated_floors_are_settled(problem, variant, size, batch):

@@ -791,3 +791,44 @@ class TestFeasibilityArithmetic:
         estimate_exhaustive(d, base_config(max_removed_total=0), 2,
                             calibration_seconds=0.01)
         assert seen == []
+
+    @pytest.mark.parametrize("n_groups, per_group, removals", [(8, 20, 40), (4, 100, 100)])
+    def test_estimate_calibrates_promptly_on_many_groups_and_deep_bounds(
+            self, monkeypatch, n_groups, per_group, removals):
+        """The patterns of a depth grow as depth**(groups - 1), so the
+        default calibration takes its one chunk of the deepest depth
+        without listing them, and answers in about its calibration time."""
+        rng = np.random.default_rng(3)
+        labels = [f"g{g}" for g in range(n_groups)]
+        groups = [g for g in labels for _ in range(per_group)]
+        d = Dataset([f"s{i}" for i in range(len(groups))], groups,
+                    rng.normal(size=(len(groups), 1)), ["x"])
+        cfg = MatchConfig(criteria=CriteriaSet(tuple(
+            CriterionSpec("welch_t", "x", pair, 0.2)
+            for pair in itertools.combinations(labels, 2))), seed=7)
+        seen = []
+        score = CriteriaEvaluator.score_removals
+
+        def recording(self, keep, combos, *floor):
+            seen.append(np.array(combos))
+            return score(self, keep, combos, *floor)
+
+        def listing(room, depth):
+            raise AssertionError("calibration listed every pattern")
+
+        monkeypatch.setattr(CriteriaEvaluator, "score_removals", recording)
+        monkeypatch.setattr(search, "_patterns", listing)
+        begin = time.perf_counter()
+        est = estimate_exhaustive(d, cfg, removals)
+        assert time.perf_counter() - begin < 10.0
+        assert est.rate > 0 and not est.feasible
+        room = per_group - cfg.min_group_size
+        for combos in seen:
+            # distinct sets of the deepest depth, in lexicographic order,
+            # each within every group's room
+            assert combos.shape == (search._SCORE_CHUNK, removals)
+            assert np.array_equal(np.unique(combos, axis=0), combos)
+            assert (np.diff(combos, axis=1) > 0).all()
+            counts = np.stack([np.bincount(d.group_codes[c], minlength=n_groups)
+                               for c in combos])
+            assert (counts <= room).all()
