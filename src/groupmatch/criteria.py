@@ -62,9 +62,10 @@ _DOWNDATE_REL_FLOOR = 1e-9
 # ``_FLOOR_DF_MAX`` (below 7e-11 over t at df = 1e6; the error grows with df,
 # to 8.8e-10 at 1e7 and 9.7e-9 at 1e8, so a set of a higher df is never
 # skipped by its t), and above the drift that a chain of ``r_close`` values
-# can add within one scoring call (1,024 sets of a constructive or
-# exhaustive chunk, at most 4,096 draws of a random-search chunk, times
-# 1e-12).  So a set skipped against floor F has r below
+# can add within one scoring call (1,024 sets of an exhaustive chunk, at
+# most 4,096 draws of a random-search chunk, times 1e-12); a constructive
+# step deflates its floor by the drift its whole chain can add instead
+# (``search._evaluate_step``).  So a set skipped against floor F has r below
 # F * (1 - FLOOR_MARGIN / 2), and apart from every floor at or above that.
 FLOOR_MARGIN = 1e-8
 _FLOOR_DF_MAX = 1e6
@@ -547,7 +548,9 @@ class CriteriaEvaluator:
         each mask-scored criterion, the subsets that the criteria scored
         before it put below ``least``.  That one ``least`` is the only
         floor a call applies, so a skipped subset has r below
-        ``least * (1 - FLOOR_MARGIN / 2)``, as ``FLOOR_MARGIN`` states.
+        ``least * (1 - FLOOR_MARGIN / 2)``, as ``FLOOR_MARGIN`` states; a
+        caller whose floor may fall after the call deflates it first
+        (``search._evaluate_step``).
         """
         p = np.full((m, len(self._bound)), np.nan)
         defined = np.ones(m, dtype=bool)
@@ -577,9 +580,9 @@ class CriteriaEvaluator:
         Every other criterion is scored after the tails, in turn, each on
         the subsets whose running bound, the least p_j / alpha_j over the
         criteria scored so far raised by ``FLOOR_MARGIN``, is not below
-        ``least`` or is ``r_close`` to it (with no floor, every subset
-        still defined).  The others are skipped: each of their rows is NaN
-        and ``defined`` is False, as for a subset that Welch's t rules
+        ``least`` or is ``r_close`` to it (every subset still defined when
+        ``least`` is -inf).  The others are skipped: each of their rows is
+        NaN and ``defined`` is False, as for a subset that Welch's t rules
         out."""
         tails: list = []
         later = []
@@ -601,12 +604,6 @@ class CriteriaEvaluator:
         if not later:
             return
         todo = sets[defined[sets]]
-        if least == -math.inf:
-            # no floor: no running bound to keep
-            for j in later:
-                self._score_on_masks(j, todo, p, defined, masks)
-                todo = todo[defined[todo]]
-            return
         scored = list(self._welch_rows)
         bound = np.min(p[np.ix_(todo, scored)] / self.alphas[scored], axis=1, initial=np.inf)
         for j in later:
@@ -647,14 +644,19 @@ class CriteriaEvaluator:
         (T_df is a normal scale mixture whose mixing law chi2_df / df falls
         in convex order as df grows, and P(|Z| >= c sqrt(s)) is convex in
         s), and it falls as |t| grows.  So for Welch criterion j, with
-        df_lo its least df over the subsets, every subset with
-        |t_j| >= t*_j (``_t_cut``) has p_j <= P(|T_df_lo| >= t*_j), and so
-        r <= that / alpha_j.  A subset is ruled out when some criterion
-        rules it out so.  Subsets a criterion finds slow or undefined, or
-        whose df exceeds ``_FLOOR_DF_MAX``, are not ruled out by it.
+        df_lo its least df over the subsets and t*_j its ``_t_guess``, every
+        subset with |t_j| >= t*_j has p_j <= P(|T_df_lo| >= t*_j), and so
+        r <= that / alpha_j.  One kernel call checks that bound, raised by
+        ``FLOOR_MARGIN``: when it is below ``least`` and not ``r_close`` to
+        it, the criterion rules out those subsets, else none.  A subset is
+        ruled out when some criterion rules it out so.  Subsets a criterion
+        finds slow or undefined, or whose df exceeds ``_FLOOR_DF_MAX``, are
+        not ruled out by it.
 
-        Each t*_j costs kernel calls, so criteria take their turn by how
-        many subsets not yet ruled out their guess (``_t_guess``) would
+        The guess overshoots the exact threshold at small df (2.4 times at
+        df 1 for an aim of 0.1, 1.03 times at df 3, within 1 % at df >= 10),
+        so there fewer subsets are ruled out, none wrongly.  Criteria take
+        their turn by how many subsets not yet ruled out their guess would
         rule out, most first, until no guess rules out another.
         """
         t, df, slow = welch
@@ -673,8 +675,9 @@ class CriteriaEvaluator:
             w = int(gain.argmax())
             if not gain[w]:
                 return skip
-            cut = _t_cut(df_lo[w], alphas[w], least, guess[w])
-            skip |= fast[w] & (size[w] >= cut)
+            bound = _tail_or_nan(guess[w], df_lo[w]) * (1.0 + FLOOR_MARGIN) / alphas[w]
+            if bound < least and not r_close(bound, least):
+                skip |= reach[w]
             reach[w] = False
 
     def _welch_removals(self, keep: np.ndarray, combos: np.ndarray):
@@ -790,39 +793,6 @@ def _t_guess(df: float, aim: float) -> float:
     if z * z > 700.0 * (df - 0.5):
         return math.inf
     return math.sqrt(df * math.expm1(z * z / (df - 0.5)))
-
-
-def _t_cut(df: float, alpha: float, least: float, t: float) -> float:
-    """A |t| at and above which P(|T_df| >= |t|) * (1 + FLOOR_MARGIN) /
-    alpha is below ``least`` and not ``r_close`` to it, checked with
-    ``student_t_sf``; inf when none is found.
-
-    From the guess ``t``, Newton steps on log p over log t, with the slope
-    from the closed-form t density, aim at p = alpha * least /
-    (1 + 2 FLOOR_MARGIN).  At most four kernel calls are made; the least t
-    that passed the check is returned, and the search stops once one lands
-    within 1 % of the aim.  A step moves t by a factor of e^20 at most."""
-    aim = alpha * least / (1.0 + 2.0 * FLOOR_MARGIN)
-    log_density = (math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
-                   - 0.5 * math.log(df * math.pi))
-    best = math.inf
-    for _ in range(4):
-        p = _tail_or_nan(t, df)
-        if math.isnan(p):
-            break
-        bound = p * (1.0 + FLOOR_MARGIN) / alpha
-        if bound < least and not r_close(bound, least):
-            best = min(best, t)
-            if p >= 0.99 * aim:
-                break
-        if p == 0.0:
-            t *= 0.5
-            continue
-        # d log p / d log t = -2 t f(t) / p, with f the t density
-        log_f = log_density - 0.5 * (df + 1.0) * math.log1p(t * t / df)
-        slope = -2.0 * t * math.exp(log_f - math.log(p))
-        t *= math.exp(min(20.0, max(-20.0, (math.log(aim) - math.log(p)) / slope)))
-    return best
 
 
 def _fill_tails(tails: list, p: np.ndarray, defined: np.ndarray) -> None:

@@ -59,19 +59,21 @@ Welch t alone shows to lie below it, and then scores each Anderson-Darling
 or other mask-scored criterion only on the states that the criteria
 scored before it leave at or near it (``CriteriaEvaluator.score_removals``);
 a skipped state reads as undefined but is charged.  A step's floor can fall
-as later sets extend its chain, so a step settles its chunks at the end of
-each pass (``_settle``).  Once a match is stored, random search scores no
-draw that keeps fewer rows than it, since such a draw can never be stored.
+as later sets extend its chain, so a step deflates each floor it gives by
+the most its chain can still fall (``_evaluate_step``).  Once a match is
+stored, random search scores no draw that keeps fewer rows than it, since
+such a draw can never be stored.
 
 One keeper (``_Keeper``) serves every search: it stores the matches and
 the best failing state, and builds the result.  An array prefilter picks
 the states of a scored chunk that can change what is stored, and only
 those get a keep-mask and a rank.  Scores from a batch only rank and select
-states.  Every r a result reports comes from evaluating that subset on its
-own: a constructive search evaluates its current state once per pass, and
-that r goes into the trace and the keeper; the reported p-values and rank
-come from evaluating the reported state again (``_Keeper.report``,
-uncharged).
+states, and a state whose batch r lies within ``FLOOR_MARGIN`` of 1 is
+evaluated on its own before it is classed as a match or not.  Every r a
+result reports comes from evaluating that subset on its own: a
+constructive search evaluates its current state once per pass, and that r
+goes into the trace and the keeper; the reported p-values and rank come
+from evaluating the reported state again (``_Keeper.report``, uncharged).
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ import numpy as np
 from .criteria import (
     FLOOR_MARGIN,
     MASK_BLOCK_CELLS,
+    RANK_REL_TOL,
     CriteriaEvaluator,
     MatchConfig,
     SolutionRank,
@@ -363,16 +366,25 @@ class _Keeper:
 
     def offer_chunk(self, rs: np.ndarray, preserved, state, balance=None) -> None:
         """Offer the states of one scored chunk, in order.  State i has
-        match score ``rs[i]`` (NaN: undefined, skipped) and keeps
+        batch match score ``rs[i]`` (NaN: undefined, skipped) and keeps
         ``preserved[i]`` rows (or ``preserved`` rows, when it is an int).
         Its keep-mask ``state(i)`` is built, and its balance ``balance(i)``
         read (its rank is computed from the mask when ``balance`` is None),
         only when an array prefilter finds it can change what is stored:
 
+        * a state that ``storable`` admits whose batch r is within
+          ``FLOOR_MARGIN`` of 1;
         * a match that keeps no fewer rows than every stored match and
           every match of the chunk;
         * a failing state in the ``r_close`` chain at the top of the
           chunk's failing r and the stored failing r (``_chain_floor``).
+
+        Whether a state is a match is decided by ``evaluate``'s arithmetic,
+        whose last bits the batch kernels need not share.  So a state of the
+        first kind is evaluated on its own (uncharged) before the others
+        are found, and that r replaces its batch r.  A batch r further from
+        1 is taken as it is: the two arithmetics differ in their last bits
+        (by 4e-14 relative at most on the clinical keep-masks measured).
 
         Offering every state in order stores the same: a match that keeps
         fewer rows is turned away or displaced, and so is a failing state
@@ -380,11 +392,15 @@ class _Keeper:
         never ``r_close``.  So a caller may leave out, unscored, the states
         that ``storable`` turns away; a match among them would be turned
         away here too."""
-        rs = np.asarray(rs, dtype=float)
+        rs = np.array(rs, dtype=float)
         kept = np.broadcast_to(preserved, rs.shape)
-        chosen = (rs >= 1.0) & self.storable(kept)
-        if chosen.any():
-            chosen &= kept >= kept[chosen].max()
+        storable = self.storable(kept)
+        chosen = storable & (np.abs(rs - 1.0) <= FLOOR_MARGIN)
+        for i in np.flatnonzero(chosen).tolist():
+            rs[i] = self.engine.evaluator.evaluate(state(i))[0]
+        matches = (rs >= 1.0) & storable
+        if matches.any():
+            chosen |= matches & (kept >= kept[matches].max())
         failing = rs < 1.0
         if failing.any():
             values = rs[failing]
@@ -410,9 +426,8 @@ class _Keeper:
     def floor(self, rs: np.ndarray) -> float:
         """The ``_keeper_floor`` of a chunk's r values ``rs`` given what is
         stored: a match counts as an r of 1, the failing state as its r."""
-        if self.matches:
-            return _keeper_floor(rs, 1.0)
-        return _keeper_floor(rs, None if self.failing_rank is None else self.failing_rank.r)
+        failing = None if self.failing_rank is None else self.failing_rank.r
+        return _keeper_floor(rs, 1.0 if self.matches else failing)
 
     def report(self, trace: Sequence[TraceStep] = (), timed_out: bool = False,
                partial: bool = False) -> MatchResult:
@@ -652,16 +667,17 @@ def _evaluate_step(
     come back in the order of ``itertools.combinations``.
 
     With a ``limit``, the step needs only that chain and its ``limit`` best
-    sets (a batch plan at L = 1 reads no further), and each chunk is scored
-    against the ``_floor`` of the r values it and the chunks before it have
-    scored exactly; the first chunk scores a pilot of ``limit`` sets to find
-    it.  A set below it is skipped (``_Engine.score``), and left out of
-    the step like an undefined one.  The floor falls only as later sets
-    extend the chain, so after each pass ``_settle`` scores exactly the
-    skipped sets of every chunk whose floor it has since fallen below.  In
-    the end every skipped set lies below the step's floor and apart from
-    it, as it would were every set scored, and the step holds the same
-    chain and the same ``limit`` best sets.
+    sets (a batch plan at L = 1 reads no further).  Each chunk is scored
+    against the ``_floor`` of the r values it and the chunks before it
+    have scored exactly, deflated by the most it can still fall
+    (``_deflated``, with n = C(rows, size) bounding the sets the step can
+    score); the first chunk scores a pilot of ``limit`` sets to find it.
+    A set below that floor is skipped (``_Engine.score``), and left out of
+    the step like an undefined one.  The deflated floor is never above the
+    step's final ``_floor``, so every skipped set lies below that by more
+    than ``FLOOR_MARGIN / 2`` and apart from it, as it would were every set
+    scored, and the step holds the same chain and the same ``limit`` best
+    sets.
     """
     rows = engine.feasible.open_rows(walk.keep, walk.removed_counts, size)
     patterns = _patterns(engine.feasible.room - walk.removed_counts, size)
@@ -673,30 +689,25 @@ def _evaluate_step(
     codes = engine.dataset.group_codes[rows]
     done = np.zeros(len(patterns), dtype=bool)
     todo = bounds == bounds.max()
-    scored = []   # [sets, tags, r, floor] of each chunk; a tag is a row of patterns
+    scored = []   # (sets, tags, r) of each chunk; a tag is a row of patterns
     exact = []    # the r values of each chunk that are not NaN
-    last = -math.inf
+    n = math.comb(rows.size, size)
 
     def floor(rs: np.ndarray) -> float:
-        nonlocal last
-        last = _floor(np.concatenate(exact + [rs[~np.isnan(rs)]]), limit)
-        return last
+        return _deflated(_floor(np.concatenate(exact + [rs[~np.isnan(rs)]]), limit), n)
 
     while todo.any():
         done |= todo
         picked = np.flatnonzero(todo)
         blocks = ((sets, picked[t]) for sets, t in _lex_sets(rows, codes, patterns[todo]))
-        for sets, tags, rs in _scored(engine, walk.keep, _chunked(blocks),
-                                      None if limit is None else floor, limit or 1):
-            scored.append([sets, tags, rs, last])
-            exact.append(rs[~np.isnan(rs)])
-            last = -math.inf
-        if limit is not None:
-            _settle(engine, walk.keep, scored, exact, limit)
+        for chunk in _scored(engine, walk.keep, _chunked(blocks),
+                             None if limit is None else floor, limit or 1):
+            scored.append(chunk)
+            exact.append(chunk[2][~np.isnan(chunk[2])])
         got = np.concatenate(exact)
         floor_r = _chain_floor(got) if got.size else -np.inf
         todo = ~done & ~((bounds < floor_r) & _apart(bounds, floor_r))
-    combos, tags, rs_all = (np.concatenate([chunk[i] for chunk in scored]) for i in range(3))
+    combos, tags, rs_all = (np.concatenate(part) for part in zip(*scored))
     defined = ~np.isnan(rs_all)
     if not defined.any():
         return None
@@ -708,27 +719,6 @@ def _evaluate_step(
         balance_from_counts(engine.dataset, engine.config, left - p) for p in patterns[done]
     ]
     return _StepCandidates(combos[order], rs_all[defined][order], index[order], balances)
-
-
-def _settle(engine: _Engine, keep: np.ndarray, scored: list, exact: list, limit: int) -> None:
-    """Score exactly, uncharged, the sets that a chunk of ``scored`` skipped
-    against a floor the step's ``_floor`` has since fallen below by more
-    than ``FLOOR_MARGIN / 2`` (a set skipped against floor F has r below
-    F * (1 - FLOOR_MARGIN / 2), and apart from any floor above that), until
-    no chunk is left so; ``exact`` is kept current."""
-    evaluator = engine.evaluator
-    while True:
-        least = _floor(np.concatenate(exact), limit)
-        stale = [k for k, chunk in enumerate(scored)
-                 if least < chunk[3] * (1.0 - FLOOR_MARGIN / 2)]
-        if not stale:
-            return
-        for k in stale:
-            sets, _, rs, _ = scored[k]
-            redo = np.flatnonzero(np.isnan(rs))
-            rs[redo] = evaluator.r_values(*evaluator.score_removals(keep, sets[redo]))
-            scored[k][3] = -math.inf
-            exact[k] = rs[~np.isnan(rs)]
 
 
 def _pattern_bounds(touches: np.ndarray, patterns: np.ndarray, ceiling: np.ndarray):
@@ -773,6 +763,20 @@ def _floor(rs: np.ndarray, limit: int = 1) -> float:
     return float(min(_chain_floor(rs), np.partition(rs, rs.size - limit)[rs.size - limit]))
 
 
+def _deflated(least: float, n: int) -> float:
+    """The least that a ``_floor`` of r values, now ``least``, can fall to
+    while at most n values are scored in all: ``least`` times
+    1 - n * RANK_REL_TOL when it is positive, else ``least`` itself (-inf
+    stays -inf).  The top r and the ``limit``-th best r only rise as values
+    are added, and each value of an ``r_close`` chain of at most n values
+    is at least (1 - RANK_REL_TOL) times the one above it, so the final
+    ``_floor`` is at least least * (1 - RANK_REL_TOL)**(n - 1).  Once the
+    factor is not positive (n >= 1e12), the floor is not either."""
+    if least <= 0.0:
+        return least
+    return least * (1.0 - RANK_REL_TOL * min(n, 10**12))
+
+
 def _keeper_floor(rs: np.ndarray, stored: float | None = None) -> float:
     """The least r a state of a chunk must reach to change what a keeper
     reports, given the r values ``rs`` (NaN: undefined) of the chunk's
@@ -782,7 +786,9 @@ def _keeper_floor(rs: np.ndarray, stored: float | None = None) -> float:
     values and the stored failing r (-inf when there are none).  A state
     below it by more than ``FLOOR_MARGIN`` is never stored:
     ``_Keeper.offer_chunk`` stores failing states only from the ``r_close``
-    chain at the top, which one chunk cannot stretch that far."""
+    chain at the top, which one chunk cannot stretch that far, and takes a
+    state for a match only when its batch r is at least 1 -
+    ``FLOOR_MARGIN``.  So, unlike a step's floor, it needs no deflation."""
     rs = rs[~np.isnan(rs)]
     if stored is not None:
         rs = np.append(rs, stored)

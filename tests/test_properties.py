@@ -15,10 +15,14 @@
   tail and no mask block, and a mask-scored criterion skips the sets that
   the criteria scored before it put below the floor) gives the run of
   scoring every set, in every search, also where Anderson-Darling or a
-  user test binds; and a step whose chunk floors were too high is set
-  right by the re-check at the end of each pass.
+  user test binds.  A step's floor, deflated by the most its chain can
+  still fall, is never above the floor of every value the step scores.
 * Random search that scores only the draws that could still be stored
   gives the run of scoring every draw.
+* A reported success has r >= 1 by ``evaluate``'s arithmetic, in random
+  and exhaustive search, also where the alphas put some state's r at 1 to
+  the last bit; exhaustive search then finds the fewest removals that a
+  brute-force scan with ``evaluate`` finds.
 * Exhaustive search's class enumerator gives the sets of each depth that
   ``itertools.combinations`` gives and ``_Feasibility.allows`` accepts:
   balance classes best first, each in canonical order.
@@ -569,36 +573,104 @@ def test_floors_change_nothing(problem, variant, size, batch, chunk):
     assert floored == scoring_all
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(floor_problems(), st.sampled_from(["greedy", "h3", "h4"]), st.integers(1, 3),
-       st.sampled_from([1, 3]))
-def test_steps_scored_against_overstated_floors_are_settled(problem, variant, size, batch):
-    # chunk floors three times too high skip sets that can win the step;
-    # the re-check at the end of each pass (``_settle``) scores them, so
-    # the run is that of scoring every set
+@st.composite
+def drifting_sequences(draw):
+    """The r values a step scores, in order: an ``r_close`` chain that
+    descends from chunk to chunk, each value just within ``RANK_REL_TOL``
+    of the one before, among other values above, within and below it."""
+    top = draw(st.sampled_from([1e-6, 0.3, 0.97, 2.5]))
+    step = draw(st.sampled_from([0.5, 0.9, 0.999])) * RANK_REL_TOL
+    chain = top * (1.0 - step) ** np.arange(draw(st.integers(1, 300)))
+    others = top * np.array(draw(st.lists(st.floats(0.0, 1.2), max_size=30)))
+    # the chain keeps its descending order; the other values go anywhere
+    slots = np.sort(np.array(draw(st.lists(st.integers(0, chain.size), min_size=others.size,
+                                           max_size=others.size)), dtype=np.intp))
+    return np.insert(chain, slots, others)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drifting_sequences(), st.integers(1, 4), st.integers(0, 50))
+def test_deflated_step_floors_stay_below_the_final_floor(rs, limit, spare):
+    # a step scores its sets against the deflated _floor of the r values
+    # scored so far, with n bounding the sets it can score.  That floor is
+    # never above the _floor of every value the step scores, however far
+    # a chain descends in later chunks; so a set skipped against it, below
+    # it by more than FLOOR_MARGIN / 2, lies that far below the final one
+    n = rs.size + spare
+    final = search._floor(rs, limit)
+    for k in range(rs.size + 1):
+        deflated = search._deflated(search._floor(rs[:k], limit), n)
+        assert deflated <= final
+    assert search._deflated(-math.inf, n) == -math.inf
+    assert search._deflated(0.3, 10**12) <= 0.0
+
+
+def fewest_removals(dataset, config, depth):
+    """The fewest rows, up to ``depth``, that a state keeping every limit
+    removes while ``evaluate`` finds it a match; None when none does."""
+    evaluator = CriteriaEvaluator(dataset, config.criteria, FLOOR_REGISTRY)
+    feasible = search._Feasibility(dataset, config)
+    for size in range(depth + 1):
+        for rows in itertools.combinations(range(dataset.n_subjects), size):
+            removed = np.bincount(dataset.group_codes[list(rows)], minlength=dataset.n_groups)
+            if not feasible.allows(removed):
+                continue
+            keep = np.ones(dataset.n_subjects, dtype=bool)
+            keep[list(rows)] = False
+            try:
+                r, _ = evaluator.evaluate(keep)
+            except UndefinedTestError:
+                continue
+            if r >= 1.0:
+                return size
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(floor_problems(), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([-1, 0, 1]))
+def test_a_reported_success_is_a_match_by_evaluate(problem, seed, batch, nudge):
+    # every alpha is set to its criterion's p on a state that removes one
+    # or two rows, as the batch kernels give it or as evaluate does, or to
+    # a neighbouring double: that state's r is 1, give or take an ulp, and
+    # the two arithmetics can put it on either side.  A reported success
+    # has r >= 1, and exhaustive search finds the fewest removals that
+    # evaluate accepts
     dataset, config = problem
-    true_floor = search._floor
-    scoring = []
-    score = CriteriaEvaluator.score_removals
-
-    def inside(self, *args):
-        scoring.append(True)
-        try:
-            return score(self, *args)
-        finally:
-            scoring.pop()
-
-    def overstated(rs, limit=1):
-        least = true_floor(rs, limit)
-        return 3.0 * least if scoring and least > 0.0 else least
-
-    with mock.patch.object(search, "_SCORE_CHUNK", 5):
-        with mock.patch.object(search, "_floor", overstated), \
-                mock.patch.object(CriteriaEvaluator, "score_removals", inside):
-            settled = floor_run(dataset, config, variant, size, batch)
-        with mock.patch.object(search, "_floor", no_floor):
-            scoring_all = floor_run(dataset, config, variant, size, batch)
-    assert settled == scoring_all
+    rng = np.random.default_rng(seed)
+    rows = np.sort(rng.choice(dataset.n_subjects, size=rng.integers(1, 3), replace=False))
+    removed = np.bincount(dataset.group_codes[rows], minlength=dataset.n_groups)
+    if not search._Feasibility(dataset, config).allows(removed):
+        return
+    evaluator = CriteriaEvaluator(dataset, config.criteria, FLOOR_REGISTRY)
+    keep = np.ones(dataset.n_subjects, dtype=bool)
+    p, defined = evaluator.score_removals(keep, rows[None, :])
+    if not defined[0]:
+        return
+    keep[rows] = False
+    alphas = p[0] if batch else np.array(evaluator.evaluate(keep)[1])
+    if nudge:
+        alphas = np.nextafter(alphas, 2.0 * nudge)
+    if not ((alphas > 0.0) & (alphas < 1.0)).all():
+        return
+    config = config.with_(criteria=CriteriaSet(tuple(
+        CriterionSpec(c.test_name, c.covariate, c.group_subset, float(a))
+        for c, a in zip(config.criteria, alphas))))
+    try:
+        drawn = search.random_search(dataset, config, iterations=60, registry=FLOOR_REGISTRY)
+        assert not drawn.success or drawn.r >= 1.0
+    except UndefinedTestError:
+        pass
+    fewest = fewest_removals(dataset, config, 2)
+    try:
+        result = search.exhaustive_search(dataset, config, max_removed=2,
+                                          registry=FLOOR_REGISTRY)
+    except UndefinedTestError:
+        assert fewest is None
+        return
+    assert not result.success or result.r >= 1.0
+    assert result.success == (fewest is not None)
+    if result.success:
+        assert result.excluded_count(dataset) == fewest
 
 
 def keep_every_draw(self, preserved):
@@ -871,15 +943,20 @@ def test_keeper_stores_what_sequential_offers_store(sequence, cap):
         code = int(keep @ (1 << np.arange(keep.size)))
         return SolutionRank(int(keep.sum()), table[code % len(table)], r)
 
-    engine = SimpleNamespace(config=SimpleNamespace(max_solutions=cap),
+    # the keeper evaluates states at or near r = 1 again; here evaluate
+    # gives each offered state the r it was offered with
+    exact = {}
+    evaluator = SimpleNamespace(evaluate=lambda keep: (exact[id(keep)], ()))
+    engine = SimpleNamespace(config=SimpleNamespace(max_solutions=cap), evaluator=evaluator,
                              rank=rank_of, start_clock=lambda started: None)
     keeper = search._Keeper(engine, "test", {})
     # offered in chunks, as the searches offer scored chunks
     for lo, hi in itertools.pairwise([0, *cuts, len(offers)]):
         if lo < hi:
-            masks = np.array([keep for keep, _ in offers[lo:hi]])
+            states = [np.array(keep) for keep, _ in offers[lo:hi]]
             rs = np.array([r for _, r in offers[lo:hi]])
-            keeper.offer_chunk(rs, masks.sum(axis=1).tolist(), masks.__getitem__)
+            exact.update((id(keep), r) for keep, r in zip(states, rs.tolist()))
+            keeper.offer_chunk(rs, [int(keep.sum()) for keep in states], states.__getitem__)
     best, matches, failing_rank, failing = reference_keeper(offers, cap, rank_of)
     assert keeper.rank == best
     assert [m.tobytes() for m in keeper.matches] == [m.tobytes() for m in matches]

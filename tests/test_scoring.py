@@ -621,6 +621,26 @@ class TestFloors:
         assert skipped.sum() >= 0.8 * d.n_subjects
         assert not skipped[rs >= least].any()
 
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_fixed_floor_at_small_df(self, seed, size):
+        # groups of 3-5 rows leave each Welch criterion a least df of 1-4,
+        # where the t guess that one kernel call checks overshoots the
+        # exact threshold most: fewer sets are skipped, never a wrong one
+        d = make_dataset(np.random.default_rng(seed), (3, 4, 5), integer=False)
+        ev = CriteriaEvaluator(d, pairwise_welch(d.group_labels))
+        keep = np.ones(d.n_subjects, dtype=bool)
+        combos = np.array(list(itertools.combinations(range(d.n_subjects), size)))
+        t, df, slow = ev._welch_removals(keep, combos)
+        df_lo = np.where(~slow & ~np.isnan(t), df, np.inf).min(axis=1)
+        assert (df_lo >= 1.0).all() and (df_lo <= 4.2).all()
+        exact, _ = self.scored(ev, keep, combos, None)
+        least = float(np.nanquantile(exact, 0.9))
+        rs, skipped = self.scored(ev, keep, combos, lambda r: least)
+        assert (rs[skipped] < least * (1 - FLOOR_MARGIN / 2)).all()
+        assert not skipped[rs >= least].any()
+        assert skipped.sum() >= 5
+
     def test_no_sets(self):
         d = build_two_group_dataset(10, 0.4, seed=8)
         ev = CriteriaEvaluator(d, welch_only_criteria())

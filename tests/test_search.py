@@ -366,6 +366,50 @@ class TestReportedState:
             assert result.rank.r == r
         assert timed_out[0] == search.startswith("exhaustive_cut")
 
+    @staticmethod
+    def alpha_at(dataset, covariate, pair, removed, batch):
+        """The Welch p of ``pair`` on ``covariate`` with the row ``removed``
+        taken out: as the batch downdate gives it, or as evaluate does."""
+        evaluator = CriteriaEvaluator(dataset, CriteriaSet((
+            CriterionSpec("welch_t", covariate, pair, 0.5),)))
+        keep = np.ones(dataset.n_subjects, dtype=bool)
+        row = dataset.subject_ids.index(removed)
+        if batch:
+            return float(evaluator.score_removals(keep, np.array([[row]]))[0][0, 0])
+        keep[row] = False
+        return evaluator.evaluate(keep)[1][0]
+
+    @staticmethod
+    def removed_ids(dataset, result):
+        return [[dataset.subject_ids[i] for i in np.flatnonzero(~s.keep)]
+                for s in result.solutions]
+
+    def test_batch_match_that_evaluate_fails_is_not_reported(self):
+        # alpha at the downdated p of the set less td013: the batch r of
+        # that removal is 1, while evaluate puts it a few ulps below 1.  It
+        # ranks best by balance, and used to be reported as a success with
+        # r < 1; the best match by evaluate's arithmetic removes ali001
+        d = build_clinical_dataset()
+        pair = ("ALI", "TD")
+        alpha = self.alpha_at(d, "age", pair, "td013", batch=True)
+        assert self.alpha_at(d, "age", pair, "td013", batch=False) < alpha
+        config = MatchConfig(criteria=CriteriaSet((CriterionSpec("welch_t", "age", pair, alpha),)))
+        result = exhaustive_search(d, config, max_removed=1)
+        assert result.success and result.r >= 1.0
+        assert self.removed_ids(d, result) == [["ali001"]]
+
+    def test_match_that_only_evaluate_finds_is_the_optimum(self):
+        # alpha at evaluate's p of the set less ali009: that removal is the
+        # only one-row match by evaluate, while its batch r sits below 1.
+        # It used to be missed, and a two-row match reported as optimal
+        d = build_clinical_dataset()
+        pair = ("ALI", "ALN")
+        alpha = self.alpha_at(d, "piq", pair, "ali009", batch=False)
+        config = MatchConfig(criteria=CriteriaSet((CriterionSpec("welch_t", "piq", pair, alpha),)))
+        result = exhaustive_search(d, config, max_removed=2)
+        assert result.success and result.r >= 1.0
+        assert self.removed_ids(d, result) == [["ali009"]]
+
 
 class TestExhaustive:
     def test_matches_brute_force_small(self):
