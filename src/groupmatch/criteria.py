@@ -28,6 +28,7 @@ from .stats import (
     _mean_ss,
     _per_mask_p,
     _ADMasks,
+    _ADRemovals,
     _tail_or_nan,
     default_registry,
     student_t_sf_array,
@@ -396,8 +397,9 @@ class CriteriaEvaluator:
         # position in the pool of every dataset row (-1 outside it)
         self._pooled: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         # the Anderson-Darling block kernel of each criterion on that test,
-        # prepared once for its pooled rows
+        # prepared once for its pooled rows, and those criteria by their groups
         self._ad_kernels: dict[int, _ADMasks] = {}
+        stacks: dict[tuple[str, ...], list[int]] = {}
         for j, spec in enumerate(criteria):
             test = registry.get(spec.test_name)
             column = dataset.covariate_column(spec.covariate)
@@ -410,6 +412,10 @@ class CriteriaEvaluator:
             self._pooled.append((pooled, codes, where))
             if test is BUILTIN_AD:
                 self._ad_kernels[j] = _ADMasks(column[pooled], codes, len(rows))
+                stacks.setdefault(spec.group_subset, []).append(j)
+        self._ad_stacks = list(stacks.values())
+        # the criteria whose batch p-values have the bits ``evaluate`` gives
+        self._exact_criteria = tuple(self._ad_kernels)
         # the distinct (covariate, group) keys that Welch criteria read: each
         # key's column and group code, and each Welch criterion's row in the
         # (criteria, sets) arrays of ``_welch_t_df`` and its pair of keys
@@ -451,6 +457,14 @@ class CriteriaEvaluator:
         r = min(p / spec.alpha for p, spec in zip(ps, self.criteria))
         return r, ps
 
+    def _evaluate_with(self, keep: np.ndarray, known: Mapping[int, float]):
+        """``evaluate``, taking the p-value that ``known`` maps a criterion
+        to, with the bits its test gives on these rows, in place of running
+        that test."""
+        ps = tuple(known[j] if j in known else test([column[idx[keep[idx]]] for idx in rows])
+                   for j, (test, _, column, rows) in enumerate(self._bound))
+        return min(p / spec.alpha for p, spec in zip(ps, self.criteria)), ps
+
     def r_values(self, ps: np.ndarray, defined: np.ndarray) -> np.ndarray:
         """r of each row of a p-value matrix, NaN where it is undefined."""
         rs = np.full(len(defined), np.nan)
@@ -474,7 +488,11 @@ class CriteriaEvaluator:
         group's count, mean and sum of squared deviations on ``keep``,
         downdated by the removed rows (``_welch_removals``).  Every other
         criterion is scored as ``score_masks`` scores it, on ``keep`` less
-        each removal set.
+        each removal set, except that under a floor, sets of one row take
+        the built-in Anderson-Darling criteria from per-value tables
+        (``_ad_tables``, ``stats._ADRemovals``): an O(1) bound on every
+        set's p, and the exact p, with the block kernel's bits, of the sets
+        that are scored.
 
         ``floor``, when given, is a callable: from the r values (an array,
         NaN where undefined) of the sets this call has scored so far, it
@@ -483,10 +501,13 @@ class CriteriaEvaluator:
         it, and not ``r_close`` to it, are skipped, and so are sets that
         the criteria scored before a mask-scored one (Anderson-Darling or
         any other test) already put there, before that one is scored
-        (``_score``): each of their rows is NaN and ``defined`` is False,
-        as for an undefined set.  Every other set has the p-values it has
-        without a floor.  ``pilot`` is the number of sets scored first when
-        the floor is -inf before any set is scored.
+        (``_score``), and, for sets of one row, those whose
+        Anderson-Darling bound already puts them there: each of their rows
+        is NaN and ``defined`` is False, as for an undefined set.  Every
+        other set has the p-values it has without a floor.  ``pilot`` is the
+        number of sets scored first when the floor is -inf before any set
+        is scored.  With the tables, ``floor`` may be given lower bounds of
+        the r of those sets instead of their r (``_score``).
         """
         combos = np.asarray(combos, dtype=np.intp)
 
@@ -498,8 +519,22 @@ class CriteriaEvaluator:
             block[hit, positions[hit, col]] = False
             return block
 
+        single = floor is not None and combos.shape[1] == 1
+        tables = self._ad_tables(keep, combos[:, 0]) if single else {}
         welch = self._welch_removals(keep, combos)
-        return self._score(combos.shape[0], masks, welch, floor, pilot)
+        return self._score(combos.shape[0], masks, welch, floor, pilot, tables)
+
+    def _ad_tables(self, keep: np.ndarray, rows: np.ndarray) -> dict:
+        """For each Anderson-Darling criterion j, ``(removals, c)``: the
+        ``stats._ADRemovals`` of the single removals ``rows`` from ``keep``
+        for the criteria that share j's pooled rows, and j's place among
+        them."""
+        tables = {}
+        for js in self._ad_stacks:
+            pooled, _, where = self._pooled[js[0]]
+            removals = _ADRemovals([self._ad_kernels[j] for j in js], keep[pooled], where[rows])
+            tables.update((j, (removals, c)) for c, j in enumerate(js))
+        return tables
 
     def score_masks(
         self, keeps: np.ndarray,
@@ -528,22 +563,33 @@ class CriteriaEvaluator:
             self._welch_masks(keeps), floor, pilot,
         )
 
-    def _score(self, m: int, masks, welch, floor=None, pilot: int = 1):
+    def _score(self, m: int, masks, welch, floor=None, pilot: int = 1, tables=None):
         """(p, defined) of m subsets.
 
         ``masks(j, sets)`` gives the keep-masks of the subsets ``sets`` over
         criterion j's pooled rows, built in blocks of at most
         ``MASK_BLOCK_CELLS`` cells.  ``welch`` holds the (t, df, slow)
         arrays of ``_welch_t_df`` over (Welch criteria, subsets), None when
-        there is no Welch criterion.
+        there is no Welch criterion.  ``tables`` maps Anderson-Darling
+        criteria to their ``_ad_tables`` entries (single removals only).
 
         With a ``floor`` (see ``score_removals``), the call's floor
         ``least`` is asked once, before any subset is scored.  With a Welch
         criterion, the subsets that Welch's t already rules out are dropped
-        before any tail or mask block is computed (``_ruled_out``); when
-        ``least`` is -inf, a pilot goes first: the ``pilot`` subsets of
-        smallest max_j |t_j| among those no Welch criterion finds slow or
-        undefined, scored in full, whose r values then give ``least``.
+        before any tail or mask block is computed (``_ruled_out``), and with
+        tables, so are those whose least p_hi / alpha over the
+        Anderson-Darling criteria, raised by ``FLOOR_MARGIN``, is below
+        ``least`` and not ``r_close`` to it.  When ``least`` is -inf, a
+        pilot goes first.  If every criterion is Welch or has tables, it
+        scores no mask block: the ``pilot`` fast subsets (no Welch criterion
+        finds them slow or undefined) of best least p_lo / alpha and the
+        ``pilot`` of smallest max_j |t_j| get their Welch tails, kept for
+        the result, and their lower bounds of r, the least of those
+        p_j / alpha_j and p_lo / alpha, give ``least``.  A lower bound of a
+        subset's r is at most its r, which ``search._evaluate_step``'s
+        deflation and ``search._keeper_floor`` both allow.  Otherwise the
+        ``pilot`` fast subsets of smallest max_j |t_j| are scored in full,
+        and their r values give ``least``.
         Every subset left is scored by ``_score_sets``, which skips, on
         each mask-scored criterion, the subsets that the criteria scored
         before it put below ``least``.  That one ``least`` is the only
@@ -556,26 +602,55 @@ class CriteriaEvaluator:
         defined = np.ones(m, dtype=bool)
         todo = np.arange(m)
         least = -math.inf if floor is None else floor(np.empty(0))
-        if floor is not None and welch is not None and least == -math.inf:
-            t, _, slow = welch
+        tables = tables or {}
+        fast = np.ones(m, dtype=bool)   # no Welch criterion finds them slow or undefined
+        if welch is not None:
+            t, df, slow = welch
             fast = ~(slow | np.isnan(t)).any(axis=0)
-            spread = np.where(fast, np.abs(t).max(axis=0), np.inf)
-            first = np.sort(np.argsort(spread, kind="stable")[:min(pilot, fast.sum())])
-            self._score_sets(first, p, defined, masks, welch)
-            least = floor(self.r_values(p[first], defined[first]))
-            todo = np.delete(todo, first)
-        if welch is not None and least > 0.0:
-            skip = self._ruled_out(welch, least)[todo]
+        if tables:   # bounds on r from the Anderson-Darling criteria alone
+            lo, hi = (np.min([getattr(removals, side)[c] / self.alphas[j]
+                              for j, (removals, c) in tables.items()], axis=0)
+                      for side in ("lo", "hi"))
+            fast &= ~np.isnan(lo)
+        if floor is not None and least == -math.inf and (welch is not None or tables):
+            order = np.flatnonzero(fast)
+            picks = [] if welch is None else [np.abs(t[:, order]).max(axis=0)]
+            picks += [-lo[order]] if tables else []
+            first = order[np.unique([np.argsort(v, kind="stable")[:pilot] for v in picks])]
+            if len(tables) + len(self._welch_rows) == len(self._bound):
+                # no mask block: the Welch tails, kept for the result, and
+                # each Anderson-Darling p_lo give lower bounds of r
+                if welch is not None:
+                    _fill_tails([(j, first, t[w, first], df[w, first])
+                                 for j, w in self._welch_rows.items()], p, defined)
+                lower = p[first]
+                for j, (removals, c) in tables.items():
+                    lower[:, j] = removals.lo[c, first]
+                least = floor(self.r_values(lower, defined[first]))
+            else:
+                self._score_sets(first, p, defined, masks, welch, tables)
+                least = floor(self.r_values(p[first], defined[first]))
+                todo = np.delete(todo, first)
+        if least > 0.0:
+            skip = np.zeros(m, dtype=bool)
+            if welch is not None:
+                skip = self._ruled_out(welch, least)
+            if tables:
+                raised = hi * (1.0 + FLOOR_MARGIN)
+                skip |= (raised < least) & _apart(raised, least)
+            skip = skip[todo]
             defined[todo[skip]] = False
+            p[todo[skip]] = np.nan
             todo = todo[~skip]
-        self._score_sets(todo, p, defined, masks, welch, least)
+        self._score_sets(todo, p, defined, masks, welch, tables, least)
         return p, defined
 
-    def _score_sets(self, sets, p, defined, masks, welch, least: float = -math.inf) -> None:
+    def _score_sets(self, sets, p, defined, masks, welch, tables,
+                    least: float = -math.inf) -> None:
         """Fill ``p`` and ``defined`` for the subsets ``sets`` (ascending),
         criterion by criterion.  The Student t tails of every Welch
-        criterion are taken in one call; only its slow subsets are scored
-        on masks.
+        criterion are taken in one call, but for those a pilot has already
+        put in ``p``; only its slow subsets are scored on masks.
 
         Every other criterion is scored after the tails, in turn, each on
         the subsets whose running bound, the least p_j / alpha_j over the
@@ -583,17 +658,21 @@ class CriteriaEvaluator:
         ``least`` or is ``r_close`` to it (every subset still defined when
         ``least`` is -inf).  The others are skipped: each of their rows is
         NaN and ``defined`` is False, as for a subset that Welch's t rules
-        out."""
+        out.  A criterion in ``tables`` takes its p from
+        ``_ADRemovals.exact``, which scores every criterion sharing its
+        tables at once, on the subsets left when the first of them comes;
+        every other one is scored on masks (``_score_on_masks``)."""
         tails: list = []
         later = []
         for j in range(len(self._bound)):
             todo = sets[defined[sets]]
             if j in self._welch_rows:
                 # queue the tails of the sets neither slow nor undefined
+                # that a pilot has not taken
                 t, df, slow = (v[self._welch_rows[j], todo] for v in welch)
                 undefined = ~slow & np.isnan(t)
                 defined[todo[undefined]] = False
-                fast = ~(slow | undefined)
+                fast = ~(slow | undefined) & np.isnan(p[todo, j])
                 tails.append((j, todo[fast], t[fast], df[fast]))
                 todo = todo[slow]
                 if todo.size:
@@ -606,13 +685,23 @@ class CriteriaEvaluator:
         todo = sets[defined[sets]]
         scored = list(self._welch_rows)
         bound = np.min(p[np.ix_(todo, scored)] / self.alphas[scored], axis=1, initial=np.inf)
+        exact = {}
         for j in later:
             raised = bound * (1.0 + FLOOR_MARGIN)
             out = (raised < least) & _apart(raised, least)
             defined[todo[out]] = False
             p[todo[out]] = np.nan
             todo, bound = todo[~out], bound[~out]
-            self._score_on_masks(j, todo, p, defined, masks)
+            if j in tables:
+                removals, c = tables[j]
+                if removals not in exact:   # every criterion of its stack at once
+                    exact[removals] = todo, removals.exact(todo, MASK_BLOCK_CELLS)
+                first, got = exact[removals]
+                got = got[c, np.searchsorted(first, todo)]
+                p[todo, j] = got
+                defined[todo] = ~np.isnan(got)
+            else:
+                self._score_on_masks(j, todo, p, defined, masks)
             kept = defined[todo]
             todo = todo[kept]
             bound = np.minimum(bound[kept], p[todo, j] / self.alphas[j])

@@ -58,9 +58,21 @@ floor, the least r a state must reach to change what the search keeps
 Welch t alone shows to lie below it, and then scores each Anderson-Darling
 or other mask-scored criterion only on the states that the criteria
 scored before it leave at or near it (``CriteriaEvaluator.score_removals``);
-a skipped state reads as undefined but is charged.  A step's floor can fall
+a skipped state reads as undefined but is charged.  Sets of one row also
+skip on an O(1) bound of their Anderson-Darling p from per-value tables,
+which then give the sets kept their exact p.  A step's floor can fall
 as later sets extend its chain, so a step deflates each floor it gives by
-the most its chain can still fall (``_evaluate_step``).  Once a match is
+the most its chain can still fall (``_evaluate_step``).  A call with no
+floor yet takes it from a pilot, and with those tables the pilot's r
+values are lower bounds: exact Welch p_j / alpha_j and each
+Anderson-Darling p_lo / alpha.  A floor callable may take them.  A
+step's deflated ``_floor`` of lower bounds of its sets' r is no higher
+than that of the r values themselves, since it rests only on the top r
+and the limit-th best r, and neither rises as values fall.  A keeper's
+floor of them lies at or below a pilot set's r, so a set skipped against
+it lies below that r by more than ``FLOOR_MARGIN`` / 2, which keeps it
+out of the ``r_close`` chain at the top of the chunk and below r = 1
+alike: it is never stored.  Once a match is
 stored, random search scores no draw that keeps fewer rows than it, since
 such a draw can never be stored.
 
@@ -74,6 +86,11 @@ result reports comes from evaluating that subset on its own: a
 constructive search evaluates its current state once per pass, and that r
 goes into the trace and the keeper; the reported p-values and rank come
 from evaluating the reported state again (``_Keeper.report``, uncharged).
+When a pass commits one removal that its step scored as a single-row set,
+that evaluation takes the set's p-values of the evaluator's
+``_exact_criteria`` (Anderson-Darling) from the step, which carry
+``anderson_darling``'s bits, and runs only the other tests; the Welch
+downdate's bits differ from ``welch_t``'s, so Welch is run again.
 """
 
 from __future__ import annotations
@@ -291,23 +308,31 @@ class _Engine:
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.perf_counter() > self.deadline
 
-    def score(self, keep: np.ndarray, combos, floor=None, pilot: int = 1) -> np.ndarray:
+    def score(self, keep: np.ndarray, combos, floor=None, pilot: int = 1,
+              exact: list | None = None) -> np.ndarray:
         """r of each removal set in ``combos`` (an (m, L) array of rows kept
         in ``keep``) applied to ``keep``, NaN where a test is undefined or
         the set lies below ``floor`` (``CriteriaEvaluator.score_removals``).
-        Charged like one evaluation per removal set, skipped or not."""
+        Charged like one evaluation per removal set, skipped or not.  The
+        (m, E) p-values of the evaluator's ``_exact_criteria`` are appended
+        to the list ``exact`` when one is given."""
         combos = np.asarray(combos, dtype=np.intp)
         self.budget.charge_states(len(combos))
         evaluator = self.evaluator
-        return evaluator.r_values(*evaluator.score_removals(keep, combos, floor, pilot))
+        p, defined = evaluator.score_removals(keep, combos, floor, pilot)
+        if exact is not None:
+            exact.append(p[:, list(evaluator._exact_criteria)])
+        return evaluator.r_values(p, defined)
 
-    def evaluate_one(self, keep: np.ndarray) -> tuple[float | None, np.ndarray | None]:
+    def evaluate_one(self, keep: np.ndarray, known=None) -> tuple[float | None, np.ndarray | None]:
         """(r, r_j) of ``keep``, charged as one evaluation: r_j is each
         criterion's p_j / alpha_j; both None when a test is undefined for
-        this subset."""
+        this subset.  ``known`` maps criteria to p-values already in hand
+        (``CriteriaEvaluator._evaluate_with``)."""
         self.budget.charge_states(1)
+        evaluator = self.evaluator
         try:
-            r, ps = self.evaluator.evaluate(keep)
+            r, ps = evaluator._evaluate_with(keep, known) if known else evaluator.evaluate(keep)
         except UndefinedTestError:
             return None, None
         return r, np.array(ps) / self.evaluator.alphas
@@ -605,23 +630,30 @@ class _StepCandidates:
     rs: np.ndarray             # (m,) match score of each set
     balance_index: np.ndarray  # (m,) position of each set's balance in balances
     balances: list             # balance of each count pattern scored
+    # (m, E) p-values of the evaluator's _exact_criteria (E = 0 when L > 1)
+    exact: np.ndarray | None = None
 
 
 class _OutOfTime(Exception):
     """The deadline passed while removal sets were being scored."""
 
 
-def _scored(engine: _Engine, keep: np.ndarray, chunks, floor=None, pilot: int = 1):
-    """``(sets, tags, r)`` for each chunk ``(sets, tags)`` of removal sets
-    that the iterator ``chunks`` yields (``_chunked``), applied to
+def _scored(engine: _Engine, keep: np.ndarray, chunks, floor=None, pilot: int = 1,
+            exact: bool = False):
+    """``(sets, tags, r, p)`` for each chunk ``(sets, tags)`` of removal
+    sets that the iterator ``chunks`` yields (``_chunked``), applied to
     ``keep``; r is NaN where a test is undefined or the set lies below
-    ``floor`` (``_Engine.score``).  The clock is read before each chunk and
-    once after the last; raises _OutOfTime when the deadline has passed."""
+    ``floor`` (``_Engine.score``), and p holds the p-values of the
+    evaluator's ``_exact_criteria`` when ``exact`` is set (else no column).
+    The clock is read before each chunk and once after the last; raises
+    _OutOfTime when the deadline has passed."""
     while not engine.out_of_time():
         chunk = next(chunks, None)
         if chunk is None:
             return
-        yield *chunk, engine.score(keep, chunk[0], floor, pilot)
+        got: list = []
+        r = engine.score(keep, chunk[0], floor, pilot, got if exact else None)
+        yield *chunk, r, got[0] if got else np.empty((len(r), 0))
     raise _OutOfTime
 
 
@@ -669,7 +701,8 @@ def _evaluate_step(
     With a ``limit``, the step needs only that chain and its ``limit`` best
     sets (a batch plan at L = 1 reads no further).  Each chunk is scored
     against the ``_floor`` of the r values it and the chunks before it
-    have scored exactly, deflated by the most it can still fall
+    have scored exactly, or of lower bounds of them (a pilot's, see the
+    module docstring), deflated by the most it can still fall
     (``_deflated``, with n = C(rows, size) bounding the sets the step can
     score); the first chunk scores a pilot of ``limit`` sets to find it.
     A set below that floor is skipped (``_Engine.score``), and left out of
@@ -689,7 +722,7 @@ def _evaluate_step(
     codes = engine.dataset.group_codes[rows]
     done = np.zeros(len(patterns), dtype=bool)
     todo = bounds == bounds.max()
-    scored = []   # (sets, tags, r) of each chunk; a tag is a row of patterns
+    scored = []   # (sets, tags, r, p) of each chunk; a tag is a row of patterns
     exact = []    # the r values of each chunk that are not NaN
     n = math.comb(rows.size, size)
 
@@ -701,13 +734,13 @@ def _evaluate_step(
         picked = np.flatnonzero(todo)
         blocks = ((sets, picked[t]) for sets, t in _lex_sets(rows, codes, patterns[todo]))
         for chunk in _scored(engine, walk.keep, _chunked(blocks),
-                             None if limit is None else floor, limit or 1):
+                             None if limit is None else floor, limit or 1, size == 1):
             scored.append(chunk)
             exact.append(chunk[2][~np.isnan(chunk[2])])
         got = np.concatenate(exact)
         floor_r = _chain_floor(got) if got.size else -np.inf
         todo = ~done & ~((bounds < floor_r) & _apart(bounds, floor_r))
-    combos, tags, rs_all = (np.concatenate(part) for part in zip(*scored))
+    combos, tags, rs_all, exact_p = (np.concatenate(part) for part in zip(*scored))
     defined = ~np.isnan(rs_all)
     if not defined.any():
         return None
@@ -718,7 +751,8 @@ def _evaluate_step(
     balances = [
         balance_from_counts(engine.dataset, engine.config, left - p) for p in patterns[done]
     ]
-    return _StepCandidates(combos[order], rs_all[defined][order], index[order], balances)
+    return _StepCandidates(combos[order], rs_all[defined][order], index[order], balances,
+                           exact_p[defined][order])
 
 
 def _pattern_bounds(touches: np.ndarray, patterns: np.ndarray, ceiling: np.ndarray):
@@ -788,7 +822,10 @@ def _keeper_floor(rs: np.ndarray, stored: float | None = None) -> float:
     ``_Keeper.offer_chunk`` stores failing states only from the ``r_close``
     chain at the top, which one chunk cannot stretch that far, and takes a
     state for a match only when its batch r is at least 1 -
-    ``FLOOR_MARGIN``.  So, unlike a step's floor, it needs no deflation."""
+    ``FLOOR_MARGIN``.  So, unlike a step's floor, it needs no deflation.
+    The same holds when some of ``rs`` are lower bounds of the chunk's r
+    (a pilot's): the floor then lies at or below the r of a set that is
+    not skipped."""
     rs = rs[~np.isnan(rs)]
     if stored is not None:
         rs = np.append(rs, stored)
@@ -917,10 +954,11 @@ def _constructive(
     r: float | None = None
     removed_now: list[int] = []
     pool: list[int] = []
+    known = None
 
     while True:
         stale_r = r
-        r, ceiling = engine.evaluate_one(walk.keep)
+        r, ceiling = engine.evaluate_one(walk.keep, known)
         done = int(walk.removed_counts.sum()) - len(removed_now)
         for idx, row in enumerate(removed_now):
             last = idx == len(removed_now) - 1
@@ -980,6 +1018,12 @@ def _constructive(
                 removed_now.append(row)
         if not removed_now:
             break
+        # a pass that commits one scored single removal hands the p-values
+        # of that set that carry evaluate's bits to the next evaluation
+        known = None
+        if removed_now == [first] and set_size == 1:
+            exact = step.exact[int(np.searchsorted(step.combos[:, 0], first))]
+            known = dict(zip(engine.evaluator._exact_criteria, exact.tolist()))
     return keeper.report(trace)
 
 
@@ -1088,7 +1132,7 @@ def exhaustive_search(
             # pruned(k): a stored match ranks above every state of class k
             chunks = _class_chunks(rows, codes[rows], classes, lambda k: bool(
                 keeper.matches) and _compare_balance(keeper.rank.balance, best[k]) < 0)
-            for sets, tags, rs in _scored(engine, full, chunks, keeper.floor):
+            for sets, tags, rs, _ in _scored(engine, full, chunks, keeper.floor):
                 # the keep-mask of set i: every row but the rows it removes
                 keeper.offer_chunk(
                     rs, n - depth,

@@ -662,8 +662,14 @@ class _ADMasks:
         starts = np.flatnonzero(
             np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
         self.starts = None if starts.size == values.size else starts
+        # the distinct value (run) of each pooled value
+        runs = np.zeros(values.size, dtype=np.intp)
+        runs[starts[1:]] = 1
+        self.value_of = np.empty(values.size, dtype=np.intp)
+        self.value_of[self.order] = np.cumsum(runs)
         # (k, n, 1): whether each sorted value belongs to sample g
-        self.samples = (np.asarray(codes)[self.order] == np.arange(k)[:, None])[..., None]
+        self.codes = np.asarray(codes)
+        self.samples = (self.codes[self.order] == np.arange(k)[:, None])[..., None]
         self.sums = np.full((values.size + 1, 2), np.nan)   # h, g by N
 
     def __call__(self, masks) -> np.ndarray:
@@ -687,32 +693,189 @@ class _ADMasks:
                 counts[..., scored], below[..., scored], pooled[:, scored], sizes[:, scored])
         total = sizes.sum(axis=0)                      # (m,)
         with np.errstate(divide="ignore", invalid="ignore"):
-            below_mid = below.sum(axis=0) - 0.5 * pooled
-            denom = below_mid * (total - below_mid) - total * pooled / 4.0
-            weight = pooled / total
-            present = pooled > 0
-            terms = np.empty((pooled.shape[0], k, pooled.shape[1]))    # (D, k, m)
-            for g in range(k):
-                num = (total * (below[g] - 0.5 * counts[g]) - below_mid * sizes[g]) ** 2
-                terms[:, g] = np.where(present, weight * num / denom, 0.0)
+            # (D, k, m), each term of the midrank statistic
+            terms = _ad_terms(total, sizes, counts.transpose(1, 0, 2), below.transpose(1, 0, 2),
+                              below.sum(axis=0)[:, None], pooled[:, None])
+        p[scored] = self.finish(_ad_sums(terms), sizes, total)
+        return p
+
+    def finish(self, sums, sizes, total, sigma_sq=None) -> np.ndarray:
+        """p from the (k, m) sums of each sample's terms, the (k, m) sample
+        sizes and the (m,) pooled sizes, with ``anderson_darling``'s
+        operations: A² adds the sums left to right, each over its sample
+        size, as H adds the sizes' inverses.  ``sigma_sq``, when given, is
+        the null variance those sizes give."""
+        with np.errstate(divide="ignore", invalid="ignore"):
             a2 = np.zeros(total.shape)
-            for s, n in zip(_ad_sums(terms), sizes):
+            for s, n in zip(sums, sizes):
                 a2 = a2 + s / n
             a2 = a2 * (total - 1.0) / total
-            H = np.zeros(total.shape)
-            for n in sizes:
-                H = H + 1.0 / n
-            N_int = total.astype(np.int64)
-            sums = self.sums[N_int]
-            missing = np.isnan(sums[:, 0])
-            if missing.any():
-                for N in np.unique(N_int[missing]).tolist():
-                    self.sums[N] = _ad_harmonic_sums(N)
+            if sigma_sq is None:
+                H = np.zeros(total.shape)
+                for n in sizes:
+                    H = H + 1.0 / n
+                N_int = total.astype(np.int64)
                 sums = self.sums[N_int]
-            sigma_sq = _ad_variance_from(k, N_int, H, sums[:, 0], sums[:, 1])
-            standardized = (a2 - (k - 1)) / np.sqrt(sigma_sq)
+                missing = np.isnan(sums[:, 0])
+                if missing.any():
+                    for N in np.unique(N_int[missing]).tolist():
+                        self.sums[N] = _ad_harmonic_sums(N)
+                    sums = self.sums[N_int]
+                sigma_sq = _ad_variance_from(self.k, N_int, H, sums[:, 0], sums[:, 1])
+        return self.tail(a2, sigma_sq)
+
+    def tail(self, a2, sigma_sq) -> np.ndarray:
+        """p of the statistic A² under the null variance ``sigma_sq``."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            standardized = (a2 - (self.k - 1)) / np.sqrt(sigma_sq)
         # a null variance that is not positive is where anderson_darling raises
-        p[scored] = np.where(sigma_sq > 0.0, _ad_tail_p(k, standardized), np.nan)
+        return np.where(sigma_sq > 0.0, _ad_tail_p(self.k, standardized), np.nan)
+
+
+def _ad_terms(total, sizes, counts, below, below_all, pooled):
+    """The midrank statistic's term of each sample at each distinct value,
+    with ``anderson_darling``'s operations, from the pooled size, the sample
+    sizes, each sample's count at the value and at or below it, the pooled
+    count at or below it and at it; arrays broadcast, and the result is
+    C-contiguous.  0 where no value is pooled.  Called under
+    ``np.errstate``."""
+    below_mid = below_all - 0.5 * pooled
+    denom = below_mid * (total - below_mid) - total * pooled / 4.0
+    weight = pooled / total
+    num = (total * (below - 0.5 * counts) - below_mid * sizes) ** 2
+    return np.ascontiguousarray(np.where(pooled > 0, weight * num / denom, 0.0))
+
+
+# How far ``_ad_tail_p`` may move p against its fall: its parabola's Horner
+# steps err by at most 4u (|c2| x^2 + |c1| |x| + |c0|), below 6e-14 wherever p
+# is not clamped (that sum stays below 120 for k = 2..11), and exp by an ulp.
+_AD_BOUND_PAD = 1e-12
+
+
+class _ADRemovals:
+    """Anderson-Darling p of every single removal from one keep-mask, for
+    the criteria of ``kernels``: ``_ADMasks`` over one pooled sample, with
+    one k and one set of sample codes, on values of their own.  ``keep`` is
+    the keep-mask over the pooled rows, and ``pos`` the pooled position of
+    each set's removed row (-1 outside the pool: such a set leaves p at the
+    p of ``keep``).
+
+    Removing a row of sample r fixes N' = N - 1 and the sizes n'.  The
+    kernel's term at a value below the removed one then reads the counts of
+    ``keep`` (table T0), at a value above it the counts of sample r and of
+    the pool one lower (T1), and at the removed value its counts one lower
+    (S: 0 when no other kept row has the value, else as the kernel's runs
+    give it).  Every input is an integer or half-integer count, and each
+    entry is taken with the kernel's operations (``_ad_terms``), so it has
+    the bits of the kernel's term on the set's keep-mask.  ``exact`` adds a
+    set's entries as the kernel adds its terms (``_ad_sums``, over the
+    kernel's distinct values) and finishes with the kernel's operations
+    (``_ADMasks.finish``), so its p has ``_ADMasks``' bits, NaN exactly
+    where those are NaN.  The criteria are stacked: each table is one array
+    over (criteria, r, values, samples), the values padded with empty ones.
+
+    ``lo`` and ``hi`` (criteria, sets) bound every set's p in O(1) a set,
+    from prefix sums of T0 and suffix sums of T1.  The terms are
+    non-negative, so these sums and the kernel's left-to-right sum each lie
+    within a relative (D + k + 6) u of the exact A² (u = eps / 2, D values;
+    Higham 2002, "Accuracy and Stability of Numerical Algorithms", 4.2).
+    A² is widened by the slack 4 (D + k + 8) eps, which covers both, and
+    the kernel's standardization and ``_ad_tail_p`` do not increase p as A²
+    grows; each bound is then moved out by ``_AD_BOUND_PAD``.  NaN where
+    the kernel's p is NaN for want of rows or of distinct values."""
+
+    def __init__(self, kernels: Sequence[_ADMasks], keep: np.ndarray, pos: np.ndarray):
+        first = kernels[0]
+        self.kernel, k = first, first.k
+        values = np.stack([kernel.value_of for kernel in kernels])       # (C, n)
+        C, size = len(kernels), int(values.max()) + 1
+        # each sample's kept rows at each distinct value: (C, k, D)
+        cells = (np.arange(C)[:, None] * k + first.codes) * size + values
+        counts = np.bincount(cells[:, keep].ravel(), minlength=C * k * size)
+        counts = counts.reshape(C, k, size).astype(float)
+        below = np.cumsum(counts, axis=2)
+        pooled = counts.sum(axis=1)                               # (C, D)
+        # a set is scored when every sample keeps two rows and two values stay
+        self.distinct = np.count_nonzero(pooled, axis=1)[:, None]
+        self.single = pooled == 1
+        # (C, r, D, g) operands: r the sample a row is removed from
+        below_all = below.sum(axis=1)[:, None, :, None]
+        pooled = pooled[:, None, :, None]
+        counts, below = counts.transpose(0, 2, 1)[:, None], below.transpose(0, 2, 1)[:, None]
+        self.n = below[0, 0, -1]                                  # kept rows per sample
+        self.total = self.n.sum()
+        eye = np.eye(k)[:, None, :]                               # (r, 1, g)
+        self.sizes = self.n - eye[:, 0]                           # (r, g): n' of each r
+        total = self.total - 1.0
+        self.pos, self.r = pos, first.codes[pos]
+        self.values = values[:, pos]                               # (C, m)
+        # the null variance of each r (``anderson_darling``'s scalar steps,
+        # with the kernel's bits), and the tables T0, T1 and S in one array:
+        # a leading axis says which counts the removed row lowers
+        self.sigma_sq = np.array([_ad_variance(k, int(total), n) if (n >= 2).all() else np.nan
+                                  for n in self.sizes])
+        lower_below = np.array([0.0, 1.0, 1.0])[:, None, None, None, None]   # T1 and S
+        lower_at = np.array([0.0, 0.0, 1.0])[:, None, None, None, None]      # S
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.t0, self.t1, self.own = _ad_terms(
+                total, self.sizes[:, None], counts - lower_at * eye, below - lower_below * eye,
+                below_all - lower_below, pooled - lower_at)
+            self.base = np.full(C, np.nan)                        # p of keep itself
+            if (pos < 0).any() and (self.n >= 2).all():
+                terms = _ad_terms(self.total, self.n, counts, below, below_all, pooled)
+                sums = _ad_sums(np.ascontiguousarray(terms[:, 0].transpose(1, 0, 2)))
+                self.base = np.where(self.distinct[:, 0] >= 2, first.finish(
+                    sums.T, np.repeat(self.n[:, None], C, axis=1), np.full(C, self.total)),
+                    np.nan)
+            self.lo, self.hi = self._bounds()
+
+    def _scored(self, sets) -> np.ndarray:
+        """(C, s): whether the kernel scores each set, for sets in the pool."""
+        lost = np.take_along_axis(self.single, self.values[:, sets], axis=1)
+        return (self.sizes[self.r[sets]] >= 2).all(axis=1) & (self.distinct - lost >= 2)
+
+    def _bounds(self):
+        t0, t1, k = self.t0, self.t1, self.kernel.k
+        before = np.zeros_like(t0)
+        np.cumsum(t0[:, :, :-1], axis=2, out=before[:, :, 1:])
+        after = np.zeros_like(t1)
+        after[:, :, :-1] = np.cumsum(t1[:, :, :0:-1], axis=2)[:, :, ::-1]
+        total = self.total - 1.0
+        a2 = ((before + self.own + after) / self.sizes[:, None]).sum(axis=3)
+        a2 = a2 * (total - 1.0) / total
+        inside = np.flatnonzero(self.pos >= 0)
+        r = self.r[inside]
+        a2 = a2[np.arange(a2.shape[0])[:, None], r, self.values[:, inside]]     # (C, s)
+        slack = 4.0 * (t0.shape[2] + k + 8) * np.finfo(float).eps
+        wide = np.stack([a2 * (1.0 + slack), a2 * (1.0 - slack)])             # (2, C, s)
+        p = np.where(self._scored(inside), self.kernel.tail(wide, self.sigma_sq[r]), np.nan)
+        lo = np.repeat(self.base[:, None], self.pos.size, axis=1)
+        hi = lo.copy()
+        lo[:, inside] = p[0] * (1.0 - _AD_BOUND_PAD)
+        hi[:, inside] = p[1] * (1.0 + _AD_BOUND_PAD)
+        return lo, hi
+
+    def exact(self, sets, cells: int) -> np.ndarray:
+        """(C, s): each criterion's p of the sets ``sets``, with the bits of
+        ``_ADMasks`` on each set's keep-mask; in blocks of at most ``cells``
+        table entries a sample."""
+        p = np.repeat(self.base[:, None], len(sets), axis=1)
+        inside = np.flatnonzero(self.pos[sets] >= 0)
+        C, _, D, k = self.t0.shape
+        at = np.arange(D)[:, None]
+        step = max(1, cells // (C * D))
+        for start in range(0, inside.size, step):
+            cut = sets[inside[start:start + step]]
+            r, value = self.r[cut], self.values[:, cut, None, None]        # (C, s, 1, 1)
+            block = np.where(at < value, self.t0[:, r],
+                             np.where(at == value, self.own[:, r], self.t1[:, r]))   # (C, s, D, k)
+            sums = _ad_sums(np.ascontiguousarray(block.transpose(2, 0, 3, 1)))   # (C, k, s)
+            sizes = np.broadcast_to(self.sizes[r].T[:, None], (k, C, r.size))
+            got = self.kernel.finish(
+                sums.transpose(1, 0, 2).reshape(k, -1), sizes.reshape(k, -1),
+                np.full(C * r.size, self.total - 1.0), np.tile(self.sigma_sq[r], C))
+            got = np.where(self._scored(cut), got.reshape(C, -1), np.nan)
+            p[:, inside[start:start + step]] = got
         return p
 
 
@@ -769,7 +932,9 @@ class TestFunction:
 # statistics for removal sets, two-pass masked moments for keep-masks.
 # Anderson-Darling runs the block kernel of ``anderson_darling_p_masks``,
 # prepared once per criterion (``_ADMasks``), which gives the bits of
-# ``anderson_darling_p`` on every subset.  Any other test, including
+# ``anderson_darling_p`` on every subset; single removals scored under a
+# floor take that kernel's terms from per-value tables instead
+# (``_ADRemovals``), with the same bits.  Any other test, including
 # either name mapped to another instance, is called once per keep-mask
 # (``_per_mask_p``).
 BUILTIN_WELCH = TestFunction("welch_t", "two_sample", lambda s: welch_t_p(s[0], s[1]))

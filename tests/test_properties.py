@@ -38,6 +38,9 @@
 * ``score_removals``, which downdates every (covariate, group) of the Welch
   criteria in one array pass, gives the bytes of (p, defined) that a
   downdate of one (covariate, group) at a time gives.
+* The Anderson-Darling tables for single removals give each set the block
+  kernel's bytes, NaN where the kernel gives NaN, and bounds that hold the
+  kernel's p, inside and outside each criterion's pool.
 """
 
 from __future__ import annotations
@@ -1168,3 +1171,64 @@ def test_fused_downdate_matches_downdate_per_key(problem):
         want_p, want_defined = evaluator.score_removals(keep, combos)
     assert p.tobytes() == want_p.tobytes()
     assert defined.tobytes() == want_defined.tobytes()
+
+
+@st.composite
+def ad_removal_problems(draw):
+    """2-5 groups of 2-12 rows, float or integer values (runs of ties), and
+    Anderson-Darling criteria over subsets of 2-4 of the groups: one per
+    covariate on a shared subset, or on subsets of their own.  Random keep
+    masks, some of which leave a group 2 or 3 rows."""
+    k = draw(st.integers(2, 5))
+    labels = [f"g{i}" for i in range(k)]
+    sizes = [draw(st.integers(2, 12)) for _ in labels]
+    groups = [g for g, n in zip(labels, sizes) for _ in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_cov = draw(st.integers(1, 3))
+    codes = np.repeat(np.arange(k), sizes)
+    values = rng.normal(size=(codes.size, n_cov)) + codes[:, None] * rng.uniform(0, 1, n_cov)
+    if draw(st.booleans()):
+        values = rng.integers(0, draw(st.integers(2, 6)), size=values.shape).astype(float)
+    dataset = Dataset([f"s{i}" for i in range(len(groups))], groups, values,
+                      [f"c{i}" for i in range(n_cov)])
+    shared = draw(st.booleans())
+    subset = tuple(draw(st.permutations(labels))[:draw(st.integers(2, min(k, 4)))])
+    specs = []
+    for c in range(n_cov):
+        if not shared:
+            subset = tuple(draw(st.permutations(labels))[:draw(st.integers(2, min(k, 4)))])
+        specs.append(CriterionSpec("anderson_darling", f"c{c}", subset, 0.2))
+    evaluator = CriteriaEvaluator(dataset, CriteriaSet(tuple(specs)))
+    keep = rng.random(codes.size) < draw(st.sampled_from([0.5, 0.8, 1.0]))
+    for g in draw(st.lists(st.integers(0, k - 1), max_size=2, unique=True)):
+        rows = np.flatnonzero(codes == g)
+        keep[rows] = False
+        keep[rows[:draw(st.integers(2, 3))]] = True
+    return evaluator, keep, draw(st.integers(1, 1 << 14))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ad_removal_problems())
+def test_ad_removal_tables_give_the_kernel_bits(problem):
+    # every single removal of a kept row, inside or outside each criterion's
+    # pool: the tables' exact p has the bits of the block kernel on the
+    # set's keep-mask, NaN where that is NaN, and [lo, hi] contains it
+    evaluator, keep, cells = problem
+    rows = np.flatnonzero(keep)
+    tables = evaluator._ad_tables(keep, rows)
+    assert sorted(tables) == list(range(len(evaluator)))
+    for removals in {id(r): r for r, _ in tables.values()}.values():
+        exact = removals.exact(np.arange(rows.size), cells)
+        for j, c in ((j, c) for j, (r, c) in tables.items() if r is removals):
+            pooled, _, where = evaluator._pooled[j]
+            masks = np.repeat(keep[pooled][None], rows.size, axis=0)
+            inside = np.flatnonzero(where[rows] >= 0)
+            masks[inside, where[rows][inside]] = False
+            want = evaluator._ad_kernels[j](masks)
+            assert exact[c].tobytes() == want.tobytes()
+            lo, hi = removals.lo[c], removals.hi[c]
+            assert (np.isnan(lo) == np.isnan(want)).all()
+            assert (np.isnan(hi) == np.isnan(want)).all()
+            defined = ~np.isnan(want)
+            assert (lo[defined] <= want[defined]).all()
+            assert (want[defined] <= hi[defined]).all()

@@ -24,7 +24,9 @@ from groupmatch.criteria import (
 )
 from groupmatch.dataset import Dataset
 from groupmatch.errors import UndefinedTestError
+from groupmatch.harness import build_default_criteria
 from groupmatch.search import exhaustive_search, greedy_search, lookahead_search
+from groupmatch.synthgen import SyntheticSpec, generate_dataset
 from groupmatch.stats import (
     BUILTIN_AD,
     TestFunction,
@@ -587,6 +589,110 @@ class TestSearchesAgreeWithPerSubsetScoring:
             batch = run(None)
             reference = run(per_subset_registry())
             assert self.outcome(batch) == self.outcome(reference)
+
+
+def ad_batch_off_registry():
+    """The built-in Welch test, and Anderson-Darling under a new instance, so
+    batch scoring takes the per-subset path for Anderson-Darling alone."""
+    registry = TestRegistry(include_builtin=False)
+    registry.register(stats.BUILTIN_WELCH)
+    registry.register(TestFunction("anderson_darling", "k_sample", stats.anderson_darling_p))
+    return registry
+
+
+def ad_replay_problems():
+    """Three small synthgen datasets under ``build_default_criteria`` at
+    alpha 0.2: two groups; three groups, one of them locked; and two groups
+    with covariates rounded to one decimal, so that values tie."""
+    def generated(seed, split=(0.5, 0.5)):
+        return generate_dataset(SyntheticSpec(
+            n_items=40, n_intruders=6, n_covariates=2, n_shifted_covariates=1,
+            group_split=split, seed=seed)).dataset
+
+    two, three, tied = generated(1), generated(2, (0.4, 0.3, 0.3)), generated(3)
+    tied = Dataset(tied.subject_ids, tied.groups, np.round(tied.covariates, 1),
+                   tied.covariate_names)
+    for d, locked in ((two, ()), (three, (three.group_labels[0],)), (tied, ())):
+        yield d, MatchConfig(criteria=build_default_criteria(d, alpha=0.2),
+                             locked_groups=frozenset(locked), seed=4)
+
+
+class TestAndersonDarlingReplay:
+    """Runs with the default criteria (Welch and Anderson-Darling) give the
+    same solutions, traces, rank, p-values and evaluations whether the
+    Anderson-Darling criteria are batch-scored (per-value tables for single
+    removals under a floor, else the block kernel) or scored one subset at
+    a time."""
+
+    RUNS = (
+        lambda d, cfg, reg: greedy_search(d, cfg, registry=reg),
+        lambda d, cfg, reg: lookahead_search(d, cfg, "h3", lookahead=1, registry=reg),
+        lambda d, cfg, reg: lookahead_search(d, cfg, "h4", lookahead=1, registry=reg),
+        lambda d, cfg, reg: lookahead_search(d, cfg, "h3", lookahead=1, batch_size=20,
+                                             registry=reg),
+        lambda d, cfg, reg: exhaustive_search(d, cfg, max_removed=2, registry=reg),
+    )
+
+    @pytest.mark.parametrize("run", range(len(RUNS)))
+    def test_runs_agree_with_anderson_darling_per_subset(self, run):
+        outcome = TestSearchesAgreeWithPerSubsetScoring.outcome
+        for d, config in ad_replay_problems():
+            batch = self.RUNS[run](d, config, None)
+            reference = self.RUNS[run](d, config, ad_batch_off_registry())
+            assert outcome(None, batch) == outcome(None, reference)
+
+    def test_walk_hands_on_the_p_of_the_state(self, monkeypatch):
+        # the Anderson-Darling p that a walk takes from its step for the
+        # state it moves to is the p that evaluating that state gives, bit
+        # for bit
+        handed = []
+        evaluate_with = CriteriaEvaluator._evaluate_with
+
+        def checked(self, keep, known):
+            got = evaluate_with(self, keep, known)
+            fresh = self.evaluate(keep)
+            assert got[0].hex() == fresh[0].hex()
+            handed.extend((got[1][j].hex(), fresh[1][j].hex()) for j in known)
+            return got
+
+        monkeypatch.setattr(CriteriaEvaluator, "_evaluate_with", checked)
+        for d, config in ad_replay_problems():
+            for run in self.RUNS[:4]:
+                run(d, config, None)
+        assert len(handed) >= 20
+        assert all(a == b for a, b in handed)
+
+    def test_walk_scores_no_anderson_darling_block(self, monkeypatch):
+        # a default-criteria greedy walk over 2 x 100 items: its single
+        # removals take the tables, so no block kernel call and fewer Welch
+        # tails than scoring the same steps with the kernel, for the same run
+        d = generate_dataset(SyntheticSpec(
+            n_items=200, n_intruders=20, n_covariates=2, n_shifted_covariates=1,
+            seed=5)).dataset
+        config = MatchConfig(criteria=build_default_criteria(d, alpha=0.2), seed=1)
+        calls, tails = [], []
+        kernel, fill = stats._ADMasks.__call__, criteria_module._fill_tails
+
+        def counting_kernel(self, masks):
+            calls.append(len(masks))
+            return kernel(self, masks)
+
+        def counting_tails(queued, p, defined):
+            tails.append(sum(len(sets) for _, sets, _, _ in queued))
+            return fill(queued, p, defined)
+
+        monkeypatch.setattr(stats._ADMasks, "__call__", counting_kernel)
+        monkeypatch.setattr(criteria_module, "_fill_tails", counting_tails)
+        tabled = greedy_search(d, config)
+        assert calls == []
+        taken = sum(tails)
+        tails.clear()
+        monkeypatch.setattr(CriteriaEvaluator, "_ad_tables", lambda self, keep, rows: {})
+        blocks = greedy_search(d, config)
+        assert calls
+        outcome = TestSearchesAgreeWithPerSubsetScoring.outcome
+        assert outcome(None, tabled) == outcome(None, blocks)
+        assert taken < sum(tails)
 
 
 class TestFloors:
