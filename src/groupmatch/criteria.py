@@ -63,7 +63,7 @@ _DOWNDATE_REL_FLOOR = 1e-9
 # ``_FLOOR_DF_MAX`` (below 7e-11 over t at df = 1e6; the error grows with df,
 # to 8.8e-10 at 1e7 and 9.7e-9 at 1e8, so a set of a higher df is never
 # skipped by its t), and above the drift that a chain of ``r_close`` values
-# can add within one scoring call (1,024 sets of an exhaustive chunk, at
+# can add within one scoring call (2,048 sets of an exhaustive call, at
 # most 4,096 draws of a random-search chunk, times 1e-12); a constructive
 # step deflates its floor by the drift its whole chain can add instead
 # (``search._evaluate_step``).  So a set skipped against floor F has r below
@@ -407,7 +407,8 @@ class CriteriaEvaluator:
             self._bound.append((test, spec.alpha, column, rows))
             pooled = np.concatenate(rows)
             codes = np.repeat(np.arange(len(rows)), [idx.size for idx in rows])
-            where = np.full(dataset.n_subjects, -1, dtype=np.intp)
+            # one slot more, -1 too: the pad of a short removal set
+            where = np.full(dataset.n_subjects + 1, -1, dtype=np.intp)
             where[pooled] = np.arange(pooled.size)
             self._pooled.append((pooled, codes, where))
             if test is BUILTIN_AD:
@@ -472,24 +473,26 @@ class CriteriaEvaluator:
         return rs
 
     def score_removals(
-        self, keep: np.ndarray, combos: np.ndarray,
+        self, keep: np.ndarray, combos,
         floor: Callable[[np.ndarray], float] | None = None, pilot: int = 1,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-criterion p-values of many removal sets at once.
 
         ``combos`` is an (m, L) array of kept rows; row i is scored on
-        ``keep`` with the rows ``combos[i]`` also removed.  Returns an
-        (m, n_criteria) p-value matrix and an (m,) mask ``defined``.  The
-        sets where ``defined`` is False are exactly those on which
-        ``evaluate`` raises UndefinedTestError; each of their rows holds a
-        NaN.
+        ``keep`` with the rows ``combos[i]`` also removed.  It may also be
+        a list of (m_i, L_i) arrays, sets of several sizes, scored as their
+        concatenation in one call.  Returns an (m, n_criteria) p-value
+        matrix and an (m,) mask ``defined``.  The sets where ``defined`` is
+        False are exactly those on which ``evaluate`` raises
+        UndefinedTestError; each of their rows holds a NaN.
 
         Criteria bound to the built-in Welch test are scored from each
         group's count, mean and sum of squared deviations on ``keep``,
-        downdated by the removed rows (``_welch_removals``).  Every other
-        criterion is scored as ``score_masks`` scores it, on ``keep`` less
-        each removal set, except that under a floor, sets of one row take
-        the built-in Anderson-Darling criteria from per-value tables
+        downdated by the removed rows (``_welch_removals``), with the bits
+        each set has in a call of its size alone.  Every other criterion is
+        scored as ``score_masks`` scores it, on ``keep`` less each removal
+        set, except that under a floor, when every set removes one row,
+        the built-in Anderson-Darling criteria take per-value tables
         (``_ad_tables``, ``stats._ADRemovals``): an O(1) bound on every
         set's p, and the exact p, with the block kernel's bits, of the sets
         that are scored.
@@ -509,20 +512,31 @@ class CriteriaEvaluator:
         is scored.  With the tables, ``floor`` may be given lower bounds of
         the r of those sets instead of their r (``_score``).
         """
-        combos = np.asarray(combos, dtype=np.intp)
+        if not (isinstance(combos, list) and combos
+                and all(isinstance(c, np.ndarray) and c.ndim == 2 for c in combos)):
+            combos = [combos]
+        parts = [np.asarray(c, dtype=np.intp) for c in combos]
+        # every set in one array for the keep-masks, a short one padded
+        # with the row index n_subjects, where no criterion pools a row
+        padded = np.full((sum(map(len, parts)), max(c.shape[1] for c in parts)),
+                         self.dataset.n_subjects, dtype=np.intp)
+        at = 0
+        for c in parts:
+            padded[at:at + len(c), :c.shape[1]] = c
+            at += len(c)
 
         def masks(j: int, sets: np.ndarray) -> np.ndarray:
             pooled, _, where = self._pooled[j]
             block = np.repeat(keep[pooled][None, :], sets.size, axis=0)
-            positions = where[combos[sets]]
+            positions = where[padded[sets]]
             hit, col = np.nonzero(positions >= 0)
             block[hit, positions[hit, col]] = False
             return block
 
-        single = floor is not None and combos.shape[1] == 1
-        tables = self._ad_tables(keep, combos[:, 0]) if single else {}
-        welch = self._welch_removals(keep, combos)
-        return self._score(combos.shape[0], masks, welch, floor, pilot, tables)
+        single = floor is not None and all(c.shape[1] == 1 for c in parts)
+        tables = self._ad_tables(keep, padded[:, 0]) if single else {}
+        welch = self._welch_removals(keep, *parts)
+        return self._score(len(padded), masks, welch, floor, pilot, tables)
 
     def _ad_tables(self, keep: np.ndarray, rows: np.ndarray) -> dict:
         """For each Anderson-Darling criterion j, ``(removals, c)``: the
@@ -769,30 +783,31 @@ class CriteriaEvaluator:
                 skip |= reach[w]
             reach[w] = False
 
-    def _welch_removals(self, keep: np.ndarray, combos: np.ndarray):
+    def _welch_removals(self, keep: np.ndarray, *parts: np.ndarray):
         """The (t, df, slow) arrays of ``_welch_t_df`` for every Welch
-        criterion on every removal set, from per-group sufficient
-        statistics; None when there is no Welch criterion.
+        criterion on every removal set of ``parts``, (m_i, L_i) arrays
+        taken in turn, from per-group sufficient statistics; None
+        when there is no Welch criterion.
 
-        Each key's n, mean and C = sum((x - mean)^2) are taken over its
-        group's kept rows with ``welch_t``'s own arithmetic, so a set that
-        takes no row of the group leaves the bits of its p as they are.
-        Removing k rows with deviations d = x - mean gives n' = n - k, a mean
-        shift delta = -sum(d) / n' and C' = C - sum(d^2) - n' delta^2
+        Each key's n, mean and C = sum((x - mean)^2) are taken once, over
+        its group's kept rows with ``welch_t``'s own arithmetic, so a set
+        that takes no row of the group leaves the bits of its p as they
+        are.  Removing k rows with deviations d = x - mean gives n' = n - k,
+        a mean shift delta = -sum(d) / n' and C' = C - sum(d^2) - n' delta^2
         (Welford 1962; Chan, Golub & LeVeque 1983).  A key whose C is 0, or
         whose C' has lost too many digits to cancellation, is degenerate.
         Every key is downdated in one (keys, sets, L) pass per block of
-        ``MASK_BLOCK_CELLS`` cells.  The removal axis stays last and
-        contiguous, so each set's sums add in the order of a lone (sets, L)
-        array, whatever the number of keys.
+        ``MASK_BLOCK_CELLS`` cells, and each size in passes of its own.  The
+        removal axis stays last and contiguous, so each set's sums add in
+        the order of a lone (sets, L) array, whatever the number of keys or
+        sizes; sets are never padded to one width, since numpy's pairwise
+        sum regroups a padded row of 8 or more removals.
         """
         if not self._welch_rows:
             return None
         n_keys = len(self._key_rows)
-        m, width = combos.shape
-        shape = (len(self._welch_rows), m)
+        shape = (len(self._welch_rows), sum(map(len, parts)))
         t, df, slow = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-        step = max(1, MASK_BLOCK_CELLS // (n_keys * max(width, 1)))
         n = np.empty(n_keys, dtype=np.intp)
         mean, ss = np.zeros(n_keys), np.zeros(n_keys)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -802,20 +817,24 @@ class CriteriaEvaluator:
                 if values.size:
                     mean[k], ss[k] = _mean_ss(values)
             n, mean, ss = n[:, None], mean[:, None], ss[:, None]
-            for start in range(0, m, step):
-                block = combos[start:start + step]
-                # (keys, sets, L), each key's rows of the set on its own column
-                in_group = self._key_groups[:, None, None] == self.dataset.group_codes[block]
-                x = np.take(self._key_columns, block, axis=1)
-                d = np.where(in_group, x - mean[:, :, None], 0.0)
-                n_left = n - in_group.sum(axis=2)
-                delta = -d.sum(axis=2) / n_left
-                ss_left = ss - (d * d).sum(axis=2) - n_left * (delta * delta)
-                cut = slice(start, start + step)
-                t[:, cut], df[:, cut], slow[:, cut] = _welch_t_df(
-                    self._key_pairs, n_left, mean + delta, ss_left / (n_left - 1) / n_left,
-                    (ss == 0.0) | (ss_left <= _DOWNDATE_REL_FLOOR * ss),
-                )
+            at = 0
+            for combos in parts:
+                step = max(1, MASK_BLOCK_CELLS // (n_keys * max(combos.shape[1], 1)))
+                for start in range(0, len(combos), step):
+                    block = combos[start:start + step]
+                    # (keys, sets, L), each key's rows of the set on its own column
+                    in_group = self._key_groups[:, None, None] == self.dataset.group_codes[block]
+                    x = np.take(self._key_columns, block, axis=1)
+                    d = np.where(in_group, x - mean[:, :, None], 0.0)
+                    n_left = n - in_group.sum(axis=2)
+                    delta = -d.sum(axis=2) / n_left
+                    ss_left = ss - (d * d).sum(axis=2) - n_left * (delta * delta)
+                    cut = slice(at + start, at + start + len(block))
+                    t[:, cut], df[:, cut], slow[:, cut] = _welch_t_df(
+                        self._key_pairs, n_left, mean + delta, ss_left / (n_left - 1) / n_left,
+                        (ss == 0.0) | (ss_left <= _DOWNDATE_REL_FLOOR * ss),
+                    )
+                at += len(combos)
         return t, df, slow
 
     def _welch_masks(self, keeps: np.ndarray):

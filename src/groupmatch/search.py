@@ -49,8 +49,12 @@ Exhaustive search puts each depth's patterns in balance classes, best
 first (``_balance_classes``), and streams the classes in turn through the
 chunker (``_class_chunks``); within a class the sets keep the order of
 ``itertools.combinations``.  Once a match is stored, the classes after its
-own are skipped, since none of their states could be stored.  In every
-search ``evaluations`` counts only the states scored.
+own are skipped, since none of their states could be stored.  A run of
+small depths is scored as one group, in one ``score_removals`` call of
+sets of several sizes, and then replayed through the chunker, each chunk
+charged, offered and pruned as if it had been scored on its own; the
+clock is read once per group (``exhaustive_search``).  In every search
+``evaluations`` counts only the states scored.
 
 Each scoring call of a step, depth or random-search chunk takes a score
 floor, the least r a state must reach to change what the search keeps
@@ -137,8 +141,11 @@ __all__ = [
 ]
 
 # Removal sets scored per call by the constructive and exhaustive searches;
-# the clock is read between calls.
+# the clock is read between calls.  Exhaustive search scores a run of small
+# depths in one call instead, a group of at most _GROUP_CHUNKS chunks of
+# sets in all, and reads the clock once per group.
 _SCORE_CHUNK = 1024
+_GROUP_CHUNKS = 2
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -1103,6 +1110,39 @@ def exhaustive_search(
     the classes after its own are skipped: their states rank below it, so
     none could be stored.  ``evaluations`` counts the states scored, which
     may be fewer than the depths hold.
+
+    Small depths are scored in groups: the next depth and the depths after
+    it, up to the bound, while they hold at most ``_GROUP_CHUNKS *
+    _SCORE_CHUNK`` sets in all (``_depth_counts``).  One ``score_removals``
+    call scores every set of a group against ``keeper.floor``, so the
+    call's fixed costs (its floor, pilot, t cut and tails) are paid once
+    for the group.  Then the group's depths are
+    replayed in order, from the patterns, classes and blocks built for the
+    call: each chunk of ``_class_chunks`` is charged, then offered with its
+    r, and classes are pruned, as when the depth is scored chunk by chunk,
+    so ``evaluations`` and a ``BudgetExceededError`` are those of scoring
+    depth by depth.  The replay stops after the first depth with a match,
+    and the sets it does not reach are never charged; when a shallow depth
+    matches, the deeper depths of its group were scored in vain, at most
+    two chunks of work.  A depth too large for a group is scored chunk by
+    chunk (``_scored``).  A group needs a built-in Welch criterion: without
+    one, a call has no pilot to raise its floor, and every set is scored
+    in full, so each depth is scored on its own.
+
+    One floor serves a group's depths, since ``_keeper_floor`` does not
+    depend on depth.  If some set of the group has a batch r of at least
+    1, no failing state is reported, and a match of a shallower depth has
+    r >= 1 - ``FLOOR_MARGIN``, so a floor (at most 1) never skips it: a
+    set further below 1 cannot change the report.  If no set has, the
+    failing state reported is the one of highest r over every state
+    offered, and a set below the group's chain floor by ``FLOOR_MARGIN`` /
+    2 cannot be it, since an ``r_close`` chain of the group's sets falls
+    by far less (the margin covers a call of 2,048 sets).
+
+    The clock is read before each group but the first, which holds depth
+    0, so a cut search always has a state to report, and before each chunk
+    of a depth scored chunk by chunk: a search overruns ``time_limit`` by
+    at most one chunk or one group.
     """
     max_removed = _int_arg("max_removed", max_removed)
     engine = _Engine(dataset, config, registry)
@@ -1118,29 +1158,63 @@ def exhaustive_search(
     rows = feasible.open_rows(full, np.zeros(dataset.n_groups, dtype=np.intp))
     bound = min(bound, int(feasible.room.sum()), rows.size)
     keeper = _Keeper(engine, "exhaustive", {"max_removed": bound})
-    codes = dataset.group_codes
+    codes = dataset.group_codes[rows]
+    counts = _depth_counts(engine.sizes.tolist(), feasible.room.tolist(), bound)
+    # sets of one group at most; none without a Welch criterion, whose
+    # calls have no pilot (depth 0 still makes a group of its own)
+    limit = _GROUP_CHUNKS * _SCORE_CHUNK if engine.evaluator._welch_rows else 0
+
+    def plan(depth: int):
+        """The balance classes of ``depth``, whether a stored match prunes
+        class k, and the offer of a scored chunk of the depth."""
+        balances = {
+            pattern: balance_from_counts(dataset, config, engine.sizes - pattern)
+            for pattern in _patterns(feasible.room, depth)
+        }
+        classes = _balance_classes(balances)
+        best = [balances[patterns[0]] for patterns in classes]
+        tagged = [balances[p] for patterns in classes for p in patterns]
+
+        def pruned(k: int) -> bool:   # a stored match ranks above class k
+            return bool(keeper.matches) and _compare_balance(keeper.rank.balance, best[k]) < 0
+
+        def offer(sets, tags, rs) -> None:
+            # the keep-mask of set i: every row but the rows it removes
+            keeper.offer_chunk(rs, n - depth, lambda i: np.bincount(sets[i], minlength=n) == 0,
+                               lambda i: tagged[tags[i]])
+        return classes, pruned, offer
 
     try:
-        for depth in range(bound + 1):
-            balances = {
-                pattern: balance_from_counts(dataset, config, engine.sizes - pattern)
-                for pattern in _patterns(feasible.room, depth)
-            }
-            classes = _balance_classes(balances)
-            best = [balances[patterns[0]] for patterns in classes]
-            tagged = [balances[p] for patterns in classes for p in patterns]
-            # pruned(k): a stored match ranks above every state of class k
-            chunks = _class_chunks(rows, codes[rows], classes, lambda k: bool(
-                keeper.matches) and _compare_balance(keeper.rank.balance, best[k]) < 0)
-            for sets, tags, rs, _ in _scored(engine, full, chunks, keeper.floor):
-                # the keep-mask of set i: every row but the rows it removes
-                keeper.offer_chunk(
-                    rs, n - depth,
-                    lambda i: np.bincount(sets[i], minlength=n) == 0,
-                    lambda i: tagged[tags[i]],
-                )
-            if keeper.matches:
-                break
+        depth = 0
+        while depth <= bound and not keeper.matches:
+            if depth and counts[depth] > limit:
+                classes, pruned, offer = plan(depth)
+                chunks = _class_chunks(rows, codes, classes, pruned)
+                for sets, tags, rs, _ in _scored(engine, full, chunks, keeper.floor):
+                    offer(sets, tags, rs)
+                depth += 1
+                continue
+            # a group: scored in one call, then replayed chunk by chunk
+            end = depth + 1
+            while end <= bound and sum(counts[depth:end + 1]) <= limit:
+                end += 1
+            if depth and engine.out_of_time():
+                raise _OutOfTime
+            group = [plan(d) for d in range(depth, end)]
+            kept = [[list(_lex_sets(rows, codes, np.array(patterns))) for patterns in classes]
+                    for classes, _, _ in group]
+            parts = [np.concatenate([sets for blocks in k for sets, _ in blocks]) for k in kept]
+            evaluator = engine.evaluator
+            rs = evaluator.r_values(*evaluator.score_removals(full, parts, keeper.floor))
+            for (classes, pruned, offer), blocks, part in zip(group, kept, parts):
+                scored, rs = rs[:len(part)], rs[len(part):]   # the depth's r
+                for sets, tags in _class_chunks(rows, codes, classes, pruned, blocks):
+                    engine.budget.charge_states(len(sets))
+                    offer(sets, tags, scored[:len(sets)])
+                    scored = scored[len(sets):]
+                if keeper.matches:
+                    break
+            depth = end
     except _OutOfTime:
         # partial depth: optimality within the depth cannot be claimed, so
         # the best state seen is reported as a failure
@@ -1162,13 +1236,15 @@ def _balance_classes(balances: dict) -> list[list[tuple[int, ...]]]:
     return classes
 
 
-def _class_chunks(rows: np.ndarray, codes: np.ndarray, classes: list, pruned):
+def _class_chunks(rows: np.ndarray, codes: np.ndarray, classes: list, pruned,
+                  kept: list | None = None):
     """The removal sets of each class of count patterns in turn
     (``_lex_sets``), as the ``(sets, tags)`` chunks of ``_chunked``, which
     may span classes; a tag indexes the patterns of every class in turn.
     ``pruned(k)`` is asked before class k is begun and before each chunk,
     with k the class of its first set; once it is true, no further set is
-    yielded."""
+    yielded.  ``kept[k]``, when given, lists the ``_lex_sets`` blocks of
+    class k, built before."""
     class_of = [k for k, patterns in enumerate(classes) for _ in patterns]
 
     def stream():
@@ -1176,7 +1252,8 @@ def _class_chunks(rows: np.ndarray, codes: np.ndarray, classes: list, pruned):
         for k, patterns in enumerate(classes):
             if pruned(k):
                 return
-            for sets, tags in _lex_sets(rows, codes, np.array(patterns)):
+            blocks = _lex_sets(rows, codes, np.array(patterns)) if kept is None else kept[k]
+            for sets, tags in blocks:
                 yield sets, tags + start
             start += len(patterns)
 
@@ -1249,13 +1326,14 @@ def count_configurations(n_subjects: int, max_removed: int) -> int:
     return sum(math.comb(n_subjects, i) for i in range(max_removed + 1))
 
 
-def _count_removal_sets(sizes, rooms, bound: int) -> int:
-    """Number of removal sets of at most ``bound`` rows that take at most
-    ``rooms[g]`` of the ``sizes[g]`` rows of each group g: the sum of the
-    coefficients up to x^bound of the product over groups of
-    sum_{k <= rooms[g]} C(sizes[g], k) x^k.  Arbitrary precision.  It sums
-    the set counts of the ``_patterns`` of depths 0..bound, in time
-    quadratic in ``bound``, where the patterns grow as bound**(groups - 1)."""
+def _depth_counts(sizes, rooms, bound: int) -> list[int]:
+    """Number of removal sets of each depth 0..``bound`` that take at most
+    ``rooms[g]`` of the ``sizes[g]`` rows of each group g: the coefficients
+    up to x^bound of the product over groups of sum_{k <= rooms[g]}
+    C(sizes[g], k) x^k.  Each is the sum, over the ``_patterns`` of its
+    depth, of the products of C(sizes[g], c[g]) that ``_lex_sets`` counts,
+    in time quadratic in ``bound``, where the patterns grow as
+    bound**(groups - 1).  Arbitrary precision."""
     poly = [1]
     for size, room in zip(sizes, rooms):
         term = [math.comb(size, k) for k in range(min(room, bound) + 1)]
@@ -1264,7 +1342,7 @@ def _count_removal_sets(sizes, rooms, bound: int) -> int:
             for k, b in enumerate(term[:len(product) - i]):
                 product[i + k] += a * b
         poly = product
-    return sum(poly)
+    return poly + [0] * (bound + 1 - len(poly))
 
 
 def _patterns(room, depth: int) -> list[tuple[int, ...]]:
@@ -1363,7 +1441,7 @@ def estimate_exhaustive(
 
     The configurations counted are the removal sets ``exhaustive_search``
     walks to that bound, the sum of the set counts of its count patterns
-    (``_count_removal_sets``, ``_patterns``): locks, per-group caps,
+    (``_depth_counts``, ``_patterns``): locks, per-group caps,
     ``min_group_size`` and the total cap all apply.  Its balance pruning may
     score fewer sets than this counts, once a depth holds a match.  When no rate is supplied, one
     is measured on the actual dataset the way exhaustive search scores
@@ -1386,9 +1464,9 @@ def estimate_exhaustive(
     bound = heuristic_removals
     if feasible.cap is not None:
         bound = min(bound, feasible.cap)
-    configurations = _count_removal_sets(
+    configurations = sum(_depth_counts(
         dataset.group_sizes().tolist(), feasible.room.tolist(), bound
-    )
+    ))
     if calibrated_rate is None:
         evaluator = CriteriaEvaluator(dataset, config.criteria, registry)
         keep = np.ones(dataset.n_subjects, dtype=bool)

@@ -17,6 +17,9 @@
   scoring every set, in every search, also where Anderson-Darling or a
   user test binds.  A step's floor, deflated by the most its chain can
   still fall, is never above the floor of every value the step scores.
+* Exhaustive search that scores runs of small depths in one call and
+  replays their chunks reports and charges what scoring depth by depth
+  does, and runs out of budget at the same chunk.
 * Random search that scores only the draws that could still be stored
   gives the run of scoring every draw.
 * A reported success has r >= 1 by ``evaluate``'s arithmetic, in random
@@ -37,7 +40,8 @@
   ``.var(ddof=1)``.
 * ``score_removals``, which downdates every (covariate, group) of the Welch
   criteria in one array pass, gives the bytes of (p, defined) that a
-  downdate of one (covariate, group) at a time gives.
+  downdate of one (covariate, group) at a time gives; a call of sets of
+  several sizes gives each set the bytes of a call of its size alone.
 * The Anderson-Darling tables for single removals give each set the block
   kernel's bytes, NaN where the kernel gives NaN, and bounds that hold the
   kernel's p, inside and outside each criterion's pool.
@@ -70,7 +74,7 @@ from groupmatch.criteria import (
     r_close,
 )
 from groupmatch.dataset import Dataset
-from groupmatch.errors import UndefinedTestError
+from groupmatch.errors import BudgetExceededError, UndefinedTestError
 from groupmatch.stats import (
     BUILTIN_WELCH,
     WelchResult,
@@ -676,6 +680,41 @@ def test_a_reported_success_is_a_match_by_evaluate(problem, seed, batch, nudge):
         assert result.excluded_count(dataset) == fewest
 
 
+def grouping_run(dataset, config, max_removed):
+    """The outcome of exhaustive search, or the evaluations at which its
+    budget ran out; None when its criteria are undefined on every state it
+    visits."""
+    try:
+        return outcome(search.exhaustive_search(dataset, config, max_removed=max_removed,
+                                                registry=FLOOR_REGISTRY))
+    except BudgetExceededError as error:
+        return "budget", error.evaluations
+    except UndefinedTestError:
+        return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(floor_problems(), st.integers(1, 3), st.sampled_from([16, 1024]), st.integers(2, 4),
+       st.none() | st.integers(1, 2000))
+def test_grouped_depths_report_what_depth_by_depth_scoring_reports(
+        problem, max_solutions, chunk, max_removed, budget):
+    # exhaustive search that scores runs of small depths in one call, then
+    # replays their chunks, keeps, reports and charges what scoring each
+    # depth on its own does: the same solutions, rank, p-values, success
+    # and evaluations, and a budget that runs out at the same chunk.  At
+    # chunks of 16 sets, groups of at most 32 sets and chunks cut classes
+    # and depths, so pruning and groups meet
+    dataset, config = problem
+    config = config.with_(max_solutions=max_solutions)
+    if budget is not None:
+        config = config.with_(eval_budget=budget)
+    with mock.patch.object(search, "_SCORE_CHUNK", chunk):
+        grouped = grouping_run(dataset, config, max_removed)
+        with mock.patch.object(search, "_GROUP_CHUNKS", 0):
+            depth_by_depth = grouping_run(dataset, config, max_removed)
+    assert grouped == depth_by_depth
+
+
 def keep_every_draw(self, preserved):
     return np.ones(np.shape(preserved), dtype=bool)
 
@@ -1171,6 +1210,28 @@ def test_fused_downdate_matches_downdate_per_key(problem):
         want_p, want_defined = evaluator.score_removals(keep, combos)
     assert p.tobytes() == want_p.tobytes()
     assert defined.tobytes() == want_defined.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(downdate_problems(), st.lists(st.sampled_from([0, 1, 2, 3, 8, 9]), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_a_grouped_call_gives_each_set_the_bits_of_its_size_alone(problem, sizes, seed):
+    # removal sets of several sizes scored in one call get the bytes of
+    # (p, defined) that a call of each size alone gives them, also at 8
+    # and 9 rows, where a sum over a padded row would add in another order
+    evaluator, keep, combos = problem
+    rng = np.random.default_rng(seed)
+    rows = np.flatnonzero(keep)
+    parts = [combos]
+    for size in sizes:
+        if size <= rows.size:
+            sets = sorted({tuple(sorted(rng.choice(rows, size, replace=False).tolist()))
+                           for _ in range(40)})
+            parts.append(np.array(sets, dtype=np.intp).reshape(len(sets), size))
+    p, defined = evaluator.score_removals(keep, parts)
+    alone = [evaluator.score_removals(keep, part) for part in parts]
+    assert p.tobytes() == np.concatenate([want for want, _ in alone]).tobytes()
+    assert defined.tobytes() == np.concatenate([want for _, want in alone]).tobytes()
 
 
 @st.composite

@@ -11,6 +11,7 @@ from groupmatch.criteria import (
     CriteriaSet,
     CriterionSpec,
     MatchConfig,
+    _fill_tails,
     compute_r,
 )
 from groupmatch.dataset import Dataset
@@ -24,6 +25,7 @@ from groupmatch.search import (
     lookahead_search,
     random_search,
 )
+from groupmatch.stats import BUILTIN_WELCH, TestFunction, TestRegistry
 
 from conftest import (
     build_clinical_dataset,
@@ -328,13 +330,15 @@ class TestReportedState:
         "h3_L2": lambda d, c: lookahead_search(d, c, "h3", lookahead=2),
         "h4_L2": lambda d, c: lookahead_search(d, c, "h4", lookahead=2),
         "exhaustive": exhaustive_search,
-        # under the fake clock below: cut before depth 2, and cut after the
-        # last chunk of depth 5 with matches in the pool (first config)
+        # under the fake clock below (first config): depths 0-3 are one
+        # group, depth 4 takes 3 chunks and depth 5, the first with
+        # matches, 9.  Cut after the group, before any match, and cut after
+        # the last chunk of depth 5 with matches in the pool
         "exhaustive_cut_early": lambda d, c: exhaustive_search(
-            d, c.with_(time_limit=4.5)
+            d, c.with_(time_limit=0.5)
         ),
         "exhaustive_cut_with_matches": lambda d, c: exhaustive_search(
-            d, c.with_(time_limit=21.5)
+            d, c.with_(time_limit=13.5)
         ),
     }
 
@@ -355,7 +359,9 @@ class TestReportedState:
                                 locked_groups=frozenset({"A"}))):
             if exhaustive:
                 # one tick per clock read: the search starts at 0 and reads
-                # the clock before each scoring chunk
+                # the clock before each group of small depths but the
+                # first, and before each chunk of a larger depth and once
+                # after its last
                 ticks = itertools.count()
                 monkeypatch.setattr("groupmatch.search.time.perf_counter",
                                     lambda ticks=ticks: float(next(ticks)))
@@ -500,6 +506,86 @@ class TestExhaustive:
         assert result.parameters["max_removed"] == 1
         assert all(d.n_subjects - s.n_kept <= 1 for s in result.solutions)
         assert exhaustive_search(d, base_config(), max_removed=4).excluded_count(d) == 3
+
+    def test_limit_passed_before_the_first_clock_read_reports_a_state(self):
+        # depths 0-2 (1 + 40 + 780 sets) are one group, scored before the
+        # clock is first read: a limit that has passed by then gives the
+        # best state of that group as a timed-out failure, as the other
+        # searches report one, and no UndefinedTestError
+        d = build_two_group_dataset(20, 0.55, seed=3)
+        cfg = base_config(time_limit=1e-9)
+        result = exhaustive_search(d, cfg, max_removed=3)
+        assert result.timed_out and not result.success
+        assert result.evaluations == 821
+        r, ps = CriteriaEvaluator(d, cfg.criteria).evaluate(result.best.keep)
+        assert result.p_values == ps and result.rank.r == r
+
+    @staticmethod
+    def caps_instance(*tests):
+        """Groups of 8/10/10 rows on two covariates, A locked, caps of 2 on
+        B and C and a total cap of 3, three rows moved by 2.5 sd; criteria
+        of each of ``tests`` on each covariate and pair of groups, at alpha
+        0.2.  Depths 0-3 hold 1 + 20 + 190 + 900 sets."""
+        rng = np.random.default_rng(13)
+        values = rng.normal(size=(28, 2))
+        for i in (9, 15, 22):
+            values[i, i % 2] += 2.5
+        d = Dataset([f"s{i}" for i in range(28)], ["A"] * 8 + ["B"] * 10 + ["C"] * 10,
+                    values, ["x", "y"])
+        return d, MatchConfig(
+            criteria=CriteriaSet(tuple(
+                CriterionSpec(test, c, pair, 0.2) for test in tests for c in "xy"
+                for pair in itertools.combinations("ABC", 2))),
+            locked_groups=frozenset({"A"}), max_removed_per_group={"B": 2, "C": 2},
+            max_removed_total=3)
+
+    @staticmethod
+    def scoring_work(monkeypatch, d, cfg, registry=None):
+        """The ``score_removals`` calls of one exhaustive search, the
+        Student t tails they queue, and its result."""
+        work = {"calls": 0, "tails": 0}
+        score = CriteriaEvaluator.score_removals
+
+        def counting(self, *args, **kwargs):
+            work["calls"] += 1
+            return score(self, *args, **kwargs)
+
+        def queued(tails, p, defined):
+            work["tails"] += sum(len(sets) for _, sets, _, _ in tails)
+            return _fill_tails(tails, p, defined)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(CriteriaEvaluator, "score_removals", counting)
+            patched.setattr("groupmatch.criteria._fill_tails", queued)
+            result = exhaustive_search(d, cfg, registry=registry)
+        return work, result
+
+    def test_small_depths_take_one_scoring_call(self, monkeypatch):
+        # depths 0-3 are one group of 1,111 sets: one call where scoring
+        # depth by depth takes four, and the group's pilot and t cut leave
+        # fewer tails; the same result and evaluations either way
+        d, cfg = self.caps_instance("welch_t")
+        grouped, result = self.scoring_work(monkeypatch, d, cfg)
+        monkeypatch.setattr(search, "_GROUP_CHUNKS", 0)
+        alone, reference = self.scoring_work(monkeypatch, d, cfg)
+        assert result.success and result.excluded_count(d) == 3
+        assert result.evaluations == reference.evaluations == 1111 * 6
+        assert (grouped["calls"], alone["calls"]) == (1, 4)
+        assert grouped["tails"] < alone["tails"]
+        assert [s.keep.tobytes() for s in result.solutions] == [
+            s.keep.tobytes() for s in reference.solutions]
+
+    def test_criteria_without_welch_score_depth_by_depth(self, monkeypatch):
+        # a user test has no pilot to raise a call's floor, so its depths
+        # are not grouped: as many calls as depths, as without groups
+        registry = TestRegistry()
+        registry.register(TestFunction("user_welch", "two_sample", BUILTIN_WELCH.evaluate))
+        d, cfg = self.caps_instance("user_welch")
+        grouped, result = self.scoring_work(monkeypatch, d, cfg, registry)
+        monkeypatch.setattr(search, "_GROUP_CHUNKS", 0)
+        alone, reference = self.scoring_work(monkeypatch, d, cfg, registry)
+        assert grouped == alone == {"calls": 4, "tails": 0}
+        assert result.evaluations == reference.evaluations == 1111 * 6
 
 
 def unpruned_exhaustive(dataset, config, max_removed=None):
@@ -662,14 +748,14 @@ class TestFeasibilityArithmetic:
             sizes = rng.integers(1, 40, size=int(rng.integers(2, 6))).tolist()
             rooms = [int(rng.integers(0, s + 1)) for s in sizes]
             bound = int(rng.integers(0, 12))
-            counted = 0
+            counts = search._depth_counts(sizes, rooms, bound)
+            assert len(counts) == bound + 1
             for depth in range(bound + 1):
                 patterns = search._patterns(rooms, depth)
                 assert patterns == sorted(set(patterns))
                 assert all(sum(p) == depth and all(0 <= c <= r for c, r in zip(p, rooms))
                            for p in patterns)
-                counted += sum(math.prod(map(math.comb, sizes, p)) for p in patterns)
-            assert counted == search._count_removal_sets(sizes, rooms, bound)
+                assert counts[depth] == sum(math.prod(map(math.comb, sizes, p)) for p in patterns)
 
     def test_known_counts(self):
         assert count_configurations(40, 3) == 10_701
