@@ -45,6 +45,7 @@ __all__ = [
     "compare_solutions",
     "solution_rank",
     "balance_from_counts",
+    "balances_from_counts",
 ]
 
 # Relative tolerance for floating-point rank components; differing summation
@@ -60,8 +61,9 @@ _DOWNDATE_REL_FLOOR = 1e-9
 # when an upper bound on its r, raised by this relative margin, is still
 # below the floor and not ``r_close`` to it.  The margin is far above the
 # Student t tail kernel's error against mpmath for df from 1 to
-# ``_FLOOR_DF_MAX`` (below 7e-11 over t at df = 1e6; the error grows with df,
-# to 8.8e-10 at 1e7 and 9.7e-9 at 1e8, so a set of a higher df is never
+# ``_FLOOR_DF_MAX`` (below 2e-10 over t: a dense scan finds 1.3e-10 at
+# df = 9e5 and 7.8e-11 at 1e6, near t = 1.8; the error grows with df, to
+# 8.8e-10 at 1e7 and 9.7e-9 at 1e8, so a set of a higher df is never
 # skipped by its t), and above the drift that a chain of ``r_close`` values
 # can add within one scoring call (2,048 sets of an exhaustive call, at
 # most 4,096 draws of a random-search chunk, times 1e-12); a constructive
@@ -301,12 +303,23 @@ def kl_divergence(observed, target) -> float:
         raise ValidationError(
             f"proportion vectors differ in shape: {obs.shape} vs {tgt.shape}"
         )
-    if np.any(tgt <= 0.0):
+    _check_proportions(obs, tgt)
+    return _kl(obs, tgt)
+
+
+def _check_proportions(obs: np.ndarray, tgt: np.ndarray) -> None:
+    """Refuse proportions ``obs`` (a vector, or vectors as rows) that
+    ``kl_divergence`` cannot compare with the target ``tgt``."""
+    if (tgt <= 0.0).any():
         raise ValidationError("target proportions must be strictly positive")
-    if np.any(obs < 0.0):
+    if (obs < 0.0).any():
         raise ValidationError("observed proportions must be nonnegative")
+
+
+def _kl(obs: np.ndarray, tgt: np.ndarray) -> float:
+    """``kl_divergence`` of checked proportion vectors."""
     mask = obs > 0.0
-    value = float(np.sum(obs[mask] * np.log(obs[mask] / tgt[mask])))
+    value = float((obs[mask] * np.log(obs[mask] / tgt[mask])).sum())
     return max(value, 0.0)
 
 
@@ -826,9 +839,9 @@ class CriteriaEvaluator:
                     in_group = self._key_groups[:, None, None] == self.dataset.group_codes[block]
                     x = np.take(self._key_columns, block, axis=1)
                     d = np.where(in_group, x - mean[:, :, None], 0.0)
-                    n_left = n - in_group.sum(axis=2)
-                    delta = -d.sum(axis=2) / n_left
-                    ss_left = ss - (d * d).sum(axis=2) - n_left * (delta * delta)
+                    n_left = n - _sum_removals(in_group)
+                    delta = -_sum_removals(d) / n_left
+                    ss_left = ss - _sum_removals(d * d) - n_left * (delta * delta)
                     cut = slice(at + start, at + start + len(block))
                     t[:, cut], df[:, cut], slow[:, cut] = _welch_t_df(
                         self._key_pairs, n_left, mean + delta, ss_left / (n_left - 1) / n_left,
@@ -862,6 +875,22 @@ class CriteriaEvaluator:
                     constant[k, cut] = (np.where(kept, x, np.inf).min(axis=1)
                                         == np.where(kept, x, -np.inf).max(axis=1))
             return _welch_t_df(self._key_pairs, n, mean, var_n, constant)
+
+
+def _sum_removals(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=2)`` over the removal axis of a (keys, sets, L) array,
+    with its bits.  numpy adds fewer than 8 values left to right, starting
+    from 0, so for 0 < L < 8 those adds are written out, at a tenth of the
+    cost of a reduction over so short an axis; from L = 8 numpy adds in
+    pairs, and at L = 0 the sum is of nothing, so the reduction is kept
+    there.  Booleans are summed as counts."""
+    size = a.shape[2]
+    if not 0 < size < 8:
+        return a.sum(axis=2)
+    total = a[:, :, 0].astype(np.intp) if a.dtype == bool else a[:, :, 0] + 0.0
+    for i in range(1, size):
+        total = total + a[:, :, i]
+    return total
 
 
 def _welch_t_df(pairs, n, mean, var_n, degenerate):
@@ -953,14 +982,26 @@ def balance_from_counts(
     """Balance term of a subset that keeps ``counts[g]`` rows of each group
     (canonical label order): the KL divergence of its group proportions from
     the target, or the removals per group in precedence order."""
+    return balances_from_counts(dataset, config, np.asarray(counts)[None])[0]
+
+
+def balances_from_counts(
+    dataset: Dataset, config: MatchConfig, counts: np.ndarray
+) -> list[Balance]:
+    """``balance_from_counts`` of each row of the (subsets, groups) array
+    ``counts``.  The target and the checks are taken once for all rows,
+    and each row's KL divergence keeps its own arithmetic."""
     if config.balance_mode == "proportions":
-        if np.any(counts == 0):
+        if (counts == 0).any():
             raise ValidationError("cannot rank a subset with an empty group")
-        observed = counts / counts.sum()
-        return kl_divergence(observed, config.target_vector(dataset))
+        observed = counts / counts.sum(axis=1, keepdims=True)
+        target = config.target_vector(dataset)
+        _check_proportions(observed, target)
+        return [_kl(row, target) for row in observed]
     removed = dataset.group_sizes() - counts
     code_of = {g: i for i, g in enumerate(dataset.group_labels)}
-    return tuple(int(removed[code_of[g]]) for g in config.precedence)  # type: ignore[union-attr]
+    order = [code_of[g] for g in config.precedence]  # type: ignore[union-attr]
+    return [tuple(row) for row in removed[:, order].tolist()]
 
 
 def solution_rank(

@@ -28,14 +28,16 @@ patterns in the order of ``itertools.combinations``, as ``(sets, tags)``
 blocks: (m, L) row arrays, and for each set the row of the list that is
 its pattern.  A set's balance depends on its pattern alone, so it is read
 from the tag.  One chunker, ``_chunked``, cuts any stream of such blocks
-into chunks of ``_SCORE_CHUNK`` sets, which may span blocks, and one loop,
-``_scored``, scores each chunk with one ``CriteriaEvaluator.score_removals``
-call, reading the clock (``time_limit``) before each call and once after
-the last.  Random search makes and charges its draws one at a time, in
-chunks of ``MASK_BLOCK_CELLS`` cells; the draws of a chunk that could
-still be stored (``_Keeper.storable``) are scored with one
-``CriteriaEvaluator.score_masks`` call, and a chunk with none makes no
-call.  It reads the clock between chunks.
+into chunks of a given number of sets, which may span blocks:
+``_PASS_CHUNK`` (4,096) for a constructive pass, ``_SCORE_CHUNK`` (1,024)
+for an exhaustive depth.  One loop, ``_scored``, scores each chunk with
+one ``CriteriaEvaluator.score_removals`` call, reading the clock
+(``time_limit``) before each call and once after the last, so a step
+overruns ``time_limit`` by at most one call.  Random search makes and
+charges its draws one at a time, in chunks of ``MASK_BLOCK_CELLS`` cells;
+the draws of a chunk that could still be stored (``_Keeper.storable``)
+are scored with one ``CriteriaEvaluator.score_masks`` call, and a chunk
+with none makes no call.  It reads the clock between chunks.
 
 A constructive step enumerates its patterns in passes, one ``_lex_sets``
 call per pass, and skips the patterns that a criterion-locality bound
@@ -118,7 +120,7 @@ from .criteria import (
     SolutionRank,
     _apart,
     _compare_balance,
-    balance_from_counts,
+    balances_from_counts,
     compare_solutions,
     r_close,
     solution_rank,
@@ -140,11 +142,19 @@ __all__ = [
     "format_duration",
 ]
 
-# Removal sets scored per call by the constructive and exhaustive searches;
-# the clock is read between calls.  Exhaustive search scores a run of small
-# depths in one call instead, a group of at most _GROUP_CHUNKS chunks of
-# sets in all, and reads the clock once per group.
+# Removal sets scored per call by exhaustive search (_SCORE_CHUNK) and by
+# each constructive pass (_PASS_CHUNK); the clock is read between calls.
+# Exhaustive search scores a run of small depths in one call instead, a
+# group of at most _GROUP_CHUNKS chunks of sets in all, and reads the clock
+# once per group; the drift argument behind criteria.FLOOR_MARGIN covers
+# those 2,048 sets.  A constructive floor is deflated over its whole step
+# instead (_deflated), so its calls may be larger: an item-scale L = 1 pass
+# of about 2,000 sets is one call.  Larger calls gained no more (h3 at
+# L = 3 on the 113-row clinical test fixture, 2-core VM: 1.22 s at 1,024
+# sets a call, 0.92 s at 4,096, 0.92-0.99 s at 16,384) and would let a step
+# overrun time_limit by more.
 _SCORE_CHUNK = 1024
+_PASS_CHUNK = 4096
 _GROUP_CHUNKS = 2
 
 @dataclass(frozen=True)
@@ -256,6 +266,22 @@ class _Feasibility:
         if self.cap is not None:
             ok &= removed.sum(axis=-1) <= self.cap
         return ok
+
+    def admitted(self, codes: np.ndarray, removed: np.ndarray) -> np.ndarray:
+        """Which of a run of single removals, from the groups ``codes`` in
+        turn, a walk at per-group counts ``removed`` takes when it takes
+        each one that keeps every limit after those taken before it.  A
+        removal refused for its group's room changes no count, and neither
+        do the later ones of its group, which are refused too; once the
+        total cap is reached, every later removal is refused.  So a removal
+        is taken when the run's removals of its group up to it, itself
+        included, are at most that group's room left, and the removals so
+        taken are cut where their running count passes the cap left."""
+        rank = np.cumsum(codes[:, None] == np.arange(self.room.size), axis=0)
+        taken = rank[np.arange(codes.size), codes] <= (self.room - removed)[codes]
+        if self.cap is not None:
+            taken &= np.cumsum(taken) <= self.cap - removed.sum()
+        return taken
 
     def open_rows(self, keep: np.ndarray, removed: np.ndarray, size: int = 1):
         """Kept rows of the groups with room left, ascending; none when
@@ -664,22 +690,22 @@ def _scored(engine: _Engine, keep: np.ndarray, chunks, floor=None, pilot: int = 
     raise _OutOfTime
 
 
-def _chunked(blocks):
+def _chunked(blocks, size: int):
     """The ``(sets, tags)`` blocks of the iterable ``blocks`` re-cut into
-    chunks of ``_SCORE_CHUNK`` sets (the last may hold fewer), since each
-    scoring call has a fixed cost: a chunk may span blocks.  A block is
-    drawn only when the chunks before it are taken."""
+    chunks of ``size`` sets (the last may hold fewer), since each scoring
+    call has a fixed cost: a chunk may span blocks.  A block is drawn only
+    when the chunks before it are taken."""
     held: list[tuple[np.ndarray, np.ndarray]] = []
     count = 0
     for block in blocks:
         held.append(block)
         count += len(block[0])
-        if count < _SCORE_CHUNK:
+        if count < size:
             continue
         sets, tags = (np.concatenate(part) for part in zip(*held))
-        while len(sets) >= _SCORE_CHUNK:
-            yield sets[:_SCORE_CHUNK], tags[:_SCORE_CHUNK]
-            sets, tags = sets[_SCORE_CHUNK:], tags[_SCORE_CHUNK:]
+        while len(sets) >= size:
+            yield sets[:size], tags[:size]
+            sets, tags = sets[size:], tags[size:]
         held, count = [(sets, tags)], len(sets)
     if count:
         yield tuple(np.concatenate(part) for part in zip(*held))
@@ -699,10 +725,11 @@ def _evaluate_step(
     have r at most its bound B (``_pattern_bounds``).  The patterns of
     highest B go first; then, while some pattern left has a B not below
     the ``r_close`` chain floor of the sets scored so far, or ``r_close``
-    to it, those patterns go: one ``_lex_sets`` call per pass, chunked by
-    ``_chunked``.  Every set left has r below that floor and not
-    ``r_close`` to it, so it could neither join nor break the chain at the
-    top of the step, which is all ``_tied_best`` scans.  The sets scored
+    to it, those patterns go: one ``_lex_sets`` call per pass, scored in
+    calls of ``_PASS_CHUNK`` sets (``_chunked``).  Every set left has r
+    below that floor and not ``r_close`` to it, so it could neither join
+    nor break the chain at the top of the step, which is all
+    ``_tied_best`` scans.  The sets scored
     come back in the order of ``itertools.combinations``.
 
     With a ``limit``, the step needs only that chain and its ``limit`` best
@@ -740,7 +767,7 @@ def _evaluate_step(
         done |= todo
         picked = np.flatnonzero(todo)
         blocks = ((sets, picked[t]) for sets, t in _lex_sets(rows, codes, patterns[todo]))
-        for chunk in _scored(engine, walk.keep, _chunked(blocks),
+        for chunk in _scored(engine, walk.keep, _chunked(blocks, _PASS_CHUNK),
                              None if limit is None else floor, limit or 1, size == 1):
             scored.append(chunk)
             exact.append(chunk[2][~np.isnan(chunk[2])])
@@ -755,9 +782,7 @@ def _evaluate_step(
     order = np.lexsort(combos.T[::-1])
     index = (np.cumsum(done) - 1)[tags[defined]]
     left = engine.sizes - walk.removed_counts   # rows kept per group
-    balances = [
-        balance_from_counts(engine.dataset, engine.config, left - p) for p in patterns[done]
-    ]
+    balances = balances_from_counts(engine.dataset, engine.config, left - patterns[done])
     return _StepCandidates(combos[order], rs_all[defined][order], index[order], balances,
                            exact_p[defined][order])
 
@@ -1008,21 +1033,16 @@ def _constructive(
         pool = _argmax_pool(engine, step)
         first = select(engine, walk, step, pool)
 
-        plan = [first]
+        plan = np.array([first])
         if batch_limit > 1:
-            for row in step.combos[_batch_order(step), 0].tolist():
-                if len(plan) >= batch_limit:
-                    break
-                if row != first:
-                    plan.append(row)
-
-        removed_now = []
-        for row in plan:
-            after = walk.removed_counts.copy()
-            after[dataset.group_codes[row]] += 1
-            if walk.keep[row] and engine.feasible.allows(after):
-                walk.remove(row)
-                removed_now.append(row)
+            ranked = step.combos[_batch_order(step), 0]
+            plan = np.append(plan, ranked[ranked != first][:batch_limit - 1])
+        # the rows of the plan that keep every limit, each taken in turn
+        plan = plan[walk.keep[plan]]
+        removed_now = plan[engine.feasible.admitted(
+            dataset.group_codes[plan], walk.removed_counts)].tolist()
+        for row in removed_now:
+            walk.remove(row)
         if not removed_now:
             break
         # a pass that commits one scored single removal hands the p-values
@@ -1167,10 +1187,9 @@ def exhaustive_search(
     def plan(depth: int):
         """The balance classes of ``depth``, whether a stored match prunes
         class k, and the offer of a scored chunk of the depth."""
-        balances = {
-            pattern: balance_from_counts(dataset, config, engine.sizes - pattern)
-            for pattern in _patterns(feasible.room, depth)
-        }
+        patterns = _patterns(feasible.room, depth)
+        balances = dict(zip(patterns, balances_from_counts(
+            dataset, config, engine.sizes - np.array(patterns))))
         classes = _balance_classes(balances)
         best = [balances[patterns[0]] for patterns in classes]
         tagged = [balances[p] for patterns in classes for p in patterns]
@@ -1239,9 +1258,9 @@ def _balance_classes(balances: dict) -> list[list[tuple[int, ...]]]:
 def _class_chunks(rows: np.ndarray, codes: np.ndarray, classes: list, pruned,
                   kept: list | None = None):
     """The removal sets of each class of count patterns in turn
-    (``_lex_sets``), as the ``(sets, tags)`` chunks of ``_chunked``, which
-    may span classes; a tag indexes the patterns of every class in turn.
-    ``pruned(k)`` is asked before class k is begun and before each chunk,
+    (``_lex_sets``), as the ``(sets, tags)`` chunks of ``_SCORE_CHUNK``
+    sets of ``_chunked``, which may span classes; a tag indexes the
+    patterns of every class in turn.  ``pruned(k)`` is asked before class k is begun and before each chunk,
     with k the class of its first set; once it is true, no further set is
     yielded.  ``kept[k]``, when given, lists the ``_lex_sets`` blocks of
     class k, built before."""
@@ -1258,7 +1277,7 @@ def _class_chunks(rows: np.ndarray, codes: np.ndarray, classes: list, pruned,
             start += len(patterns)
 
     return itertools.takewhile(
-        lambda chunk: not pruned(class_of[chunk[1][0]]), _chunked(stream()))
+        lambda chunk: not pruned(class_of[chunk[1][0]]), _chunked(stream(), _SCORE_CHUNK))
 
 
 # Removal sets of one balance class built and sorted at once, at most; a

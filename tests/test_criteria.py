@@ -9,6 +9,7 @@ from groupmatch.criteria import (
     CriterionSpec,
     MatchConfig,
     SolutionRank,
+    balances_from_counts,
     compare_solutions,
     compute_r,
     kl_divergence,
@@ -206,6 +207,25 @@ class TestSolutionRankComputation:
         keep = np.array([True, False, True, True])
         rank = solution_rank(d, keep, cfg, r=0.9)
         assert rank.balance == (0, 1)
+
+    @pytest.mark.parametrize("groups", [3, 9])
+    def test_balances_of_many_count_patterns_keep_the_bits_of_each(self, groups):
+        # one call for many patterns gives each the bits of kl_divergence on
+        # its own proportions, also past 8 groups, where numpy sums in pairs
+        rng = np.random.default_rng(groups)
+        labels = [f"g{i}" for i in range(groups)]
+        sizes = rng.integers(5, 60, groups)
+        d = Dataset([f"s{i}" for i in range(sizes.sum())], np.repeat(labels, sizes).tolist(),
+                    np.zeros((sizes.sum(), 1)), ["x"])
+        target = rng.uniform(0.5, 1.5, groups)
+        cfg = MatchConfig(criteria=welch_only_criteria(), target_proportions=dict(
+            zip(labels, (target / target.sum()).tolist())))
+        counts = sizes - rng.integers(0, 5, (200, groups))
+        want = [kl_divergence(row / row.sum(), cfg.target_vector(d)) for row in counts]
+        got = balances_from_counts(d, cfg, counts)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        with pytest.raises(ValidationError, match="empty group"):
+            balances_from_counts(d, cfg, np.vstack([counts, np.zeros(groups, dtype=int)]))
 
 
 class TestValidation:

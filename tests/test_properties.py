@@ -26,6 +26,8 @@
   and exhaustive search, also where the alphas put some state's r at 1 to
   the last bit; exhaustive search then finds the fewest removals that a
   brute-force scan with ``evaluate`` finds.
+* The rows of a lazy batch plan that a walk takes are those that taking
+  one row at a time, while ``_Feasibility.allows`` accepts, takes.
 * Exhaustive search's class enumerator gives the sets of each depth that
   ``itertools.combinations`` gives and ``_Feasibility.allows`` accepts:
   balance classes best first, each in canonical order.
@@ -260,7 +262,7 @@ def reference_sets(dataset, room, cap, keep, removed, size):
 
 
 @SETTINGS
-@given(problems(), st.integers(0, 2**32 - 1), st.integers(1, 7))
+@given(problems(), st.integers(0, 2**32 - 1), st.integers(1, 7) | st.just(4096))
 def test_removal_sets_match_per_set_rule(problem, seed, chunk):
     dataset, config = problem
     engine = search._Engine(dataset, config, None)
@@ -280,7 +282,7 @@ def test_removal_sets_match_per_set_rule(problem, seed, chunk):
         sizes.append(len(combos))
         return np.zeros(len(combos))
 
-    with mock.patch.object(search, "_SCORE_CHUNK", chunk), \
+    with mock.patch.object(search, "_PASS_CHUNK", chunk), \
             mock.patch.object(engine, "score", score):
         for size in range(1, 4):
             sizes.clear()
@@ -368,6 +370,38 @@ def test_class_enumerator_matches_filtered_combinations(problem, chunk, block):
             for later in classes[k + 1:]:
                 assert all(_compare_balance(balances[a], balances[b]) < 0
                            for a in patterns for b in later)
+
+
+@SETTINGS
+@given(enumerations(), st.integers(0, 2**32 - 1))
+def test_batch_plan_takes_what_one_removal_at_a_time_takes(problem, seed):
+    # the rows of a lazy batch plan that a walk takes, found by array
+    # arithmetic, are those that taking each row in turn takes when
+    # _Feasibility.allows accepts the counts after it; plans run past the
+    # room of a group or the total cap
+    dataset, config = problem
+    feasible = search._Feasibility(dataset, config)
+    codes = dataset.group_codes
+    rng = np.random.default_rng(seed)
+    keep = np.ones(dataset.n_subjects, dtype=bool)
+    removed = np.zeros(dataset.n_groups, dtype=np.intp)
+    for _ in range(int(rng.integers(0, 4))):
+        rows = feasible.open_rows(keep, removed)
+        if not rows.size:
+            break
+        row = int(rng.choice(rows))
+        keep[row] = False
+        removed[codes[row]] += 1
+    kept = np.flatnonzero(keep)
+    plan = rng.permutation(kept)[:int(rng.integers(0, kept.size + 1))]
+    want, counts = [], removed.copy()
+    for row in plan.tolist():
+        after = counts.copy()
+        after[codes[row]] += 1
+        if feasible.allows(after):
+            want.append(row)
+            counts = after
+    assert plan[feasible.admitted(codes[plan], removed)].tolist() == want
 
 
 @st.composite
@@ -566,12 +600,14 @@ FLOOR_VARIANTS = st.sampled_from(["greedy", "h3", "h4", "random", "exhaustive"])
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(floor_problems(), FLOOR_VARIANTS, st.integers(1, 3), st.sampled_from([1, 3]),
-       st.sampled_from([5, 1024]))
+       st.sampled_from([5, 1024, 4096]))
 def test_floors_change_nothing(problem, variant, size, batch, chunk):
-    # scoring against floors, in chunks of ``chunk`` sets (random search:
-    # draws of ``chunk`` cells), gives the run of scoring every set in full
+    # scoring against floors, in chunks of ``chunk`` sets (exhaustive
+    # search: of at most 1,024 sets; random search: draws of ``chunk``
+    # cells), gives the run of scoring every set in full
     dataset, config = problem
-    with mock.patch.object(search, "_SCORE_CHUNK", chunk), \
+    with mock.patch.object(search, "_PASS_CHUNK", chunk), \
+            mock.patch.object(search, "_SCORE_CHUNK", min(chunk, 1024)), \
             mock.patch.object(search, "MASK_BLOCK_CELLS", chunk * dataset.n_subjects):
         floored = floor_run(dataset, config, variant, size, batch)
         with mock.patch.object(search, "_floor", no_floor):
@@ -1148,8 +1184,9 @@ def downdate_problems(draw):
     normal, tied, constant, or constant but for one row; Welch criteria on
     pairs of groups that share (covariate, group) keys, in random order,
     with Anderson-Darling criteria mixed in; a locked group, a few rows
-    already removed, and removal sets of 0-4 rows, or of 8-9 rows, where
-    numpy's sum over a contiguous axis starts to add in pairs."""
+    already removed, and removal sets of 0-5 or 7 rows, whose sums are
+    written out as adds, or of 8-9 rows, where numpy's sum over a
+    contiguous axis starts to add in pairs."""
     k = draw(st.integers(2, 5))
     n_cov = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(2, 9), min_size=k, max_size=k))
@@ -1192,7 +1229,7 @@ def downdate_problems(draw):
     keep = np.ones(dataset.n_subjects, dtype=bool)
     keep[rng.choice(open_rows, draw(st.integers(0, 2)), replace=False)] = False
     rows = [i for i in open_rows if keep[i]]
-    size = draw(st.sampled_from([3, 2, 4, 8, 1, 9, 0]))
+    size = draw(st.sampled_from([3, 2, 4, 8, 1, 9, 0, 7, 5]))
     if math.comb(len(rows), size) <= 300:
         combos = list(itertools.combinations(rows, size))
     else:

@@ -132,6 +132,20 @@ class TestStudentTail:
                 want = self.reference(t, df)
                 assert float(abs((p - want) / want)) <= bound, (t, df)
 
+    def test_error_below_the_stated_bound_on_a_dense_scan(self):
+        # the premise of criteria.FLOOR_MARGIN: up to _FLOOR_DF_MAX the
+        # kernel's error stays below 2e-10 over t.  It is spiky in t and df
+        # (1.3e-10 at df = 9e5, t = 1.8175; 7.8e-11 at df = 1e6), so a coarse
+        # grid misses its peaks: t runs over [1, 3.5] in steps of 0.0025
+        bound = 2e-10
+        assert FLOOR_MARGIN >= 50 * bound
+        ts = np.linspace(1.0, 3.5, 1001)
+        for df in (1e5, 7.4e5, 9e5, _FLOOR_DF_MAX):
+            got = student_t_sf_array(ts, np.full(ts.size, df))
+            for t, p in zip(ts.tolist(), got.tolist()):
+                want = self.reference(t, df)
+                assert float(abs((p - want) / want)) <= bound, (t, df)
+
     def test_bits_do_not_depend_on_simd_code_paths(self):
         found = cpu_features()
         if not (found.get("X86_V3") and found.get("X86_V4")):
